@@ -10,8 +10,8 @@ type 'env t = {
   label : string;
   calldata : string;
   contract : string option;
-      (** explicit telemetry gas-attribution target; [None] falls back to
-          the label prefix before [':'] (deprecated) *)
+      (** explicit telemetry gas-attribution target; [None] records no
+          per-contract gas *)
   body : 'env -> unit;
 }
 

@@ -21,10 +21,8 @@ module Telemetry = Zkdet_telemetry.Telemetry
 (* ---- unified scenario configuration ---- *)
 
 (** One configuration record drives every scenario entry point
-    ({!run_cfg}, {!run_batch_cfg}, {!load}).  The legacy optional-label
-    entry points ({!run}, {!run_batch}) are thin wrappers kept for one
-    release; new call sites should build a [Config.t] and pick the
-    fields they care about. *)
+    ({!run_cfg}, {!run_batch_cfg}, {!load}); call sites override the
+    fields they care about in {!Config.default}. *)
 module Config = struct
   type t = {
     seed : int;  (** master RNG seed; every address and dataset derives from it *)
@@ -66,8 +64,8 @@ end
 
 (* Route a scenario's observability through the sinks named in the
    config: open the journal before running, close it after, and dump a
-   Prometheus snapshot when asked.  A config with both sinks [None] is
-   a no-op wrapper, so the legacy entry points keep their behaviour. *)
+   Prometheus snapshot when asked.  A config with both sinks [None]
+   leaves whatever journal and telemetry state the caller set up. *)
 let with_sinks (cfg : Config.t) (f : unit -> 'a) : 'a =
   Option.iter (fun p -> Obs.set_journal_path (Some p)) cfg.Config.journal;
   if cfg.Config.prom <> None then Telemetry.set_enabled true;
@@ -201,11 +199,6 @@ let run_cfg (cfg : Config.t) : outcome =
         { chain; net; proof_ok; delivered; ok = delivered })
   end
 
-(** @deprecated Thin wrapper over {!run_cfg}; will be removed next
-    release.  Build a {!Config.t} instead. *)
-let run ?(seed = 42) ?(n = 8) ?(price = 1_000) () : outcome =
-  run_cfg { Config.default with Config.seed; n; price }
-
 (* ---- batched settlement scenario ---- *)
 
 module Escrow = Zkdet_contracts.Escrow
@@ -314,12 +307,6 @@ let run_batch_cfg (cfg : Config.t) : batch_outcome =
   let batch_ok = settle_ok && locked = batch && settled = batch && recovered = batch in
   if batch_ok then step "batch-complete" ~detail:[ ("batch", string_of_int batch) ];
   { batch_chain = chain; locked; settled; recovered; batch_ok }
-
-(** @deprecated Thin wrapper over {!run_batch_cfg}; will be removed
-    next release.  Build a {!Config.t} instead. *)
-let run_batch ?(seed = 42) ?(batch = 4) ?(n = 8) ?(price = 1_000) () :
-    batch_outcome =
-  run_batch_cfg { Config.default with Config.seed; batch; n; price }
 
 (* ---- sustained marketplace load (mempool + parallel blocks) ---- *)
 

@@ -39,29 +39,6 @@ let inv a =
   let ninv = Fp.inv norm in
   { c0 = Fp.mul a.c0 ninv; c1 = Fp.neg (Fp.mul a.c1 ninv) }
 
-(* Mirrors Montgomery.batch_inv0 over the extension: one Fp2 inversion
-   for the whole batch, zero entries skipped and passed through as zero. *)
-let batch_inv0 (xs : t array) : t array =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let prefix = Array.make n one in
-    let acc = ref one in
-    for i = 0 to n - 1 do
-      prefix.(i) <- !acc;
-      if not (is_zero xs.(i)) then acc := mul !acc xs.(i)
-    done;
-    let inv_acc = ref (inv !acc) in
-    let out = Array.make n zero in
-    for i = n - 1 downto 0 do
-      if not (is_zero xs.(i)) then begin
-        out.(i) <- mul !inv_acc prefix.(i);
-        inv_acc := mul !inv_acc xs.(i)
-      end
-    done;
-    out
-  end
-
 (* The kernel buffer API, mirrored from Field_intf so Fp2 can also back
    the curve layer's batch-affine kernels.  A buffer is a pair of flat Fp
    component buffers plus four private Fp scratch cells for the Karatsuba

@@ -22,10 +22,10 @@ module type CURVE_FIELD = sig
   val inv : t -> t
 
   (** Flat kernel buffers (see {!Zkdet_field.Field_intf.CORE}): [n]
-      mutable cells addressed by index, contiguous for the unboxed field
-      backend.  Every operand is a [(buf, index)] pair and destinations
-      may alias sources, so the batch-affine MSM inner loops allocate
-      nothing per field operation. *)
+      mutable cells addressed by index, contiguous for Fp and Fr (an Fp2
+      buffer is a pair of Fp buffers).  Every operand is a [(buf, index)]
+      pair and destinations may alias sources, so the batch-affine MSM
+      inner loops allocate nothing per field operation. *)
 
   type buf
 
@@ -237,7 +237,7 @@ module Make (P : PARAMS) = struct
        point under bucket |d_w|, halving the bucket count per window.
      - Bucket contents are reduced by rounds of pairwise affine additions
        whose slope denominators are inverted together — one field
-       inversion per round (Montgomery's trick, F.batch_inv0) — at ~6
+       inversion per round (Montgomery's trick, F.buf_batch_inv0) — at ~6
        field mults per addition vs ~11 for Jacobian add_mixed.
      - Points are partitioned into chunks whose count depends only on n;
        each chunk computes every window and chunks are merged in fixed

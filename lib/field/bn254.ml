@@ -1,18 +1,9 @@
 (* The BN254 (alt_bn128) curve parameters used by Circom/Snarkjs and by the
    Ethereum pairing precompiles — the setting the ZKDET paper evaluates in.
 
-   Both field backends are instantiated here and one is picked at startup
-   from ZKDET_FIELD_BACKEND:
-
-   - "unboxed64" (default): flat 4x64-bit limbs in Bytes, C/int64 kernels
-     (see Fp64).
-   - "limb26": boxed base-2^26 native-int limb arrays (see Montgomery),
-     kept as the differential-testing oracle and portability fallback.
-
-   Wire encodings are canonical big-endian integers in both cases, so the
-   choice never changes proof bytes, state hashes, or golden vectors.  The
-   non-default instantiations stay exported (Fp_limb26 & co.) for the
-   differential tests and the field microbenchmarks. *)
+   Both fields are Fp64 instantiations (flat 4x64-bit Montgomery limbs).
+   Wire encodings are canonical big-endian integers, independent of the
+   in-memory representation. *)
 
 module Nat = Zkdet_num.Nat
 
@@ -25,52 +16,16 @@ let fp_modulus_decimal =
 let fr_modulus_decimal =
   "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 
-module Fp_limb26 = Montgomery.Make (struct
-  let modulus_decimal = fp_modulus_decimal
-end)
-
-module Fp_unboxed = Fp64.Make (struct
-  let modulus_decimal = fp_modulus_decimal
-end)
-
-module Fr_limb26 = Montgomery.Make (struct
-  let modulus_decimal = fr_modulus_decimal
-end)
-
-module Fr_unboxed = Fp64.Make (struct
-  let modulus_decimal = fr_modulus_decimal
-end)
-
-let backend_env_var = "ZKDET_FIELD_BACKEND"
-
-type backend = Unboxed64 | Limb26
-
-let backend =
-  match Sys.getenv_opt backend_env_var with
-  | None | Some "" | Some "unboxed64" -> Unboxed64
-  | Some "limb26" -> Limb26
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: unknown field backend %S (expected \"unboxed64\" or \
-            \"limb26\")"
-           backend_env_var other)
-
-let backend_name =
-  match backend with Unboxed64 -> "unboxed64" | Limb26 -> "limb26"
-
 (** Base field of the curve (coordinates live here). *)
-module Fp : Field_intf.S =
-  (val match backend with
-       | Unboxed64 -> (module Fp_unboxed : Field_intf.S)
-       | Limb26 -> (module Fp_limb26 : Field_intf.S))
+module Fp : Field_intf.S = Fp64.Make (struct
+  let modulus_decimal = fp_modulus_decimal
+end)
 
 (** Scalar field (circuit values, polynomial coefficients live here). *)
 module Fr = struct
-  include
-    (val match backend with
-         | Unboxed64 -> (module Fr_unboxed : Field_intf.S)
-         | Limb26 -> (module Fr_limb26 : Field_intf.S))
+  include Fp64.Make (struct
+    let modulus_decimal = fr_modulus_decimal
+  end)
 
   let modulus_nat = Nat.of_decimal fr_modulus_decimal
 

@@ -1,13 +1,8 @@
-(* Backend-independent field operations, derived once from Field_intf.CORE.
-
-   Both field backends (the boxed 26-bit-limb oracle and the unboxed
-   4x64-bit default) include this functor, so every derived operation runs
-   the *same algorithm* on both: exponentiation chains, Tonelli-Shanks
-   square roots (including the non-residue search), batch inversion, byte
-   codecs, and crucially the Random.State consumption pattern of [random].
-   That is what makes proof bytes and golden vectors byte-identical across
-   ZKDET_FIELD_BACKEND values — determinism lives here, not in the limb
-   representation. *)
+(* Field operations derived once from Field_intf.CORE: exponentiation
+   chains, inversion, Tonelli-Shanks square roots (including the
+   non-residue search), batch inversion, byte codecs and the
+   Random.State consumption pattern of [random].  Proof bytes and golden
+   vectors depend on these algorithms, not on the limb representation. *)
 
 module Nat = Zkdet_num.Nat
 
@@ -24,7 +19,6 @@ module Make (C : Field_intf.CORE) = struct
   let to_string a = Nat.to_decimal (to_nat a)
   let of_bytes_be s = of_nat (Nat.of_bytes_be s)
   let to_bytes_be a = Nat.to_bytes_be ~length:num_bytes (to_nat a)
-  let hash_fold = to_bytes_be
 
   let of_bytes_be_canonical s =
     if String.length s <> num_bytes then
@@ -83,30 +77,6 @@ module Make (C : Field_intf.CORE) = struct
       for i = n - 1 downto 0 do
         out.(i) <- mul !inv_acc prefix.(i);
         inv_acc := mul !inv_acc xs.(i)
-      done;
-      out
-    end
-
-  (* Like batch_inv, but zero entries pass through as zero instead of
-     raising — batched slope computations (the curve layer's batch-affine
-     adders) use zero as an "absent / annihilated" marker. *)
-  let batch_inv0 (xs : t array) : t array =
-    let n = Array.length xs in
-    if n = 0 then [||]
-    else begin
-      let prefix = Array.make n one in
-      let acc = ref one in
-      for i = 0 to n - 1 do
-        prefix.(i) <- !acc;
-        if not (is_zero xs.(i)) then acc := mul !acc xs.(i)
-      done;
-      let inv_acc = ref (inv !acc) in
-      let out = Array.make n zero in
-      for i = n - 1 downto 0 do
-        if not (is_zero xs.(i)) then begin
-          out.(i) <- mul !inv_acc prefix.(i);
-          inv_acc := mul !inv_acc xs.(i)
-        end
       done;
       out
     end
@@ -183,8 +153,9 @@ module Make (C : Field_intf.CORE) = struct
     end
 
   (* One draw per 26-bit Nat limb with rejection sampling.  The draw width
-     is tied to Nat.limb_bits, NOT to the backend's limb size, so the
-     Random.State stream is consumed identically under every backend. *)
+     is tied to Nat.limb_bits, not to the 64-bit limbs of the
+     representation: the stream is part of the seeded-randomness
+     contract. *)
   let random st =
     let limb_bits = Nat.limb_bits in
     let nlimbs = (num_bits + limb_bits - 1) / limb_bits in

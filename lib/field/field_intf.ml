@@ -1,30 +1,24 @@
 (** Signatures of prime fields and their kernel buffer layer.
 
-    Two backends implement {!S}:
+    {!Fp64.Make} implements {!S}: flat 4x64-bit limbs packed little-endian
+    into 32-byte [Bytes], with unrolled 4-limb CIOS Montgomery
+    multiplication in a C stub (pure-OCaml int64 kernel on big-endian
+    hosts).
 
-    - {!Montgomery.Make}: boxed base-2^26 native-int limb arrays (10 limbs
-      per BN254 element, one heap array each).  Portable, allocation-heavy;
-      kept as the differential-testing oracle and selected with
-      [ZKDET_FIELD_BACKEND=limb26].
-    - {!Fp64.Make}: flat 4x64-bit limbs packed little-endian into 32-byte
-      [Bytes], with unrolled 4-limb CIOS Montgomery multiplication in a C
-      stub (pure-OCaml int64 fallback).  The default backend.
-
-    Everything above the field layer is representation-agnostic: wire
+    Everything above the field layer sees only these signatures: wire
     encodings go through [to_bytes_be]/[of_bytes_be_canonical] (canonical
     big-endian integers), so proof bytes, state hashes and golden vectors
-    are byte-identical under either backend. *)
+    do not depend on the in-memory representation. *)
 
 module type MODULUS = sig
   val modulus_decimal : string
 end
 
-(** The backend-specific core a field implementation must provide.  All
-    remaining operations of {!S} are derived uniformly by
-    {!Field_derived.Make}, which guarantees the two backends agree not just
-    on values but on algorithms (inversion chains, Tonelli-Shanks paths,
-    and — critically — the [Random.State] consumption pattern of
-    [random], which blinding factors and SRS generation depend on). *)
+(** The representation-specific core a field implementation must
+    provide.  All remaining operations of {!S} are derived by
+    {!Field_derived.Make}: inversion chains, Tonelli-Shanks paths, and
+    the [Random.State] consumption pattern of [random], which blinding
+    factors and SRS generation depend on. *)
 module type CORE = sig
   type t
 
@@ -51,11 +45,10 @@ module type CORE = sig
   (** {2 Flat kernel buffers}
 
       [buf] is the primary storage story for batch inner loops: a flat,
-      contiguous block of [n] field elements addressed by index.  For the
-      unboxed backend this is a single [Bytes] of [n * 32] bytes (cache
-      friendly, no per-element boxing); for the limb26 oracle it is an
-      array of distinct limb arrays.  Every operand of every operation is
-      a [(buf, index)] pair, so no op allocates or exposes an aliasing
+      contiguous block of [n] field elements addressed by index (for
+      {!Fp64} a single [Bytes] of [n * 32] bytes: cache friendly, no
+      per-element boxing).  Every operand of every operation is a
+      [(buf, index)] pair, so no op allocates or exposes an aliasing
       intermediate value. *)
 
   type buf
@@ -120,7 +113,7 @@ module type S = sig
   val codec : t Zkdet_codec.Codec.t
   (** Canonical wire codec: fixed-width big-endian via
       {!to_bytes_be} / {!of_bytes_be_canonical}.  Deliberately
-      representation-independent: both backends emit identical bytes. *)
+      representation-independent. *)
 
   val is_one : t -> bool
 
@@ -133,14 +126,12 @@ module type S = sig
   (** Invert many elements with one field inversion (Montgomery's trick).
       Raises [Division_by_zero] if any element is zero. *)
 
-  val batch_inv0 : t array -> t array
-  (** Like {!batch_inv}, but zero entries are skipped and map to zero —
-      batch users treat zero as an "absent" marker rather than an error. *)
-
   val buf_batch_inv0 : scratch:buf -> buf -> int -> unit
   (** [buf_batch_inv0 ~scratch buf n] replaces the first [n] cells of
-      [buf] by their inverses (zero cells stay zero) with a single true
-      inversion.  [scratch] must have at least [n + 2] cells. *)
+      [buf] by their inverses with a single true inversion.  Zero cells
+      are skipped and stay zero — batch users treat zero as an "absent"
+      marker rather than an error.  [scratch] must have at least [n + 2]
+      cells. *)
 
   val pow : t -> int -> t
   (** [pow x e] for a native-int exponent [e >= 0]. *)
@@ -152,16 +143,10 @@ module type S = sig
 
   val random : Random.State.t -> t
   (** Uniform field element.  The [Random.State] consumption pattern is
-      part of the interface contract: it is identical across backends
-      (one draw per 26-bit limb with rejection sampling), so seeded
-      randomness — SRS generation, proof blinding — produces the same
-      stream regardless of [ZKDET_FIELD_BACKEND]. *)
+      part of the interface contract (one draw per 26-bit limb of the
+      value, rejecting values [>= modulus]), so seeded randomness — SRS
+      generation, proof blinding — produces a fixed stream. *)
 
   val pp : Format.formatter -> t -> unit
-
-  (* Exposed for hashing/serialization layers. *)
   val compare : t -> t -> int
-  val hash_fold : t -> string
-  (** A canonical byte string for transcript absorption (same as
-      [to_bytes_be]). *)
 end

@@ -1,4 +1,4 @@
-(* Unboxed prime field backend: flat 4x64-bit limbs in 32-byte Bytes.
+(* The prime field representation: flat 4x64-bit limbs in 32-byte Bytes.
 
    An element is a Bytes.t of exactly 32 bytes: four little-endian uint64
    limbs, value < p, Montgomery form (x*R mod p, R = 2^256).  A kernel
@@ -7,18 +7,19 @@
    reduction) walk a single cache-friendly allocation instead of chasing
    one heap array per element.
 
-   Arithmetic runs in a C stub (fp64_stubs.c, unsigned __int128 CIOS) by
-   default; a pure-OCaml int64 kernel implementing the identical algorithm
-   is selected with ZKDET_FIELD_KERNEL=ocaml (and automatically on
-   big-endian hosts, where the C stub's raw uint64 loads would disagree
-   with the little-endian layout).  Montgomery constants are derived from
-   the decimal modulus with Zkdet_num.Nat — no transcribed magic numbers.
+   Arithmetic runs in a C stub (fp64_stubs.c, unsigned __int128 CIOS).  A
+   pure-OCaml int64 kernel implementing the identical algorithm runs on
+   big-endian hosts (see [use_c]); tests pin it on every host through
+   Make_kernel.  Montgomery constants are derived from the decimal modulus
+   with Zkdet_num.Nat — no transcribed magic numbers.
 
    Derived operations (inv, sqrt, random, codecs, ...) come from
-   Field_derived, shared verbatim with the 26-bit-limb oracle backend. *)
+   Field_derived. *)
 
 module Nat = Zkdet_num.Nat
 
+(** [use_c = false] pins the pure-OCaml kernel; [true] uses the C stubs
+    wherever the host is little-endian. *)
 module type KERNEL = sig
   val use_c : bool
 end
@@ -107,7 +108,7 @@ struct
     let pl3 = Bytes.get_int64_le p_bytes 24
 
     (* ------------------------------------------------------------------ *)
-    (* Pure-OCaml int64 kernel (correctness fallback / differential peer). *)
+    (* Pure-OCaml int64 kernel (big-endian hosts; pinned by the tests). *)
 
     let mask32 = 0xFFFFFFFFL
 
@@ -367,11 +368,6 @@ struct
   include Field_derived.Make (Core)
 end
 
-(* ZKDET_FIELD_KERNEL=ocaml forces the pure-OCaml int64 kernel; anything
-   else (default) uses the C stub where the platform allows it. *)
 module Make (M : Field_intf.MODULUS) = Make_kernel (struct
-  let use_c =
-    match Sys.getenv_opt "ZKDET_FIELD_KERNEL" with
-    | Some ("ocaml" | "ml") -> false
-    | _ -> true
+  let use_c = true
 end) (M)

@@ -1,4 +1,4 @@
-/* Unrolled 4x64-bit Montgomery field kernels for the unboxed Fp backend.
+/* Unrolled 4x64-bit Montgomery field kernels for Fp64 (fp64.ml).
  *
  * Elements are 32-byte slices of an OCaml Bytes value: 4 little-endian
  * uint64 limbs, value < p, Montgomery form (x*R mod p with R = 2^256).

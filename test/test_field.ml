@@ -126,33 +126,31 @@ let field_axioms =
     QCheck.Test.make ~name:"string roundtrip" ~count:50 arb_fr (fun a ->
         Fr.(equal a (of_string (to_string a)))) ]
 
-(* ---- differential: unboxed64 backend vs the limb26 oracle ----
+(* ---- reference check: Fp64 against modular arithmetic on Nat ----
 
-   Both backends are instantiated unconditionally by Bn254, independent of
-   ZKDET_FIELD_BACKEND, so the suite always cross-checks them.  All
-   comparisons go through canonical big-endian bytes (to_string is
-   decimal conversion — far too slow for bulk checks). *)
+   The oracle is schoolbook arithmetic on Zkdet_num.Nat, reduced with
+   Nat.rem: it shares no code with the Montgomery kernels under test.  It
+   runs over Fr and Fp, each under the C stubs (the Bn254 modules) and
+   under the pure-OCaml int64 kernel.  Results are compared as canonical
+   big-endian bytes (to_string is decimal conversion — far too slow for
+   bulk checks). *)
 
-module Fr26 = Zkdet_field.Bn254.Fr_limb26
-module Fr64 = Zkdet_field.Bn254.Fr_unboxed
-module Fp26 = Zkdet_field.Bn254.Fp_limb26
-module Fp64u = Zkdet_field.Bn254.Fp_unboxed
+(* The pure-OCaml kernel, pinned so it is checked on every host, not only
+   on the big-endian ones where it is the default. *)
+module Ml (M : Zkdet_field.Field_intf.MODULUS) =
+  Zkdet_field.Fp64.Make_kernel (struct let use_c = false end) (M)
 
-(* The pure-OCaml int64 kernel of the unboxed backend, pinned explicitly
-   (ignoring ZKDET_FIELD_KERNEL), so the C stubs and the portable kernel
-   are differentially tested against each other in the same process. *)
-module Fr64_ml =
-  Zkdet_field.Fp64.Make_kernel
-    (struct
-      let use_c = false
-    end)
-    (struct
-      let modulus_decimal = Zkdet_field.Bn254.fr_modulus_decimal
-    end)
+module Fr_ml = Ml (struct
+  let modulus_decimal = Zkdet_field.Bn254.fr_modulus_decimal
+end)
+
+module Fp_ml = Ml (struct
+  let modulus_decimal = Zkdet_field.Bn254.fp_modulus_decimal
+end)
 
 (* Boundary inputs: 0, 1, 2, p-2, p-1, the Montgomery radix R = 2^256 mod
-   p, and 2^k, 2^k +- 1 straddling limb boundaries of both representations
-   (26-bit limbs and 64-bit limbs), all reduced mod p. *)
+   p, and 2^k, 2^k +- 1 straddling limb boundaries of the 64-bit
+   representation and of the 26-bit Nat limbs, all reduced mod p. *)
 let boundary_nats modulus =
   let reduce n = Nat.rem n modulus in
   let base =
@@ -169,153 +167,239 @@ let boundary_nats modulus =
   in
   base @ around_powers
 
+(* Uniform 256-bit values: most exceed p, so [of_nat]'s reduction is
+   exercised too. *)
 let random_nats rng n =
   List.init n (fun _ ->
       Nat.of_bytes_be (String.init 32 (fun _ -> Char.chr (Random.State.int rng 256))))
 
-(* One differential run of a (field, oracle) pair over the shared input
-   set: every unary/binary op must produce byte-identical canonical
-   encodings. [name] tags failures. *)
-module Diff
-    (A : Zkdet_field.Field_intf.S)
-    (B : Zkdet_field.Field_intf.S) =
-struct
-  let check_bytes name a_bytes b_bytes =
-    if not (String.equal a_bytes b_bytes) then
-      Alcotest.failf "%s: backends disagree (%s vs %s)" name
-        (Nat.to_hex (Nat.of_bytes_be a_bytes))
-        (Nat.to_hex (Nat.of_bytes_be b_bytes))
+module Ref (F : Zkdet_field.Field_intf.S) = struct
+  let p = F.modulus
+  let reduce n = Nat.rem n p
+  let add x y = reduce (Nat.add x y)
+  let sub x y = reduce (Nat.sub (Nat.add x p) y)
+  let mul x y = reduce (Nat.mul x y)
+  let neg x = reduce (Nat.sub p x)
+
+  let pow_mod x e =
+    let acc = ref Nat.one in
+    for i = Nat.num_bits e - 1 downto 0 do
+      acc := mul !acc !acc;
+      if Nat.testbit e i then acc := mul !acc x
+    done;
+    !acc
+
+  (* Euler's criterion: x is a square mod p iff x = 0 or
+     x^((p-1)/2) = 1. *)
+  let is_residue x =
+    Nat.is_zero x
+    || Nat.equal (pow_mod x (Nat.shift_right (Nat.sub p Nat.one) 1)) Nat.one
+
+  (* [a] must encode to [expected].  Converting out of Montgomery form
+     reduces, so the encoding alone cannot see a representation left in
+     [p, 2p); [equal] and [is_zero] compare limbs, so they can. *)
+  let check name expected a =
+    let got = F.to_bytes_be a in
+    if not (String.equal got (Nat.to_bytes_be ~length:F.num_bytes expected))
+    then
+      Alcotest.failf "%s: got %s, reference %s" name
+        (Nat.to_hex (Nat.of_bytes_be got)) (Nat.to_hex expected);
+    if (not (F.equal a (F.of_nat expected)))
+       || F.is_zero a <> Nat.is_zero expected
+    then
+      Alcotest.failf "%s: representation of %s is not canonical" name
+        (Nat.to_hex expected)
+
+  (* The value of [a], for results the reference cannot compute cheaply
+     (inverses, roots); [a] must still be reduced and canonical. *)
+  let value name a =
+    let v = Nat.of_bytes_be (F.to_bytes_be a) in
+    if Nat.compare v p >= 0 then
+      Alcotest.failf "%s: %s is not reduced" name (Nat.to_hex v);
+    check name v a;
+    v
+
+  (* Unreduced inputs: boundary values plus 40 random ones. *)
+  let inputs rng = boundary_nats p @ random_nats rng 40
 
   let run ~name rng =
-    let nats = boundary_nats A.modulus @ random_nats rng 40 in
-    let pairs = List.map (fun n -> (A.of_nat n, B.of_nat n)) nats in
-    (* encoding: same nat must give identical canonical bytes *)
-    List.iter
-      (fun (a, b) ->
-        check_bytes (name ^ ".to_bytes_be") (A.to_bytes_be a) (B.to_bytes_be b))
-      pairs;
+    let tag op = name ^ "." ^ op in
+    let raw = inputs rng in
+    let xs = Array.of_list (List.map reduce raw) in
+    let els = Array.of_list (List.map F.of_nat raw) in
+    let n = Array.length xs in
+    (* canonical bytes of the reduced input *)
+    Array.iteri (fun i x -> check (tag "to_bytes_be") x els.(i)) xs;
     (* unary ops *)
-    List.iter
-      (fun (a, b) ->
-        check_bytes (name ^ ".neg") (A.to_bytes_be (A.neg a)) (B.to_bytes_be (B.neg b));
-        check_bytes (name ^ ".sqr") (A.to_bytes_be (A.sqr a)) (B.to_bytes_be (B.sqr b));
-        check_bytes (name ^ ".double")
-          (A.to_bytes_be (A.double a)) (B.to_bytes_be (B.double b));
-        if not (A.is_zero a) then
-          check_bytes (name ^ ".inv")
-            (A.to_bytes_be (A.inv a)) (B.to_bytes_be (B.inv b));
-        (match (A.sqrt a, B.sqrt b) with
-        | None, None -> ()
-        | Some ra, Some rb ->
-          check_bytes (name ^ ".sqrt") (A.to_bytes_be ra) (B.to_bytes_be rb)
-        | Some _, None | None, Some _ ->
-          Alcotest.failf "%s.sqrt: existence disagrees" name))
-      pairs;
-    (* binary ops: each input against one rotation of the list *)
-    let arr = Array.of_list pairs in
-    let n = Array.length arr in
     Array.iteri
-      (fun i (a, b) ->
-        let a', b' = arr.((i + 7) mod n) in
-        check_bytes (name ^ ".add")
-          (A.to_bytes_be (A.add a a')) (B.to_bytes_be (B.add b b'));
-        check_bytes (name ^ ".sub")
-          (A.to_bytes_be (A.sub a a')) (B.to_bytes_be (B.sub b b'));
-        check_bytes (name ^ ".mul")
-          (A.to_bytes_be (A.mul a a')) (B.to_bytes_be (B.mul b b')))
-      arr;
-    (* buf ops over the whole input set at once, plus the fused butterfly *)
-    let abuf = A.buf_of_array (Array.map fst arr) in
-    let bbuf = B.buf_of_array (Array.map snd arr) in
-    for i = 0 to n - 1 do
-      let j = (i + 11) mod n in
-      let ad = A.buf_create 1 and bd = B.buf_create 1 in
-      A.buf_mul ad 0 abuf i abuf j;
-      B.buf_mul bd 0 bbuf i bbuf j;
-      check_bytes (name ^ ".buf_mul")
-        (A.to_bytes_be (A.buf_get ad 0)) (B.to_bytes_be (B.buf_get bd 0))
-    done;
-    let a2 = A.buf_of_array (Array.map fst arr) in
-    let b2 = B.buf_of_array (Array.map snd arr) in
+      (fun i x ->
+        let a = els.(i) in
+        check (tag "neg") (neg x) (F.neg a);
+        check (tag "sqr") (mul x x) (F.sqr a);
+        check (tag "double") (add x x) (F.double a);
+        (if Nat.is_zero x then
+           Alcotest.check_raises (tag "inv zero") Division_by_zero (fun () ->
+               ignore (F.inv a))
+         else if not (Nat.equal (mul x (value (tag "inv") (F.inv a))) Nat.one)
+         then
+           Alcotest.failf "%s: a * a^-1 <> 1 for %s" (tag "inv") (Nat.to_hex x));
+        match F.sqrt a with
+        | Some r ->
+          let r = value (tag "sqrt") r in
+          if not (Nat.equal (mul r r) x) then
+            Alcotest.failf "%s: root of %s does not square back" (tag "sqrt")
+              (Nat.to_hex x)
+        | None ->
+          if is_residue x then
+            Alcotest.failf "%s: no root for the residue %s" (tag "sqrt")
+              (Nat.to_hex x))
+      xs;
+    (* binary ops: each input against one rotation of the list *)
+    Array.iteri
+      (fun i x ->
+        let j = (i + 7) mod n in
+        check (tag "add") (add x xs.(j)) (F.add els.(i) els.(j));
+        check (tag "sub") (sub x xs.(j)) (F.sub els.(i) els.(j));
+        check (tag "mul") (mul x xs.(j)) (F.mul els.(i) els.(j)))
+      xs;
+    (* buf kernels: into a fresh cell, then with the destination aliasing
+       each operand *)
+    let src = F.buf_of_array els in
+    let binary op kernel f =
+      for i = 0 to n - 1 do
+        let j = (i + 11) mod n in
+        let want = f xs.(i) xs.(j) in
+        let d = F.buf_create 1 in
+        kernel d 0 src i src j;
+        check (tag op) want (F.buf_get d 0);
+        let d = F.buf_of_array [| els.(i); els.(j) |] in
+        kernel d 0 d 0 d 1;
+        check (tag (op ^ " dst=a")) want (F.buf_get d 0);
+        let d = F.buf_of_array [| els.(i); els.(j) |] in
+        kernel d 1 d 0 d 1;
+        check (tag (op ^ " dst=b")) want (F.buf_get d 1)
+      done
+    in
+    binary "buf_mul" F.buf_mul mul;
+    binary "buf_add" F.buf_add add;
+    binary "buf_sub" F.buf_sub sub;
+    let unary op kernel f =
+      for i = 0 to n - 1 do
+        let want = f xs.(i) in
+        let d = F.buf_create 1 in
+        kernel d 0 src i;
+        check (tag op) want (F.buf_get d 0);
+        let d = F.buf_of_array [| els.(i) |] in
+        kernel d 0 d 0;
+        check (tag (op ^ " dst=a")) want (F.buf_get d 0)
+      done
+    in
+    unary "buf_sqr" F.buf_sqr (fun x -> mul x x);
+    unary "buf_double" F.buf_double (fun x -> add x x);
+    unary "buf_neg" F.buf_neg neg;
+    (* fused butterfly: b[i] <- u + v, b[j] <- u - v with v = b[j] * w[k] *)
+    let b = F.buf_of_array els in
     for i = 0 to (n / 2) - 1 do
-      let j = (n / 2) + i in
-      A.buf_butterfly a2 i j abuf ((i + 3) mod n);
-      B.buf_butterfly b2 i j bbuf ((i + 3) mod n)
+      let j = (n / 2) + i and k = (i + 3) mod n in
+      F.buf_butterfly b i j src k;
+      let v = mul xs.(j) xs.(k) in
+      check (tag "buf_butterfly u+v") (add xs.(i) v) (F.buf_get b i);
+      check (tag "buf_butterfly u-v") (sub xs.(i) v) (F.buf_get b j)
     done;
-    for i = 0 to n - 1 do
-      check_bytes (name ^ ".buf_butterfly")
-        (A.to_bytes_be (A.buf_get a2 i)) (B.to_bytes_be (B.buf_get b2 i))
-    done;
-    (* batch inversion with zeros interleaved *)
-    let za = A.buf_of_array (Array.map fst arr) in
-    let zb = B.buf_of_array (Array.map snd arr) in
-    let sa = A.buf_create (n + 2) and sb = B.buf_create (n + 2) in
-    A.buf_batch_inv0 ~scratch:sa za n;
-    B.buf_batch_inv0 ~scratch:sb zb n;
-    for i = 0 to n - 1 do
-      check_bytes (name ^ ".buf_batch_inv0")
-        (A.to_bytes_be (A.buf_get za i)) (B.to_bytes_be (B.buf_get zb i))
-    done
+    (* batch inversion with zeros interleaved: zero cells stay zero *)
+    let zs = Array.mapi (fun i x -> if i mod 3 = 1 then Nat.zero else x) xs in
+    let b = F.buf_of_array (Array.map F.of_nat zs) in
+    F.buf_batch_inv0 ~scratch:(F.buf_create (n + 2)) b n;
+    Array.iteri
+      (fun i z ->
+        let y = value (tag "buf_batch_inv0") (F.buf_get b i) in
+        let ok =
+          if Nat.is_zero z then Nat.is_zero y else Nat.equal (mul z y) Nat.one
+        in
+        if not ok then
+          Alcotest.failf "%s: wrong inverse in cell %d" (tag "buf_batch_inv0") i)
+      zs
 
-  (* Identically-seeded PRNG states must yield identical element streams;
-     proof bytes and the SRS depend on this. *)
+  (* Canonical decode accepts exactly the [num_bytes]-wide encodings of
+     values below p, and returns the encoded element. *)
+  let run_codec ~name rng =
+    List.iter
+      (fun x ->
+        match F.of_bytes_be_canonical (Nat.to_bytes_be ~length:F.num_bytes x) with
+        | Ok a -> check (name ^ ".of_bytes_be_canonical") x a
+        | Error e ->
+          Alcotest.failf "%s: rejected in-range %s: %s" name (Nat.to_hex x) e)
+      (List.map reduce (inputs rng));
+    List.iter
+      (fun (what, bytes) ->
+        match F.of_bytes_be_canonical bytes with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s: canonical decode accepted %s" name what)
+      [ ("p", Nat.to_bytes_be ~length:F.num_bytes p);
+        ("p + 1", Nat.to_bytes_be ~length:F.num_bytes (Nat.add p Nat.one));
+        ("2^256 - 1", String.make F.num_bytes '\xff');
+        ("a short encoding", String.make (F.num_bytes - 1) '\000');
+        ("a long encoding", String.make (F.num_bytes + 1) '\000') ]
+
+  (* Independent rejection sampler for the 254-bit BN254 moduli: ten
+     Random.State draws, least significant first, nine of 26 bits and a
+     top one of 20 (9 * 26 + 20 = 254); values >= p are redrawn. *)
+  let ref_random st =
+    let rec draw () =
+      let v = ref Nat.zero in
+      for i = 0 to 9 do
+        let bits = if i = 9 then 20 else 26 in
+        let limb = Nat.of_int (Random.State.int st (1 lsl bits)) in
+        v := Nat.add !v (Nat.shift_left limb (26 * i))
+      done;
+      if Nat.compare !v p >= 0 then draw () else !v
+    in
+    draw ()
+
+  (* Proof bytes and the SRS depend on [random] consuming a seeded
+     Random.State in exactly this pattern. *)
   let run_random_stream ~name () =
-    let sa = Random.State.make [| 0x5eed |] in
-    let sb = Random.State.make [| 0x5eed |] in
+    Alcotest.(check int) (name ^ " modulus bits") 254 F.num_bits;
+    let sf = Random.State.make [| 0x5eed |] in
+    let sr = Random.State.make [| 0x5eed |] in
     for i = 0 to 199 do
-      let a = A.random sa and b = B.random sb in
-      if not (String.equal (A.to_bytes_be a) (B.to_bytes_be b)) then
-        Alcotest.failf "%s.random: streams diverge at draw %d" name i
-    done
+      check (Printf.sprintf "%s.random draw %d" name i) (ref_random sr)
+        (F.random sf)
+    done;
+    if Random.State.bits sf <> Random.State.bits sr then
+      Alcotest.failf "%s.random: streams consumed different draw counts" name
 end
 
-module Diff_fr = Diff (Fr64) (Fr26)
-module Diff_fp = Diff (Fp64u) (Fp26)
-module Diff_kernel = Diff (Fr64_ml) (Fr26)
+module Ref_fr = Ref (Fr)
+module Ref_fp = Ref (Fp)
+module Ref_fr_ml = Ref (Fr_ml)
+module Ref_fp_ml = Ref (Fp_ml)
 
-let test_differential_fr () =
-  Diff_fr.run ~name:"Fr" (Test_util.rng ~salt:"field-diff-fr" ())
+let test_reference_fr () =
+  Ref_fr.run ~name:"Fr" (Test_util.rng ~salt:"field-ref-fr" ())
 
-let test_differential_fp () =
-  Diff_fp.run ~name:"Fp" (Test_util.rng ~salt:"field-diff-fp" ())
+let test_reference_fp () =
+  Ref_fp.run ~name:"Fp" (Test_util.rng ~salt:"field-ref-fp" ())
 
-let test_differential_ml_kernel () =
-  Diff_kernel.run ~name:"Fr-mlkernel" (Test_util.rng ~salt:"field-diff-ml" ())
+let test_reference_fr_ml () =
+  Ref_fr_ml.run ~name:"Fr-mlkernel" (Test_util.rng ~salt:"field-ref-fr-ml" ())
+
+let test_reference_fp_ml () =
+  Ref_fp_ml.run ~name:"Fp-mlkernel" (Test_util.rng ~salt:"field-ref-fp-ml" ())
 
 let test_random_streams () =
-  Diff_fr.run_random_stream ~name:"Fr" ();
-  Diff_fp.run_random_stream ~name:"Fp" ();
-  Diff_kernel.run_random_stream ~name:"Fr-mlkernel" ()
+  Ref_fr.run_random_stream ~name:"Fr" ();
+  Ref_fp.run_random_stream ~name:"Fp" ();
+  Ref_fr_ml.run_random_stream ~name:"Fr-mlkernel" ();
+  Ref_fp_ml.run_random_stream ~name:"Fp-mlkernel" ()
 
-(* Canonical encodings are representation independent: the active backend
-   (whichever ZKDET_FIELD_BACKEND picked) must agree with both explicit
-   instantiations, and canonical decoding must enforce range identically. *)
+(* Canonical decoding across both kernels of both fields. *)
 let test_codec_cross_backend () =
   let rng = Test_util.rng ~salt:"field-codec" () in
-  for _ = 1 to 50 do
-    let n = Nat.rem (Nat.of_bytes_be
-        (String.init 32 (fun _ -> Char.chr (Random.State.int rng 256))))
-        Fr.modulus
-    in
-    let active = Fr.to_bytes_be (Fr.of_nat n) in
-    Alcotest.(check string) "Fr bytes: active vs limb26" active
-      (Fr26.to_bytes_be (Fr26.of_nat n));
-    Alcotest.(check string) "Fr bytes: active vs unboxed" active
-      (Fr64.to_bytes_be (Fr64.of_nat n));
-    (match (Fr26.of_bytes_be_canonical active, Fr64.of_bytes_be_canonical active) with
-    | Ok a, Ok b ->
-      Alcotest.(check string) "canonical decode agrees"
-        (Fr26.to_bytes_be a) (Fr64.to_bytes_be b)
-    | _ -> Alcotest.fail "canonical decode rejected an in-range value")
-  done;
-  (* out-of-range values are rejected by both *)
-  let too_big = Nat.to_bytes_be ~length:32 Fr.modulus in
-  (match Fr26.of_bytes_be_canonical too_big with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "limb26 accepted modulus");
-  (match Fr64.of_bytes_be_canonical too_big with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unboxed accepted modulus")
+  Ref_fr.run_codec ~name:"Fr" rng;
+  Ref_fp.run_codec ~name:"Fp" rng;
+  Ref_fr_ml.run_codec ~name:"Fr-mlkernel" rng;
+  Ref_fp_ml.run_codec ~name:"Fp-mlkernel" rng
 
 let () =
   Alcotest.run "zkdet_field"
@@ -329,10 +413,14 @@ let () =
           Alcotest.test_case "sqrt" `Quick test_sqrt;
           Alcotest.test_case "batch inversion" `Quick test_batch_inv ] );
       ( "differential",
-        [ Alcotest.test_case "Fr unboxed64 vs limb26" `Quick test_differential_fr;
-          Alcotest.test_case "Fp unboxed64 vs limb26" `Quick test_differential_fp;
-          Alcotest.test_case "OCaml kernel vs limb26" `Quick
-            test_differential_ml_kernel;
+        [ Alcotest.test_case "Fr C kernel vs Nat reference" `Quick
+            test_reference_fr;
+          Alcotest.test_case "Fp C kernel vs Nat reference" `Quick
+            test_reference_fp;
+          Alcotest.test_case "Fr OCaml kernel vs Nat reference" `Quick
+            test_reference_fr_ml;
+          Alcotest.test_case "Fp OCaml kernel vs Nat reference" `Quick
+            test_reference_fp_ml;
           Alcotest.test_case "random streams agree" `Quick test_random_streams;
           Alcotest.test_case "codecs cross-backend" `Quick
             test_codec_cross_backend ] );
