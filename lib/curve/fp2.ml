@@ -202,7 +202,11 @@ let is_square a = match sqrt a with Some _ -> true | None -> false
    to c1 when c0 = 0. Negation flips it for every non-zero element (p is
    odd), which is all compression needs. *)
 let parity a =
-  let fp_parity x = Nat.testbit (Fp.to_nat x) 0 in
+  let fp_parity x =
+    let limbs = Bytes.create 32 in
+    Fp.to_limbs_le x limbs;
+    Char.code (Bytes.get limbs 0) land 1 = 1
+  in
   if Fp.is_zero a.c0 then fp_parity a.c1 else fp_parity a.c0
 
 let num_bytes = 2 * Fp.num_bytes

@@ -9,7 +9,10 @@ module Fp_curve = struct
   let of_bytes = Fp.of_bytes_be
   let of_bytes_canonical = Fp.of_bytes_be_canonical
   let sqrt_opt = Fp.sqrt
-  let parity y = Zkdet_num.Nat.testbit (Fp.to_nat y) 0
+  let parity y =
+    let limbs = Bytes.create 32 in
+    Fp.to_limbs_le y limbs;
+    Weierstrass.limb_bit limbs 0
 end
 
 include Weierstrass.Make (struct

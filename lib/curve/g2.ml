@@ -9,6 +9,9 @@ module Fp2_curve = struct
   include Fp2
 
   let sqrt_opt = Fp2.sqrt
+
+  (* No native round over Fp2: G2 MSMs run the OCaml bucket round. *)
+  let buf_affine_round = None
 end
 
 include Weierstrass.Make (struct

@@ -22,7 +22,18 @@ module Gt = struct
   let mul = Fp12.mul
   let inv = Fp12.inv
   let pow_nat = Fp12.pow_nat
-  let pow t (s : Fr.t) = Fp12.pow_nat t (Fr.to_nat s)
+
+  (* Square-and-multiply over the scalar's limb bits, top bit first. *)
+  let pow t (s : Fr.t) =
+    let limbs = Bytes.create 32 in
+    Fr.to_limbs_le s limbs;
+    let acc = ref Fp12.one in
+    for i = Fr.num_bits - 1 downto 0 do
+      acc := Fp12.sqr !acc;
+      if Weierstrass.limb_bit limbs i then acc := Fp12.mul !acc t
+    done;
+    !acc
+
   let to_bytes = Fp12.to_bytes
   let pp = Fp12.pp
 end

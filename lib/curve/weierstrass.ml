@@ -7,6 +7,11 @@ module Fr = Zkdet_field.Bn254.Fr
 module Pool = Zkdet_parallel.Pool
 module Telemetry = Zkdet_telemetry.Telemetry
 
+(* Bit [i] of a canonical value laid out by [to_limbs_le]
+   ({!Zkdet_field.Field_intf.CORE}): bit [i mod 8] of byte [i / 8]. *)
+let limb_bit (limbs : Bytes.t) i =
+  (Char.code (Bytes.get limbs (i lsr 3)) lsr (i land 7)) land 1 = 1
+
 module type CURVE_FIELD = sig
   type t
 
@@ -49,6 +54,20 @@ module type CURVE_FIELD = sig
   (** In-place batch inversion over the first [n] cells (zero cells stay
       zero — the "absent" marker of the batch-affine adders); [scratch]
       needs [n + 2] cells. *)
+
+  val buf_affine_round :
+    (ex:buf ->
+    ey:buf ->
+    start:int array ->
+    len:int array ->
+    num:buf ->
+    den:buf ->
+    scratch:buf ->
+    int)
+    option
+  (** A native batch-affine bucket round
+      ({!Zkdet_field.Field_intf.S.buf_affine_round}); [None] runs the
+      OCaml round in {!Make.reduce_buckets}. *)
 
   val equal : t -> t -> bool
   val is_zero : t -> bool
@@ -223,7 +242,17 @@ module Make (P : PARAMS) = struct
     done;
     !acc
 
-  let mul p (s : Fr.t) = mul_nat p (Fr.to_nat s)
+  (* Double-and-add over the scalar's limb bits, top bit first; the
+     leading zero bits leave [acc] at [zero], as in [mul_nat]. *)
+  let mul p (s : Fr.t) =
+    let limbs = Bytes.create 32 in
+    Fr.to_limbs_le s limbs;
+    let acc = ref zero in
+    for i = Fr.num_bits - 1 downto 0 do
+      acc := double !acc;
+      if limb_bit limbs i then acc := add !acc p
+    done;
+    !acc
 
   let mul_int p k =
     if k >= 0 then mul_nat p (Nat.of_int k) else neg (mul_nat p (Nat.of_int (-k)))
@@ -264,30 +293,29 @@ module Make (P : PARAMS) = struct
      the pool size — so chunk boundaries (and the merge) are stable. *)
   let nchunks_for n = if n < 256 then 1 else min 4 (n / 128)
 
-  (* Limb count of the scratch buffer [signed_digits] extracts into (one
-     spare limb so the top window's straddling read stays in bounds). *)
-  let digit_limbs = ((scalar_bits + Nat.limb_bits - 1) / Nat.limb_bits) + 1
+  (* Scratch the scalar windows are read from: the 32 bytes of
+     [Fr.to_limbs_le] plus 8 zero bytes, so the 64-bit load of the top
+     window stays in bounds.  Reused across scalars. *)
+  let limb_scratch () = Bytes.make 40 '\000'
+
+  (* The [c]-bit window at bit [lo]: one unaligned 64-bit load at byte
+     [lo / 8], a shift by [lo mod 8] and a mask.  With c <= 16 the window
+     always lies inside the loaded word. *)
+  let[@inline] limb_window (limbs : Bytes.t) lo c =
+    Int64.to_int
+      (Int64.shift_right_logical (Bytes.get_int64_le limbs (lo lsr 3)) (lo land 7))
+    land ((1 lsl c) - 1)
 
   (* Writes the signed digits of [s] into [out] (length >= nwindows_for c).
-     [limbs] is caller-provided scratch of [digit_limbs] ints, reused
-     across scalars; extracting limbs once makes each window an O(1)
-     shift/mask. *)
-  let signed_digits ~c (limbs : int array) (out : int array) (s : Fr.t) : unit =
-    let nat = Fr.to_nat s in
-    let lb = Nat.limb_bits in
-    for i = 0 to digit_limbs - 1 do
-      limbs.(i) <- Nat.limb nat i
-    done;
-    let mask = (1 lsl c) - 1 in
+     [limbs] is a [limb_scratch]; the scalar's canonical limbs are written
+     once and each window is then an O(1) load/shift/mask. *)
+  let signed_digits ~c (limbs : Bytes.t) (out : int array) (s : Fr.t) : unit =
+    Fr.to_limbs_le s limbs;
     let half = 1 lsl (c - 1) in
     let nw = nwindows_for c in
     let carry = ref 0 in
     for w = 0 to nw - 2 do
-      let lo = w * c in
-      let l = lo / lb and off = lo mod lb in
-      let v = limbs.(l) lsr off in
-      let v = if off + c > lb then v lor (limbs.(l + 1) lsl (lb - off)) else v in
-      let v = (v land mask) + !carry in
+      let v = limb_window limbs (w * c) c + !carry in
       if v > half then begin
         out.(w) <- v - (2 * half);
         carry := 1
@@ -305,91 +333,107 @@ module Make (P : PARAMS) = struct
      survivor (left at start.(b)); each round resolves all its slope
      denominators in place with ONE field inversion. A zero denominator
      marks an annihilating P + (-P) pair, which simply drops out —
-     identity entries are never stored, only skipped. Every field op
-     reads and writes preallocated buffer cells through the (buf, index)
-     kernels, so the whole reduction allocates only its scratch buffers. *)
+     identity entries are never stored, only skipped.
+
+     [ocaml_rounds] runs the rounds in OCaml: every field op reads and
+     writes preallocated buffer cells through the (buf, index) kernels,
+     so it allocates only its scratch buffers.  It serves G2 and the
+     pure-OCaml field kernel, and the tests hold the native round of
+     [F.buf_affine_round] to it. *)
+  let ocaml_rounds ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
+      ~(len : int array) ~num ~den ~scratch =
+    let nbuckets = Array.length start in
+    let tmp = F.buf_create 3 in
+    let pending = ref true in
+    while !pending do
+      pending := false;
+      (* Phase 1: classify each pair, collecting slope numerators and
+         denominators.  Doubling uses (3x^2) / (2y); distinct x uses
+         (y2 - y1) / (x2 - x1); x1 = x2 with y1 = -y1 annihilates. *)
+      let np = ref 0 in
+      for b = 0 to nbuckets - 1 do
+        let m = len.(b) in
+        for k = 0 to (m / 2) - 1 do
+          let i = start.(b) + (2 * k) in
+          (if F.buf_equal ex i ex (i + 1) then
+             if F.buf_equal ey i ey (i + 1) && not (F.buf_is_zero ey i)
+             then begin
+               F.buf_sqr num !np ex i;
+               F.buf_double tmp 0 num !np;
+               F.buf_add num !np tmp 0 num !np;
+               F.buf_double den !np ey i
+             end else begin
+               F.buf_set num !np F.zero;
+               F.buf_set den !np F.zero
+             end
+           else begin
+             F.buf_sub num !np ey (i + 1) ey i;
+             F.buf_sub den !np ex (i + 1) ex i
+           end);
+          incr np
+        done
+      done;
+      if !np > 0 then begin
+        Telemetry.count "curve.msm.batch_add_rounds" 1;
+        F.buf_batch_inv0 ~scratch den !np;
+        (* Phase 2: apply the additions, compacting each bucket in
+           place.  The write pointer never passes the read index, and
+           an odd leftover entry is preserved at the tail. *)
+        let np2 = ref 0 in
+        for b = 0 to nbuckets - 1 do
+          let m = len.(b) in
+          if m > 1 then begin
+            let wp = ref (start.(b)) in
+            for k = 0 to (m / 2) - 1 do
+              let i = start.(b) + (2 * k) in
+              if not (F.buf_is_zero den !np2) then begin
+                (* tmp0 = lambda, tmp1 = x3, tmp2 = y3, all materialized
+                   before the writeback — cell !wp may be cell i. *)
+                F.buf_mul tmp 0 num !np2 den !np2;
+                F.buf_sqr tmp 1 tmp 0;
+                F.buf_sub tmp 1 tmp 1 ex i;
+                F.buf_sub tmp 1 tmp 1 ex (i + 1);
+                F.buf_sub tmp 2 ex i tmp 1;
+                F.buf_mul tmp 2 tmp 0 tmp 2;
+                F.buf_sub tmp 2 tmp 2 ey i;
+                F.buf_blit tmp 1 ex !wp 1;
+                F.buf_blit tmp 2 ey !wp 1;
+                incr wp
+              end;
+              incr np2
+            done;
+            if m land 1 = 1 then begin
+              let i = start.(b) + m - 1 in
+              if !wp <> i then begin
+                F.buf_blit ex i ex !wp 1;
+                F.buf_blit ey i ey !wp 1
+              end;
+              incr wp
+            end;
+            len.(b) <- !wp - start.(b);
+            if len.(b) > 1 then pending := true
+          end
+        done
+      end
+    done
+
+  (* A field with a native round (the C kernel of Fp) runs each round
+     as two C calls around the inversion; the rounds are the same, so the
+     buckets come out identical either way. *)
   let reduce_buckets ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
       ~(len : int array) : unit =
-    let nbuckets = Array.length start in
     let total = Array.fold_left ( + ) 0 len in
     if total > 1 then begin
       let cap = (total / 2) + 1 in
       let den = F.buf_create cap in
       let num = F.buf_create cap in
       let scratch = F.buf_create (cap + 2) in
-      let tmp = F.buf_create 3 in
-      let pending = ref true in
-      while !pending do
-        pending := false;
-        (* Phase 1: classify each pair, collecting slope numerators and
-           denominators.  Doubling uses (3x^2) / (2y); distinct x uses
-           (y2 - y1) / (x2 - x1); x1 = x2 with y1 = -y1 annihilates. *)
-        let np = ref 0 in
-        for b = 0 to nbuckets - 1 do
-          let m = len.(b) in
-          for k = 0 to (m / 2) - 1 do
-            let i = start.(b) + (2 * k) in
-            (if F.buf_equal ex i ex (i + 1) then
-               if F.buf_equal ey i ey (i + 1) && not (F.buf_is_zero ey i)
-               then begin
-                 F.buf_sqr num !np ex i;
-                 F.buf_double tmp 0 num !np;
-                 F.buf_add num !np tmp 0 num !np;
-                 F.buf_double den !np ey i
-               end else begin
-                 F.buf_set num !np F.zero;
-                 F.buf_set den !np F.zero
-               end
-             else begin
-               F.buf_sub num !np ey (i + 1) ey i;
-               F.buf_sub den !np ex (i + 1) ex i
-             end);
-            incr np
-          done
-        done;
-        if !np > 0 then begin
-          Telemetry.count "curve.msm.batch_add_rounds" 1;
-          F.buf_batch_inv0 ~scratch den !np;
-          (* Phase 2: apply the additions, compacting each bucket in
-             place.  The write pointer never passes the read index, and
-             an odd leftover entry is preserved at the tail. *)
-          let np2 = ref 0 in
-          for b = 0 to nbuckets - 1 do
-            let m = len.(b) in
-            if m > 1 then begin
-              let wp = ref (start.(b)) in
-              for k = 0 to (m / 2) - 1 do
-                let i = start.(b) + (2 * k) in
-                if not (F.buf_is_zero den !np2) then begin
-                  (* tmp0 = lambda, tmp1 = x3, tmp2 = y3, all materialized
-                     before the writeback — cell !wp may be cell i. *)
-                  F.buf_mul tmp 0 num !np2 den !np2;
-                  F.buf_sqr tmp 1 tmp 0;
-                  F.buf_sub tmp 1 tmp 1 ex i;
-                  F.buf_sub tmp 1 tmp 1 ex (i + 1);
-                  F.buf_sub tmp 2 ex i tmp 1;
-                  F.buf_mul tmp 2 tmp 0 tmp 2;
-                  F.buf_sub tmp 2 tmp 2 ey i;
-                  F.buf_blit tmp 1 ex !wp 1;
-                  F.buf_blit tmp 2 ey !wp 1;
-                  incr wp
-                end;
-                incr np2
-              done;
-              if m land 1 = 1 then begin
-                let i = start.(b) + m - 1 in
-                if !wp <> i then begin
-                  F.buf_blit ex i ex !wp 1;
-                  F.buf_blit ey i ey !wp 1
-                end;
-                incr wp
-              end;
-              len.(b) <- !wp - start.(b);
-              if len.(b) > 1 then pending := true
-            end
-          done
-        end
-      done
+      match F.buf_affine_round with
+      | None -> ocaml_rounds ~ex ~ey ~start ~len ~num ~den ~scratch
+      | Some round ->
+        while round ~ex ~ey ~start ~len ~num ~den ~scratch > 0 do
+          Telemetry.count "curve.msm.batch_add_rounds" 1
+        done
     end
 
   (* Running-sum trick over a contiguous range of reduced buckets:
@@ -478,7 +522,7 @@ module Make (P : PARAMS) = struct
     let nchunk = hi - lo in
     let digits = Array.make (max 1 (nchunk * nw)) 0 in
     let dig_buf = Array.make nw 0 in
-    let limbs = Array.make digit_limbs 0 in
+    let limbs = limb_scratch () in
     let counts = Array.make nbuckets 0 in
     for i = 0 to nchunk - 1 do
       match aff.(lo + i) with
@@ -605,17 +649,15 @@ module Make (P : PARAMS) = struct
       done;
       { window; rows }
 
+    (* Unsigned windows of the scalar's limbs (bits past the value read
+       as zero). *)
     let mul { window; rows } (s : Fr.t) =
-      let nat = Fr.to_nat s in
-      let total_bits = Fr.num_bits in
+      let limbs = limb_scratch () in
+      Fr.to_limbs_le s limbs;
       let acc = ref zero in
       for j = 0 to Array.length rows - 1 do
-        let v = ref 0 in
-        for b = window - 1 downto 0 do
-          let bit = (j * window) + b in
-          v := (!v lsl 1) lor (if bit < total_bits && Nat.testbit nat bit then 1 else 0)
-        done;
-        if !v > 0 then acc := add !acc rows.(j).(!v - 1)
+        let v = limb_window limbs (j * window) window in
+        if v > 0 then acc := add !acc rows.(j).(v - 1)
       done;
       !acc
 
@@ -710,7 +752,7 @@ module Make (P : PARAMS) = struct
       let nchunk = hi - lo in
       let digits = Array.make (max 1 (nchunk * nw)) 0 in
       let dig_buf = Array.make nw 0 in
-      let limbs = Array.make digit_limbs 0 in
+      let limbs = limb_scratch () in
       let counts = Array.make half 0 in
       for i = 0 to nchunk - 1 do
         signed_digits ~c limbs dig_buf scalars.(lo + i);

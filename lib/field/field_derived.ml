@@ -15,10 +15,18 @@ module Make (C : Field_intf.CORE) = struct
     if n >= 0 then of_nat (Nat.of_int n)
     else sub zero (of_nat (Nat.of_int (-n)))
 
+  (* The canonical value as 32 big-endian bytes, straight from the
+     limbs. *)
+  let be32 a =
+    let le = Bytes.create 32 in
+    to_limbs_le a le;
+    Bytes.init 32 (fun i -> Bytes.get le (31 - i))
+
+  let to_nat a = Nat.of_bytes_be (Bytes.unsafe_to_string (be32 a))
   let of_string s = of_nat (Nat.of_decimal s)
   let to_string a = Nat.to_decimal (to_nat a)
   let of_bytes_be s = of_nat (Nat.of_bytes_be s)
-  let to_bytes_be a = Nat.to_bytes_be ~length:num_bytes (to_nat a)
+  let to_bytes_be a = Bytes.sub_string (be32 a) (32 - num_bytes) num_bytes
 
   let of_bytes_be_canonical s =
     if String.length s <> num_bytes then

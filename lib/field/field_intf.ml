@@ -40,7 +40,15 @@ module type CORE = sig
   val double : t -> t
 
   val of_nat : Zkdet_num.Nat.t -> t
-  val to_nat : t -> Zkdet_num.Nat.t
+
+  val to_limbs_le : t -> Bytes.t -> unit
+  (** [to_limbs_le a dst] writes the canonical value of [a] (in
+      [[0, modulus)], not the internal form) into bytes [0..31] of [dst]
+      as four little-endian 64-bit limbs, so bit [i] of the value is bit
+      [i mod 8] of byte [i / 8].  It allocates nothing; a [dst] shorter
+      than 32 bytes raises [Invalid_argument].  Scalar digits and bit
+      reads in the curve layer use it instead of a {!Zkdet_num.Nat.t}
+      round trip. *)
 
   (** {2 Flat kernel buffers}
 
@@ -90,6 +98,8 @@ end
 (** Full field signature: {!CORE} plus the derived operations. *)
 module type S = sig
   include CORE
+
+  val to_nat : t -> Zkdet_num.Nat.t
 
   val of_int : int -> t
   (** [of_int n] maps any native int into the field (negatives wrap). *)
@@ -149,4 +159,27 @@ module type S = sig
 
   val pp : Format.formatter -> t -> unit
   val compare : t -> t -> int
+
+  val buf_affine_round :
+    (ex:buf ->
+    ey:buf ->
+    start:int array ->
+    len:int array ->
+    num:buf ->
+    den:buf ->
+    scratch:buf ->
+    int)
+    option
+  (** One round of the MSM's batch-affine bucket reduction in native
+      code, or [None] when the kernel has none (the pure-OCaml kernel);
+      the curve layer then runs its own OCaml round, which computes the
+      same buckets.  Bucket [b] holds [len.(b)] finite affine points of a
+      curve [y^2 = x^3 + b] over this field in cells
+      [start.(b) .. start.(b) + len.(b) - 1] of [ex]/[ey].  The round adds
+      each bucket's points in pairs with one shared inversion, drops
+      pairs that sum to the identity, compacts each bucket to its start
+      and updates [len].  It returns the number of pairs it met; [0]
+      means every bucket already held at most one point.  [num] and
+      [den] need a cell per pair, [scratch] two more; shapes are checked
+      and a bad one raises [Invalid_argument]. *)
 end

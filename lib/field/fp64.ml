@@ -10,7 +10,9 @@
    Arithmetic runs in a C stub (fp64_stubs.c, unsigned __int128 CIOS).  A
    pure-OCaml int64 kernel implementing the identical algorithm runs on
    big-endian hosts (see [use_c]); tests pin it on every host through
-   Make_kernel.  Montgomery constants are derived from the decimal modulus
+   Make_kernel.  The C stubs also run the MSM's batch-affine bucket round
+   ([buf_affine_round]); without them the curve layer runs its own OCaml
+   round.  Montgomery constants are derived from the decimal modulus
    with Zkdet_num.Nat — no transcribed magic numbers.
 
    Derived operations (inv, sqrt, random, codecs, ...) come from
@@ -25,8 +27,9 @@ module type KERNEL = sig
 end
 
 (* The C entry points take (prm, dst, doff, a, aoff, b, boff) with byte
-   offsets; prm packs p[0..3] and n0 = -p^-1 mod 2^64.  [@@noalloc] is
-   sound: the stubs never touch the OCaml heap or release the lock. *)
+   offsets; prm packs p[0..3], n0 = -p^-1 mod 2^64 and R mod p.
+   [@@noalloc] is sound: the stubs never allocate, raise, call back into
+   OCaml or release the lock. *)
 external c_mul :
   Bytes.t -> Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> unit
   = "zkdet_fp64_mul_bc" "zkdet_fp64_mul"
@@ -45,6 +48,20 @@ external c_sub :
 external c_butterfly :
   Bytes.t -> Bytes.t -> int -> int -> Bytes.t -> int -> unit
   = "zkdet_fp64_butterfly_bc" "zkdet_fp64_butterfly"
+[@@noalloc]
+
+(* The two halves of one batch-affine bucket round, around the field
+   inversion: (prm, ex, ey, start, len, num, den, scratch [, np]). *)
+external c_round_pairs :
+  Bytes.t -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t ->
+  Bytes.t -> Bytes.t -> int
+  = "zkdet_fp64_round_pairs_bc" "zkdet_fp64_round_pairs"
+[@@noalloc]
+
+external c_round_apply :
+  Bytes.t -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t ->
+  Bytes.t -> Bytes.t -> int -> unit
+  = "zkdet_fp64_round_apply_bc" "zkdet_fp64_round_apply"
 [@@noalloc]
 
 module Make_kernel (K : KERNEL) (M : Field_intf.MODULUS) : Field_intf.S =
@@ -73,17 +90,9 @@ struct
       done;
       b
 
-    let nat_of_le32 b off =
-      let be = Bytes.create el_bytes in
-      for i = 0 to el_bytes - 1 do
-        Bytes.set be i (Bytes.get b (off + el_bytes - 1 - i))
-      done;
-      Nat.of_bytes_be (Bytes.to_string be)
-
     let p_bytes = le32_of_nat modulus
-    let r2_bytes =
-      let r_nat = Nat.shift_left Nat.one 256 in
-      le32_of_nat (Nat.rem (Nat.mul r_nat r_nat) modulus)
+    let r_nat = Nat.shift_left Nat.one 256
+    let r2_bytes = le32_of_nat (Nat.rem (Nat.mul r_nat r_nat) modulus)
     let one_std = le32_of_nat Nat.one
 
     (* n0 = -p^-1 mod 2^64 by Newton iteration on wrapping int64. *)
@@ -97,9 +106,10 @@ struct
 
     (* Parameter block handed to the C stubs. *)
     let prm =
-      let b = Bytes.create 40 in
+      let b = Bytes.create 72 in
       Bytes.blit p_bytes 0 b 0 el_bytes;
       Bytes.set_int64_le b el_bytes n0;
+      Bytes.blit (le32_of_nat (Nat.rem r_nat modulus)) 0 b 40 el_bytes;
       b
 
     let pl0 = Bytes.get_int64_le p_bytes 0
@@ -276,10 +286,12 @@ struct
       mul_off r 0 std 0 r2_bytes 0;
       r
 
-    let to_nat (a : t) =
-      let std = Bytes.create el_bytes in
-      mul_off std 0 a 0 one_std 0;
-      nat_of_le32 std 0
+    (* Montgomery form times 1 is the canonical value, already in the
+       little-endian limb layout.  The kernels do not bounds-check. *)
+    let to_limbs_le (a : t) (dst : Bytes.t) =
+      if Bytes.length dst < el_bytes then
+        invalid_arg "Fp64.to_limbs_le: destination shorter than 32 bytes";
+      mul_off dst 0 a 0 one_std 0
 
     let one = of_nat Nat.one
 
@@ -366,6 +378,36 @@ struct
 
   include Core
   include Field_derived.Make (Core)
+
+  (* The C round trusts its arguments' shapes; check them here so a bad
+     call raises instead of writing out of bounds. *)
+  let check_round_shapes ~ex ~ey ~start ~len ~num ~den ~scratch =
+    let n = buf_length ex and nb = Array.length start in
+    if buf_length ey <> n || Array.length len <> nb then
+      invalid_arg "Fp64.buf_affine_round: mismatched buckets";
+    let pairs = ref 0 in
+    for b = 0 to nb - 1 do
+      let s = start.(b) and m = len.(b) in
+      if s < 0 || m < 0 || s > n - m then
+        invalid_arg "Fp64.buf_affine_round: bucket out of range";
+      pairs := !pairs + (m / 2)
+    done;
+    if buf_length num < !pairs || buf_length den < !pairs
+       || buf_length scratch < !pairs + 2
+    then invalid_arg "Fp64.buf_affine_round: scratch too small"
+
+  let buf_affine_round =
+    if not use_c then None
+    else
+      Some
+        (fun ~ex ~ey ~start ~len ~num ~den ~scratch ->
+          check_round_shapes ~ex ~ey ~start ~len ~num ~den ~scratch;
+          let np = c_round_pairs prm ex ey start len num den scratch in
+          if np > 0 then begin
+            buf_set scratch (np + 1) (inv (buf_get scratch np));
+            c_round_apply prm ex ey start len num den scratch np
+          end;
+          np)
 end
 
 module Make (M : Field_intf.MODULUS) = Make_kernel (struct

@@ -50,7 +50,6 @@ let to_int n =
     if !ok then Some !v else None
   end
 
-let num_limbs = Array.length
 let limb n i = if i < Array.length n then n.(i) else 0
 
 let of_limbs a = normalize (Array.copy a)
@@ -275,19 +274,26 @@ let to_hex n =
     Buffer.contents buf
   end
 
+(* Byte j, counting from the least significant, holds bits 8j .. 8j + 7:
+   the low part of limb 8j / 26 at offset 8j mod 26, spilling into the
+   next limb when the offset is above 18.  Both directions are one pass. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let n = String.length s in
+  let a = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  for j = 0 to n - 1 do
+    let v = Char.code s.[n - 1 - j] and pos = 8 * j in
+    let l = pos / limb_bits and off = pos mod limb_bits in
+    a.(l) <- a.(l) lor ((v lsl off) land mask);
+    if off > limb_bits - 8 then a.(l + 1) <- a.(l + 1) lor (v lsr (limb_bits - off))
+  done;
+  normalize a
 
 let to_bytes_be ~length n =
   if num_bits n > 8 * length then invalid_arg "Nat.to_bytes_be: overflow";
   String.init length (fun i ->
-      let byte_idx = length - 1 - i in
-      let v = ref 0 in
-      for b = 7 downto 0 do
-        v := (!v lsl 1) lor if testbit n ((8 * byte_idx) + b) then 1 else 0
-      done;
-      Char.chr !v)
+      let pos = 8 * (length - 1 - i) in
+      let l = pos / limb_bits and off = pos mod limb_bits in
+      Char.chr
+        (((limb n l lsr off) lor (limb n (l + 1) lsl (limb_bits - off))) land 0xff))
 
 let pp fmt n = Format.pp_print_string fmt (to_decimal n)

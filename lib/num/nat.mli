@@ -48,10 +48,6 @@ val num_bits : t -> int
 (** [num_bits n] is the position of the highest set bit plus one;
     [num_bits zero = 0]. *)
 
-val num_limbs : t -> int
-val limb : t -> int -> int
-(** [limb n i] is limb [i], or [0] beyond the representation. *)
-
 val of_limbs : int array -> t
 (** [of_limbs a] builds a value from base-[2^26] little-endian limbs.
     The array is copied and normalized. *)

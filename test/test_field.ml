@@ -341,6 +341,38 @@ module Ref (F : Zkdet_field.Field_intf.S) = struct
         ("a short encoding", String.make (F.num_bytes - 1) '\000');
         ("a long encoding", String.make (F.num_bytes + 1) '\000') ]
 
+  (* [to_limbs_le] writes the canonical value (not the Montgomery form)
+     as four little-endian 64-bit limbs: the reversed big-endian bytes of
+     the Nat reference.  Bytes past the first 32 stay untouched. *)
+  let run_limbs ~name rng =
+    let p2 k = Nat.pow Nat.two k in
+    let fixed =
+      [ Nat.zero; Nat.one; Nat.sub p Nat.one; Nat.sub (p2 64) Nat.one; p2 64;
+        Nat.add (p2 64) Nat.one; p2 128; p2 192 ]
+    in
+    List.iter
+      (fun x ->
+        let want =
+          String.init 32 (fun i -> (Nat.to_bytes_be ~length:32 x).[31 - i])
+        in
+        let dst = Bytes.make 40 '\xa5' in
+        F.to_limbs_le (F.of_nat x) dst;
+        if not (String.equal (Bytes.sub_string dst 0 32) want) then
+          Alcotest.failf "%s.to_limbs_le: wrong limbs for %s" name (Nat.to_hex x);
+        if not (String.equal (Bytes.sub_string dst 32 8) (String.make 8 '\xa5'))
+        then Alcotest.failf "%s.to_limbs_le: wrote past 32 bytes" name;
+        (* limb k, read as the curve layer reads it *)
+        for k = 0 to 3 do
+          let limb = Nat.rem (Nat.shift_right x (64 * k)) (p2 64) in
+          let want = String.get_int64_be (Nat.to_bytes_be ~length:8 limb) 0 in
+          if not (Int64.equal (Bytes.get_int64_le dst (8 * k)) want) then
+            Alcotest.failf "%s.to_limbs_le: limb %d of %s" name k (Nat.to_hex x)
+        done)
+      (List.map reduce fixed @ List.map reduce (random_nats rng 40));
+    Alcotest.check_raises (name ^ ".to_limbs_le: short destination")
+      (Invalid_argument "Fp64.to_limbs_le: destination shorter than 32 bytes")
+      (fun () -> F.to_limbs_le F.one (Bytes.create 31))
+
   (* Independent rejection sampler for the 254-bit BN254 moduli: ten
      Random.State draws, least significant first, nine of 26 bits and a
      top one of 20 (9 * 26 + 20 = 254); values >= p are redrawn. *)
@@ -387,6 +419,13 @@ let test_reference_fr_ml () =
 let test_reference_fp_ml () =
   Ref_fp_ml.run ~name:"Fp-mlkernel" (Test_util.rng ~salt:"field-ref-fp-ml" ())
 
+let test_limbs () =
+  let rng = Test_util.rng ~salt:"field-limbs" () in
+  Ref_fr.run_limbs ~name:"Fr" rng;
+  Ref_fp.run_limbs ~name:"Fp" rng;
+  Ref_fr_ml.run_limbs ~name:"Fr-mlkernel" rng;
+  Ref_fp_ml.run_limbs ~name:"Fp-mlkernel" rng
+
 let test_random_streams () =
   Ref_fr.run_random_stream ~name:"Fr" ();
   Ref_fp.run_random_stream ~name:"Fp" ();
@@ -421,6 +460,8 @@ let () =
             test_reference_fr_ml;
           Alcotest.test_case "Fp OCaml kernel vs Nat reference" `Quick
             test_reference_fp_ml;
+          Alcotest.test_case "canonical limbs vs Nat reference" `Quick
+            test_limbs;
           Alcotest.test_case "random streams agree" `Quick test_random_streams;
           Alcotest.test_case "codecs cross-backend" `Quick
             test_codec_cross_backend ] );

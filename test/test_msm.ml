@@ -6,10 +6,20 @@
    identity points scattered through the input.  The same suite runs over
    G1 and G2 (the two CURVE_FIELD instantiations: flat Montgomery limbs
    vs the allocating Fp2 fallback), plus fixed-base-table agreement and
-   byte-identity across pool sizes. *)
+   byte-identity across pool sizes.
+
+   G1's bucket rounds run in C (Fp's [buf_affine_round]).  Two more G1
+   instances run the suite on the OCaml round: one over the same C field
+   with the native round switched off, one over the pure-OCaml field
+   kernel.  Their results must encode to the same bytes as the default
+   G1's on every input, and a round-level suite feeds all three
+   hand-built buckets aimed at the round's edge cases. *)
 
 module Nat = Zkdet_num.Nat
 module Fr = Zkdet_field.Bn254.Fr
+module Fp = Zkdet_field.Bn254.Fp
+module G1 = Zkdet_curve.G1
+module Weierstrass = Zkdet_curve.Weierstrass
 module Pool = Zkdet_parallel.Pool
 
 let rng = Test_util.rng ~salt:"msm" ()
@@ -20,6 +30,7 @@ module type CURVE = sig
   val zero : t
   val generator : t
   val equal : t -> t -> bool
+  val to_bytes : t -> string
   val add : t -> t -> t
   val neg : t -> t
   val mul : t -> Fr.t -> t
@@ -35,7 +46,13 @@ module type CURVE = sig
   end
 end
 
-module Suite (C : CURVE) = struct
+(* [D.to_g1] maps a G1 variant's points onto the default G1 (through the
+   fixed-width encoding); [None] for the default curves themselves. *)
+module Suite
+    (C : CURVE) (D : sig
+      val to_g1 : (C.t -> G1.t) option
+    end) =
+struct
   (* Independent reference: double-and-add per term, plain group adds.
      Shares no code with the bucket kernels under test. *)
   let naive (points : C.t array) (scalars : Fr.t array) : C.t =
@@ -43,17 +60,30 @@ module Suite (C : CURVE) = struct
     Array.iteri (fun i p -> acc := C.add !acc (C.mul p scalars.(i))) points;
     !acc
 
+  (* A variant's MSM must encode exactly as the default G1's on the same
+     input. *)
+  let check_default ~msg points scalars got =
+    match D.to_g1 with
+    | None -> ()
+    | Some to_g1 ->
+      let want = G1.to_bytes (G1.msm (Array.map to_g1 points) scalars) in
+      if not (String.equal (C.to_bytes got) want) then
+        Alcotest.failf "%s: bytes differ from the default G1" msg
+
   let check_against_naive ~msg points scalars windows =
     let expect = naive points scalars in
     List.iter
       (fun c ->
         let got = C.msm_with_window ~window:c points scalars in
         if not (C.equal got expect) then
-          Alcotest.failf "%s: window %d disagrees with naive reference" msg c)
+          Alcotest.failf "%s: window %d disagrees with naive reference" msg c;
+        check_default ~msg:(Printf.sprintf "%s, window %d" msg c) points
+          scalars got)
       windows;
     let got = C.msm points scalars in
     if not (C.equal got expect) then
-      Alcotest.failf "%s: default window disagrees with naive reference" msg
+      Alcotest.failf "%s: default window disagrees with naive reference" msg;
+    check_default ~msg points scalars got
 
   (* Scalars that stress the signed-digit decomposition at width [c]:
      digit boundaries 2^(c-1) (the sign flip), 2^c +- 1 (the carry), and
@@ -90,7 +120,9 @@ module Suite (C : CURVE) = struct
         let expect = naive points scalars in
         let got = C.msm_with_window ~window:c points scalars in
         if not (C.equal got expect) then
-          Alcotest.failf "window %d disagrees on its own boundary scalars" c)
+          Alcotest.failf "window %d disagrees on its own boundary scalars" c;
+        check_default ~msg:(Printf.sprintf "window %d boundary scalars" c)
+          points scalars got)
       (List.init 15 (fun i -> i + 2))
 
   let test_lengths () =
@@ -132,8 +164,10 @@ module Suite (C : CURVE) = struct
     (* all-identity and all-zero-scalar inputs *)
     let zs = Array.make 9 C.zero and ss = Array.make 9 (Fr.of_int 7) in
     Alcotest.(check bool) "all-identity input" true (C.equal C.zero (C.msm zs ss));
+    check_default ~msg:"all-identity input" zs ss (C.msm zs ss);
     let ps = edge_points 9 and z9 = Array.make 9 Fr.zero in
-    Alcotest.(check bool) "all-zero scalars" true (C.equal C.zero (C.msm ps z9))
+    Alcotest.(check bool) "all-zero scalars" true (C.equal C.zero (C.msm ps z9));
+    check_default ~msg:"all-zero scalars" ps z9 (C.msm ps z9)
 
   let test_fixed_base_agrees () =
     let n = 40 in
@@ -144,18 +178,22 @@ module Suite (C : CURVE) = struct
     List.iter
       (fun w ->
         let tb = C.Fixed_base.msm_create ~window:w points in
+        let got = C.Fixed_base.msm tb scalars in
         Alcotest.(check bool)
           (Printf.sprintf "fixed-base window %d agrees with generic" w)
-          true
-          (C.equal expect (C.Fixed_base.msm tb scalars));
+          true (C.equal expect got);
+        check_default ~msg:(Printf.sprintf "fixed-base window %d" w) points
+          scalars got;
         (* a prefix of the bases: fewer scalars than table columns *)
         let k = 17 in
+        let ps = Array.sub points 0 k and ss = Array.sub scalars 0 k in
+        let got = C.Fixed_base.msm tb ss in
         Alcotest.(check bool)
           (Printf.sprintf "fixed-base window %d prefix" w)
           true
-          (C.equal
-             (C.msm (Array.sub points 0 k) (Array.sub scalars 0 k))
-             (C.Fixed_base.msm tb (Array.sub scalars 0 k))))
+          (C.equal (C.msm ps ss) got);
+        check_default ~msg:(Printf.sprintf "fixed-base window %d prefix" w) ps
+          ss got)
       [ 8; 11; 13 ]
 
   let test_window_validation () =
@@ -176,13 +214,225 @@ module Suite (C : CURVE) = struct
       Alcotest.test_case "window bounds validated" `Quick test_window_validation ]
 end
 
-module G1_suite = Suite (Zkdet_curve.G1)
-module G2_suite = Suite (Zkdet_curve.G2)
+(* G1 over the same C field, with the native bucket round switched off:
+   its MSMs run the OCaml round. *)
+module G1_ocaml_round = Weierstrass.Make (struct
+  module F = struct
+    include G1.Fp_curve
+
+    let buf_affine_round = None
+  end
+
+  let b = Fp.of_int 3
+  let generator = (Fp.one, Fp.of_int 2)
+  let subgroup_check = false
+end)
+
+(* G1 over the pure-OCaml field kernel, which has no native round. *)
+module Fp_ml =
+  Zkdet_field.Fp64.Make_kernel
+    (struct
+      let use_c = false
+    end)
+    (struct
+      let modulus_decimal = Zkdet_field.Bn254.fp_modulus_decimal
+    end)
+
+module G1_ml_kernel = Weierstrass.Make (struct
+  module F = struct
+    include Fp_ml
+
+    let to_bytes = Fp_ml.to_bytes_be
+    let of_bytes = Fp_ml.of_bytes_be
+    let of_bytes_canonical = Fp_ml.of_bytes_be_canonical
+    let sqrt_opt = Fp_ml.sqrt
+
+    let parity y =
+      let limbs = Bytes.create 32 in
+      Fp_ml.to_limbs_le y limbs;
+      Weierstrass.limb_bit limbs 0
+  end
+
+  let b = Fp_ml.of_int 3
+  let generator = (Fp_ml.one, Fp_ml.of_int 2)
+  let subgroup_check = false
+end)
+
+let () =
+  assert (Option.is_some Fp.buf_affine_round);
+  assert (Option.is_none Fp_ml.buf_affine_round)
+
+module No_default = struct
+  let to_g1 = None
+end
+
+module G1_suite = Suite (G1) (No_default)
+module G2_suite = Suite (Zkdet_curve.G2) (No_default)
+
+module G1_ocaml_round_suite =
+  Suite
+    (G1_ocaml_round)
+    (struct
+      let to_g1 =
+        Some (fun p -> G1.of_bytes_fixed (G1_ocaml_round.to_bytes_fixed p))
+    end)
+
+module G1_ml_kernel_suite =
+  Suite
+    (G1_ml_kernel)
+    (struct
+      let to_g1 = Some (fun p -> G1.of_bytes_fixed (G1_ml_kernel.to_bytes_fixed p))
+    end)
+
+(* ---- the bucket round itself ----
+
+   Hand-built buckets go straight into [reduce_buckets] of each G1
+   instance.  Every bucket must end with at most one point, equal to the
+   sum of its inputs (none when that sum is the identity), in the same
+   bytes on all three instances.  The cases aim at the round's branches:
+   a round whose denominators are all zero, one with exactly one nonzero
+   denominator, zeros interleaved with chords and tangents, empty buckets,
+   and buckets of length 1, 2 and 3 — length 3 leaves an odd point that
+   must move down behind the pair's sum. *)
+
+module type REDUCE = sig
+  type t
+
+  module F : sig
+    type t
+    type buf
+
+    val buf_create : int -> buf
+    val buf_get : buf -> int -> t
+    val buf_set : buf -> int -> t -> unit
+  end
+
+  val to_affine : t -> (F.t * F.t) option
+  val of_affine_unchecked : F.t * F.t -> t
+  val of_bytes_fixed : string -> t
+  val to_bytes_fixed : t -> string
+
+  val reduce_buckets :
+    ex:F.buf -> ey:F.buf -> start:int array -> len:int array -> unit
+end
+
+module Reduce (C : REDUCE) = struct
+  (* Lays the buckets out back to back, reduces them, and returns each
+     bucket's survivor in the default G1's fixed-width bytes. *)
+  let run (buckets : G1.t list list) : string option list =
+    let lens = Array.of_list (List.map List.length buckets) in
+    let start = Array.make (Array.length lens) 0 in
+    for b = 1 to Array.length lens - 1 do
+      start.(b) <- start.(b - 1) + lens.(b - 1)
+    done;
+    let total = Array.fold_left ( + ) 0 lens in
+    let ex = C.F.buf_create (max total 1) and ey = C.F.buf_create (max total 1) in
+    List.iteri
+      (fun b pts ->
+        List.iteri
+          (fun k p ->
+            match C.to_affine (C.of_bytes_fixed (G1.to_bytes_fixed p)) with
+            | None -> invalid_arg "bucket entries must be finite"
+            | Some (x, y) ->
+              C.F.buf_set ex (start.(b) + k) x;
+              C.F.buf_set ey (start.(b) + k) y)
+          pts)
+      buckets;
+    let len = Array.copy lens in
+    C.reduce_buckets ~ex ~ey ~start ~len;
+    Array.to_list
+      (Array.mapi
+         (fun b l ->
+           match l with
+           | 0 -> None
+           | 1 ->
+             Some
+               (C.to_bytes_fixed
+                  (C.of_affine_unchecked
+                     (C.F.buf_get ex start.(b), C.F.buf_get ey start.(b))))
+           | l -> Alcotest.failf "bucket %d kept %d points" b l)
+         len)
+end
+
+module Reduce_c = Reduce (G1)
+module Reduce_ocaml = Reduce (G1_ocaml_round)
+module Reduce_ml = Reduce (G1_ml_kernel)
+
+let reduce_cases () =
+  let g = G1.generator in
+  let p k = G1.mul_int g k and m k = G1.neg (G1.mul_int g k) in
+  [ ("one round, all denominators zero", [ [ p 1; m 1 ]; [ p 2; m 2; p 3; m 3 ] ]);
+    (* round 1 makes P1 + P2 and -(P1 + P2); round 2 annihilates them *)
+    ("a later round, all denominators zero", [ [ p 1; p 2; m 1; m 2 ] ]);
+    ( "exactly one nonzero denominator",
+      [ [ p 1; m 1 ]; [ p 2; p 5 ]; [ p 3; m 3; p 4; m 4 ] ] );
+    ( "zeros interleaved with chords and tangents",
+      [ [ p 1; m 1; p 2; p 3; p 4; m 4; p 5; p 5 ]; [ p 6; m 6 ]; [ p 7; p 8 ];
+        [ p 9; p 9; m 9; m 9 ] ] );
+    ("buckets of length 1, 2 and 3", [ [ p 1 ]; [ p 2; p 3 ]; [ p 4; p 5; p 6 ] ]);
+    (* the pair annihilates, so the odd point moves down two cells *)
+    ("length 3 with an annihilating pair", [ [ p 4; m 4; p 6 ]; [ p 7; p 7; p 7 ] ]);
+    ( "empty buckets between full ones",
+      [ []; [ p 1 ]; []; [ p 2; p 3; p 4 ]; []; [ p 5; p 6 ]; [] ] );
+    ("lengths 5 and 7", [ List.init 5 (fun i -> p (i + 1)); List.init 7 (fun i -> p (i + 3)) ])
+  ]
+
+(* Random layouts drawn from a few small multiples of g and their
+   negations, so chords, tangents and annihilations all occur. *)
+let random_buckets n =
+  let g = G1.generator in
+  let pool = Array.init 8 (fun i -> G1.mul_int g (if i < 4 then i + 1 else 3 - i)) in
+  List.init n (fun _ ->
+      List.init (Random.State.int rng 10) (fun _ -> pool.(Random.State.int rng 8)))
+
+let test_reduce_buckets () =
+  let cases =
+    reduce_cases ()
+    @ List.init 20 (fun i -> (Printf.sprintf "random layout %d" i, random_buckets 40))
+  in
+  List.iter
+    (fun (name, buckets) ->
+      let want =
+        List.map
+          (fun pts ->
+            let s = List.fold_left G1.add G1.zero pts in
+            if G1.is_zero s then None else Some (G1.to_bytes_fixed s))
+          buckets
+      in
+      let check impl got =
+        List.iteri
+          (fun b (w, g) ->
+            if w <> g then Alcotest.failf "%s, %s: bucket %d has the wrong sum" name impl b)
+          (List.combine want got)
+      in
+      check "C round" (Reduce_c.run buckets);
+      check "OCaml round" (Reduce_ocaml.run buckets);
+      check "OCaml field kernel" (Reduce_ml.run buckets))
+    cases
+
+(* The native round checks its arguments before the C code trusts them. *)
+let test_round_shapes () =
+  let round = Option.get Fp.buf_affine_round in
+  let ex = Fp.buf_create 4 and ey = Fp.buf_create 4 in
+  let call ?(ey = ey) ?(start = [| 0 |]) ?(len = [| 4 |]) ?(cells = 2) () =
+    ignore
+      (round ~ex ~ey ~start ~len ~num:(Fp.buf_create cells)
+         ~den:(Fp.buf_create cells) ~scratch:(Fp.buf_create (cells + 2)))
+  in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "scratch for one pair, two pairs met" (call ~cells:1);
+  raises "bucket past the end" (call ~start:[| 1 |]);
+  raises "negative length" (call ~len:[| -1 |]);
+  raises "start and len of different lengths" (call ~len:[| 2; 2 |]);
+  raises "ey shorter than ex" (call ~ey:(Fp.buf_create 3))
 
 (* The determinism contract: MSM results (hence any proof bytes derived
    from them) are byte-identical at any pool size. *)
 let test_domain_byte_identity () =
-  let module G1 = Zkdet_curve.G1 in
   let n = 300 in
   let points = Array.init n (fun _ -> G1.random rng) in
   let scalars = Array.init n (fun _ -> Fr.random rng) in
@@ -197,10 +447,20 @@ let test_domain_byte_identity () =
   Alcotest.(check string) "fixed-base msm bytes: 1 vs 4 domains" f1 f4;
   Alcotest.(check string) "fixed-base matches generic" g1 f1
 
+(* Group names stay within 11 characters: Alcotest widens its name column
+   to the longest group name and cuts test names to fit 80 columns, which
+   would shorten "annihilation + scattered identities" in the output. *)
 let () =
   Alcotest.run "zkdet_msm"
     [ ("g1", G1_suite.tests);
       ("g2", G2_suite.tests);
+      ("g1-ml-round", G1_ocaml_round_suite.tests);
+      ("g1-ml-field", G1_ml_kernel_suite.tests);
+      ( "g1-round",
+        [ Alcotest.test_case "edge-case buckets on all three G1s" `Quick
+            test_reduce_buckets;
+          Alcotest.test_case "native round checks shapes" `Quick
+            test_round_shapes ] );
       ( "determinism",
         [ Alcotest.test_case "byte-identical across domains" `Quick
             test_domain_byte_identity ] ) ]

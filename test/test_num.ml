@@ -72,13 +72,64 @@ let test_bits () =
   Alcotest.(check bool) "bit 100 set" true (Nat.testbit (Nat.pow Nat.two 100) 100);
   Alcotest.(check bool) "bit 99 clear" false (Nat.testbit (Nat.pow Nat.two 100) 99)
 
+(* The earlier byte codecs, kept as the reference: one shift-and-add per
+   input byte, and eight [testbit] calls per output byte. *)
+let ref_of_bytes_be s =
+  let acc = ref Nat.zero in
+  String.iter
+    (fun c -> acc := Nat.add (Nat.shift_left !acc 8) (Nat.of_int (Char.code c)))
+    s;
+  !acc
+
+let ref_to_bytes_be ~length n =
+  String.init length (fun i ->
+      let byte_idx = length - 1 - i in
+      let v = ref 0 in
+      for b = 7 downto 0 do
+        v := (!v lsl 1) lor if Nat.testbit n ((8 * byte_idx) + b) then 1 else 0
+      done;
+      Char.chr !v)
+
 let test_bytes () =
   let n = Nat.of_hex "0102030405060708090a" in
   let s = Nat.to_bytes_be ~length:12 n in
   Alcotest.(check int) "padded length" 12 (String.length s);
   check_nat "bytes roundtrip" n (Nat.of_bytes_be s);
   Alcotest.(check char) "padding" '\x00' s.[0];
-  Alcotest.(check char) "low byte" '\x0a' s.[11]
+  Alcotest.(check char) "low byte" '\x0a' s.[11];
+  (* Against the reference on every length 0..40: random bytes, leading
+     zero bytes, runs of 0xff, and all-zero / all-0xff strings. *)
+  let st = Random.State.make [| 0xb17e5 |] in
+  let random_bytes k = String.init k (fun _ -> Char.chr (Random.State.int st 256)) in
+  for len = 0 to 40 do
+    let cases =
+      [ random_bytes len;
+        String.make len '\x00';
+        String.make len '\xff';
+        (let z = min len (Random.State.int st (len + 1)) in
+         String.make z '\x00' ^ random_bytes (len - z));
+        (let f = min len (Random.State.int st (len + 1)) in
+         let r = random_bytes len in
+         let at = Random.State.int st (len - f + 1) in
+         String.sub r 0 at ^ String.make f '\xff' ^ String.sub r at (len - f - at)) ]
+    in
+    List.iter
+      (fun s ->
+        let what = Printf.sprintf "len %d %S" len s in
+        let n = Nat.of_bytes_be s in
+        check_nat ("of_bytes_be " ^ what) (ref_of_bytes_be s) n;
+        (* same width, one byte wider, and the minimal width *)
+        List.iter
+          (fun length ->
+            Alcotest.(check string)
+              (Printf.sprintf "to_bytes_be ~length:%d %s" length what)
+              (ref_to_bytes_be ~length n) (Nat.to_bytes_be ~length n))
+          [ len; len + 1; (Nat.num_bits n + 7) / 8 ])
+      cases
+  done;
+  Alcotest.check_raises "to_bytes_be overflow"
+    (Invalid_argument "Nat.to_bytes_be: overflow") (fun () ->
+      ignore (Nat.to_bytes_be ~length:1 (Nat.of_int 256)))
 
 let test_pow () =
   Alcotest.(check string) "2^128" "340282366920938463463374607431768211456"
