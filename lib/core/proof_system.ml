@@ -31,10 +31,10 @@ module type S = sig
   type prepared_vk
   (** A verification key with its per-verify preprocessing hoisted out,
       for reuse across a batch: Groth16 caches the fixed pairing factor
-      [e(alpha, beta)] (3 Miller loops per verify instead of 4) plus the
-      canonical vk bytes the batch transcript absorbs; Plonk's verifier
-      is already input-independent, so only the serialization is
-      cached. *)
+      [e(alpha, beta)] (a 3-pair Miller loop per verify instead of 4)
+      plus the canonical vk bytes the batch transcript absorbs; Plonk's
+      verifier is already input-independent, so only the serialization
+      is cached. *)
 
   val prepare_vk : verification_key -> prepared_vk
 

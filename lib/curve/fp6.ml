@@ -39,6 +39,18 @@ let mul a b =
 
 let sqr a = mul a a
 
+(* Sparse product by b0 + b1 v (5 Fp2 multiplications instead of 6):
+   c0 = a0 b0 + xi a2 b1, c1 = a0 b1 + a1 b0, c2 = a1 b1 + a2 b0. *)
+let mul_by_01 a (b0 : Fp2.t) (b1 : Fp2.t) =
+  let v0 = Fp2.mul a.c0 b0 in
+  let v1 = Fp2.mul a.c1 b1 in
+  let c0 =
+    Fp2.add v0 (Fp2.mul_by_xi (Fp2.sub (Fp2.mul b1 (Fp2.add a.c1 a.c2)) v1))
+  in
+  let c1 = Fp2.sub (Fp2.sub (Fp2.mul (Fp2.add b0 b1) (Fp2.add a.c0 a.c1)) v0) v1 in
+  let c2 = Fp2.add (Fp2.mul a.c2 b0) v1 in
+  { c0; c1; c2 }
+
 (* Multiplication by v: (c0 + c1 v + c2 v^2) v = xi c2 + c0 v + c1 v^2. *)
 let mul_by_v a = { c0 = Fp2.mul_by_xi a.c2; c1 = a.c0; c2 = a.c1 }
 

@@ -16,7 +16,6 @@ module Fr = Zkdet_field.Bn254.Fr
 module G1 = Zkdet_curve.G1
 module G2 = Zkdet_curve.G2
 module Pairing = Zkdet_curve.Pairing
-module Fp12 = Zkdet_curve.Fp12
 module Domain = Zkdet_poly.Domain
 module Poly = Zkdet_poly.Poly
 module Cs = Zkdet_plonk.Cs
@@ -348,24 +347,29 @@ let prove ?(st = Random.State.make_self_init ()) (pk : proving_key)
          });
   proof
 
+(* IC(x) = IC_0 + sum_i publics_i IC_{i+1}; None on a statement-arity
+   mismatch (a structural rejection). *)
+let ic_of_publics (vk : verification_key) (publics : Fr.t array) : G1.t option =
+  if Array.length publics + 1 <> Array.length vk.vk_ic then None
+  else
+    Some
+      (G1.add vk.vk_ic.(0)
+         (G1.msm (Array.sub vk.vk_ic 1 (Array.length publics)) publics))
+
 (** Verification: e(A, B) = e(alpha, beta) e(IC(x), gamma) e(C, delta) —
     3 pairing factors plus ONE G1 exponentiation per public input (the
     cost §VI-B.3 contrasts with Plonk's input-independent verifier). *)
 let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool
     =
   let ok =
-    if Array.length publics + 1 <> Array.length vk.vk_ic then false
-    else begin
-      let ic =
-        G1.add vk.vk_ic.(0)
-          (G1.msm (Array.sub vk.vk_ic 1 (Array.length publics)) publics)
-      in
+    match ic_of_publics vk publics with
+    | None -> false
+    | Some ic ->
       Pairing.pairing_check
         [ (proof.pi_a, proof.pi_b);
           (G1.neg vk.vk_alpha_g1, vk.vk_beta_g2);
           (G1.neg ic, vk.vk_gamma_g2);
           (G1.neg proof.pi_c, vk.vk_delta_g2) ]
-    end
   in
   if Zkdet_obs.Obs.is_enabled () then
     Zkdet_obs.Obs.emit
@@ -376,8 +380,8 @@ let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool
 
 (** A verification key with its per-verify preprocessing hoisted out, for
     reuse across a batch: [e(alpha, beta)] is fixed per key, so caching it
-    turns the 4-factor pairing product of {!verify} into 3 Miller loops
-    plus one Gt comparison.  The canonical vk bytes are cached too — the
+    turns the 4-pair Miller loop of {!verify} into a 3-pair one plus one
+    Gt comparison.  The canonical vk bytes are cached too — the
     batch transcript absorbs them once per item. *)
 type prepared_vk = {
   p_vk : verification_key;
@@ -392,15 +396,6 @@ let prepare_vk (vk : verification_key) : prepared_vk =
     p_e_alpha_beta = Pairing.pairing vk.vk_alpha_g1 vk.vk_beta_g2;
   }
 
-(* IC(x) = IC_0 + sum_i publics_i IC_{i+1}; None on a statement-arity
-   mismatch (a structural rejection, mirrored by verify). *)
-let ic_of_publics (vk : verification_key) (publics : Fr.t array) : G1.t option =
-  if Array.length publics + 1 <> Array.length vk.vk_ic then None
-  else
-    Some
-      (G1.add vk.vk_ic.(0)
-         (G1.msm (Array.sub vk.vk_ic 1 (Array.length publics)) publics))
-
 let verify_prepared (pvk : prepared_vk) (publics : Fr.t array) (proof : proof) :
     bool =
   let vk = pvk.p_vk in
@@ -408,18 +403,15 @@ let verify_prepared (pvk : prepared_vk) (publics : Fr.t array) (proof : proof) :
     match ic_of_publics vk publics with
     | None -> false
     | Some ic ->
-      (* e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta): one shared
-         final exponentiation over 3 Miller loops, compared against the
+      (* e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta): one
+         multi-Miller loop over the 3 pairs, compared against the
          precomputed factor. *)
-      let f =
-        Pairing.final_exponentiation
-          (Fp12.mul
-             (Pairing.miller_loop proof.pi_a proof.pi_b)
-             (Fp12.mul
-                (Pairing.miller_loop (G1.neg ic) vk.vk_gamma_g2)
-                (Pairing.miller_loop (G1.neg proof.pi_c) vk.vk_delta_g2)))
-      in
-      Pairing.Gt.equal f pvk.p_e_alpha_beta
+      Pairing.Gt.equal
+        (Pairing.pairing_product
+           [ (proof.pi_a, proof.pi_b);
+             (G1.neg ic, vk.vk_gamma_g2);
+             (G1.neg proof.pi_c, vk.vk_delta_g2) ])
+        pvk.p_e_alpha_beta
   in
   if Zkdet_obs.Obs.is_enabled () then
     Zkdet_obs.Obs.emit
@@ -447,9 +439,10 @@ let batch_scalars (items : (verification_key * Fr.t array * proof) list) :
 
 (* Per-distinct-vk fold accumulators (mixed-circuit batches). *)
 type batch_acc = {
-  mutable sum_rho : Fr.t;
-  mutable sum_ic : G1.t; (* sum_i rho_i IC_i(publics_i) *)
-  mutable sum_c : G1.t; (* sum_i rho_i C_i *)
+  ic_scalars : Fr.t array;
+      (* sum_i rho_i IC_i(publics_i) = <ic_scalars, vk_ic>: slot 0 holds
+         sum_i rho_i, slot j + 1 holds sum_i rho_i publics_i(j) *)
+  mutable c_terms : (G1.t * Fr.t) list; (* (C_i, rho_i) *)
 }
 
 (** RLC batch verification: fold the per-proof equations
@@ -462,15 +455,17 @@ type batch_acc = {
                 e(-(sum rho_i IC_i), gamma)
                 e(-(sum rho_i C_i), delta)  =  1
 
-    — one multi-pairing of N + 3·#distinct-vks factors (N+3 for a
-    settlement block under one key) instead of 4N, with N cheap G1
-    scalar multiplications for the folds.  Per-proof scalars are what
-    makes this sound: with a single shared scalar a forger could cancel
-    one bad equation against another; with independent transcript-derived
-    scalars a batch containing any invalid proof survives with
-    probability 1/|Fr|.  Deterministic at any ZKDET_DOMAINS.  Accepts
-    exactly when every proof verifies individually (empty batches accept,
-    singletons delegate to {!verify}). *)
+    — one multi-Miller loop over N + 3·#distinct-vks pairs (N+3 for a
+    settlement block under one key) instead of 4N.  Per key, sum rho_i
+    IC_i is one MSM over [vk_ic] with the scalars summed per key, and
+    sum rho_i C_i is one MSM; only rho_i A_i costs a G1 multiplication
+    per proof.  Per-proof scalars are what makes this sound: with a
+    single shared scalar a forger could cancel one bad equation against
+    another; with independent transcript-derived scalars a batch
+    containing any invalid proof survives with probability 1/|Fr|.
+    Deterministic at any ZKDET_DOMAINS.  Accepts exactly when every
+    proof verifies individually (empty batches accept, singletons
+    delegate to {!verify}). *)
 let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
   match items with
   | [] -> true
@@ -492,7 +487,9 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
       match List.assq_opt vk !groups with
       | Some acc -> acc
       | None ->
-        let acc = { sum_rho = Fr.zero; sum_ic = G1.zero; sum_c = G1.zero } in
+        let acc =
+          { ic_scalars = Array.make (Array.length vk.vk_ic) Fr.zero; c_terms = [] }
+        in
         groups := (vk, acc) :: !groups;
         acc
     in
@@ -500,15 +497,19 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
     let structural_ok =
       List.for_all2
         (fun (vk, publics, proof) rho ->
-          match ic_of_publics vk publics with
-          | None -> false
-          | Some ic ->
-            let acc = acc_for vk in
-            acc.sum_rho <- Fr.add acc.sum_rho rho;
-            acc.sum_ic <- G1.add acc.sum_ic (G1.mul ic rho);
-            acc.sum_c <- G1.add acc.sum_c (G1.mul proof.pi_c rho);
-            pairs := (G1.mul proof.pi_a rho, proof.pi_b) :: !pairs;
-            true)
+          Array.length publics + 1 = Array.length vk.vk_ic
+          && begin
+               let acc = acc_for vk in
+               acc.ic_scalars.(0) <- Fr.add acc.ic_scalars.(0) rho;
+               Array.iteri
+                 (fun j x ->
+                   acc.ic_scalars.(j + 1) <-
+                     Fr.add acc.ic_scalars.(j + 1) (Fr.mul rho x))
+                 publics;
+               acc.c_terms <- (proof.pi_c, rho) :: acc.c_terms;
+               pairs := (G1.mul proof.pi_a rho, proof.pi_b) :: !pairs;
+               true
+             end)
         items rhos
     in
     let ok =
@@ -517,10 +518,12 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
            (List.rev_append !pairs
               (List.concat_map
                  (fun (vk, acc) ->
-                   [ ( G1.neg (G1.mul vk.vk_alpha_g1 acc.sum_rho),
+                   let cs = Array.of_list acc.c_terms in
+                   [ ( G1.neg (G1.mul vk.vk_alpha_g1 acc.ic_scalars.(0)),
                        vk.vk_beta_g2 );
-                     (G1.neg acc.sum_ic, vk.vk_gamma_g2);
-                     (G1.neg acc.sum_c, vk.vk_delta_g2) ])
+                     (G1.neg (G1.msm vk.vk_ic acc.ic_scalars), vk.vk_gamma_g2);
+                     ( G1.neg (G1.msm (Array.map fst cs) (Array.map snd cs)),
+                       vk.vk_delta_g2 ) ])
                  !groups))
     in
     if Zkdet_obs.Obs.is_enabled () then

@@ -92,9 +92,9 @@ val verify : verification_key -> Fr.t array -> proof -> bool
 
 type prepared_vk
 (** A verification key with its per-verify pairing precomputation hoisted
-    out: [e(alpha, beta)] is fixed per key, so {!verify_prepared} runs 3
-    Miller loops instead of 4.  The canonical vk bytes are cached too for
-    the batch transcript. *)
+    out: [e(alpha, beta)] is fixed per key, so {!verify_prepared} runs one
+    Miller loop over 3 pairs instead of 4.  The canonical vk bytes are
+    cached too for the batch transcript. *)
 
 val prepare_vk : verification_key -> prepared_vk
 val verify_prepared : prepared_vk -> Fr.t array -> proof -> bool
@@ -107,7 +107,8 @@ val batch_scalars : (verification_key * Fr.t array * proof) list -> Fr.t list
 
 val verify_batch : (verification_key * Fr.t array * proof) list -> bool
 (** Random-linear-combination batch verification: one multi-pairing of
-    [N + 3 * #distinct-vks] factors instead of [4N], folded under
-    {!batch_scalars}.  Accepts exactly when every proof verifies
+    [N + 3 * #distinct-vks] pairs instead of [4N], folded under
+    {!batch_scalars}, with one MSM per key for the public-input terms and
+    one for the C terms.  Accepts exactly when every proof verifies
     individually; soundness error 1/|Fr| per batch.  Empty batches
     accept; singletons delegate to {!verify}. *)

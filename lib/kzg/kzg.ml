@@ -76,41 +76,6 @@ let open_batch (srs : Srs.t) (ps : Poly.t list) (z : Fr.t) (gamma : Fr.t) :
       in
       (ys, commit srs quotient))
 
-(** Fold many independent openings — possibly at distinct points, from
-    distinct polynomials — into ONE pairing check.  Each item
-    [(c, z, y, w)] claims that [c] opens to [y] at [z] with witness [w];
-    the single-opening equation [e(C - yG, G2) = e(W, (tau - z)G2)] is
-    equivalent to [e(C - yG + zW, G2) = e(W, tau G2)], whose right-hand G2
-    point no longer depends on [z], so the claims fold under caller-chosen
-    scalars [rhos]:
-
-      e(sum_i rho_i (C_i - y_i G + z_i W_i), G2)
-        = e(sum_i rho_i W_i, tau G2).
-
-    A batch containing an invalid opening passes with probability 1/|Fr|
-    over the choice of scalars, so callers must derive [rhos] from a
-    Fiat-Shamir transcript over the openings (see
-    [Transcript.batch_challenges] upstream).  [g2]/[g2_tau] are taken
-    explicitly rather than as an [Srs.t] so verifiers holding only a
-    verification key's G2 points can fold. *)
-let verify_batch_openings ~(g2 : G2.t) ~(g2_tau : G2.t)
-    (items : (commitment * Fr.t * Fr.t * opening_proof) list)
-    ~(rhos : Fr.t list) : bool =
-  if List.length items <> List.length rhos then
-    invalid_arg "Kzg.verify_batch_openings: one scalar per opening required";
-  Telemetry.count "kzg.batch_verifies" 1;
-  Telemetry.count "kzg.batched_openings" (List.length items);
-  let lhs, w_sum =
-    List.fold_left2
-      (fun (lhs, w_sum) (c, z, y, w) rho ->
-        let term =
-          G1.add (G1.sub_point c (G1.mul G1.generator y)) (G1.mul w z)
-        in
-        (G1.add lhs (G1.mul term rho), G1.add w_sum (G1.mul w rho)))
-      (G1.zero, G1.zero) items rhos
-  in
-  Pairing.pairing_check [ (lhs, g2); (G1.neg w_sum, g2_tau) ]
-
 let verify_batch (srs : Srs.t) (cs : commitment list) ~(z : Fr.t)
     ~(ys : Fr.t list) (gamma : Fr.t) (proof : opening_proof) : bool =
   let combined_c, _ =

@@ -30,17 +30,3 @@ val open_batch :
 
 val verify_batch :
   Srs.t -> commitment list -> z:Fr.t -> ys:Fr.t list -> Fr.t -> opening_proof -> bool
-
-val verify_batch_openings :
-  g2:G2.t ->
-  g2_tau:G2.t ->
-  (commitment * Fr.t * Fr.t * opening_proof) list ->
-  rhos:Fr.t list ->
-  bool
-(** Fold many independent openings [(c, z, y, w)] — possibly at distinct
-    points — into one pairing check:
-    [e(sum rho_i (C_i - y_i G + z_i W_i), G2) = e(sum rho_i W_i, tau G2)].
-    Sound up to 1/|Fr| per batch over the choice of [rhos]; callers must
-    derive the scalars from a Fiat-Shamir transcript over the openings.
-    Raises [Invalid_argument] unless there is exactly one scalar per
-    opening. *)

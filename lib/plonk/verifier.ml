@@ -1,5 +1,6 @@
-(* Plonk verifier: O(1) work — a fixed number of scalar multiplications and
-   exactly 2 pairings, independent of circuit size (§VI-B.3 of the paper). *)
+(* Plonk verifier: O(1) work — two MSMs of fixed size (2 and 18 terms) and
+   one two-pair pairing check, independent of circuit size (§VI-B.3 of
+   the paper). *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module G1 = Zkdet_curve.G1
@@ -9,13 +10,26 @@ module Domain = Zkdet_poly.Domain
 module Telemetry = Zkdet_telemetry.Telemetry
 module Obs = Zkdet_obs.Obs
 
-(** [prepare vk publics proof] reduces verification to a single pairing
-    equation: the proof is valid iff [e(L, [tau]G2) = e(R, G2)] for the
-    returned [(L, R)]. [None] signals a structural rejection. Exposing the
-    pair enables batch verification (below) and the on-chain aggregated
-    check. *)
-let prepare (vk : Preprocess.verification_key) (publics : Fr.t array)
-    (proof : Proof.t) : (G1.t * G1.t) option =
+(* The points every check under [vk] shares: its 8 selector and
+   permutation commitments, then the generator. *)
+let fixed_points (vk : Preprocess.verification_key) =
+  [| vk.Preprocess.cm_qm; vk.Preprocess.cm_ql; vk.Preprocess.cm_qr;
+     vk.Preprocess.cm_qo; vk.Preprocess.cm_qc; vk.Preprocess.cm_sigma1;
+     vk.Preprocess.cm_sigma2; vk.Preprocess.cm_sigma3; G1.generator |]
+
+(* One proof's check as two sums of (point, scalar) terms: the proof is
+   valid iff e(L, [tau]G2) = e(R, G2).  L = W_zeta + u W_zeta_omega.  R
+   has 18 terms: the 9 [fixed_points] of the key, with scalars [fixed],
+   and 9 proof commitments. *)
+type equation = {
+  lhs : (G1.t * Fr.t) list;
+  fixed : Fr.t array;
+  proof_terms : (G1.t * Fr.t) list;
+}
+
+(* [None] signals a structural rejection. *)
+let equation (vk : Preprocess.verification_key) (publics : Fr.t array)
+    (proof : Proof.t) : equation option =
   if Array.length publics <> vk.Preprocess.vk_n_public then None
   else begin
     let n = vk.Preprocess.vk_n in
@@ -98,76 +112,92 @@ let prepare (vk : Preprocess.verification_key) (publics : Fr.t array)
       in
       let zeta_n = Fr.pow zeta n in
       let zeta_2n = Fr.sqr zeta_n in
-      (* [D]: polynomial part of the linearization commitment. *)
-      let d =
-        List.fold_left G1.add G1.zero
-          [ G1.mul vk.Preprocess.cm_qm (Fr.mul eval_a eval_b);
-            G1.mul vk.Preprocess.cm_ql eval_a;
-            G1.mul vk.Preprocess.cm_qr eval_b;
-            G1.mul vk.Preprocess.cm_qo eval_c;
-            vk.Preprocess.cm_qc;
-            G1.mul proof.Proof.cm_z perm_z_coeff;
-            G1.mul vk.Preprocess.cm_sigma3 perm_s3_coeff;
-            G1.neg
-              (G1.mul
-                 (List.fold_left G1.add G1.zero
-                    [ proof.Proof.cm_t_lo;
-                      G1.mul proof.Proof.cm_t_mid zeta_n;
-                      G1.mul proof.Proof.cm_t_hi zeta_2n ])
-                 zh_zeta) ]
-      in
-      (* [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[s1] + v^5[s2] + u[z] *)
-      let powers_v =
-        let v2 = Fr.mul v v in
-        let v3 = Fr.mul v2 v in
-        let v4 = Fr.mul v3 v in
-        let v5 = Fr.mul v4 v in
-        (v, v2, v3, v4, v5)
-      in
-      let v1, v2, v3, v4, v5 = powers_v in
-      let f =
-        List.fold_left G1.add d
-          [ G1.mul proof.Proof.cm_a v1;
-            G1.mul proof.Proof.cm_b v2;
-            G1.mul proof.Proof.cm_c v3;
-            G1.mul vk.Preprocess.cm_sigma1 v4;
-            G1.mul vk.Preprocess.cm_sigma2 v5;
-            G1.mul proof.Proof.cm_z u ]
-      in
+      let v2 = Fr.mul v v in
+      let v3 = Fr.mul v2 v in
+      let v4 = Fr.mul v3 v in
+      let v5 = Fr.mul v4 v in
       (* [E] = (-r_const + v a + v^2 b + v^3 c + v^4 s1 + v^5 s2 + u z_w) [1] *)
       let e_scalar =
         List.fold_left Fr.add (Fr.neg r_const)
-          [ Fr.mul v1 eval_a; Fr.mul v2 eval_b; Fr.mul v3 eval_c;
+          [ Fr.mul v eval_a; Fr.mul v2 eval_b; Fr.mul v3 eval_c;
             Fr.mul v4 eval_s1; Fr.mul v5 eval_s2; Fr.mul u eval_z_omega ]
       in
-      let e = G1.mul G1.generator e_scalar in
-      (* Final pairing check:
-         e(W_z + u W_zw, [tau]G2) = e(zeta W_z + u zeta omega W_zw + F - E, G2) *)
-      let lhs_g1 =
-        G1.add proof.Proof.cm_w_zeta (G1.mul proof.Proof.cm_w_zeta_omega u)
+      let lhs =
+        [ (proof.Proof.cm_w_zeta, Fr.one); (proof.Proof.cm_w_zeta_omega, u) ]
       in
-      let zeta_omega = Fr.mul zeta (Domain.omega domain) in
-      let rhs_g1 =
-        List.fold_left G1.add G1.zero
-          [ G1.mul proof.Proof.cm_w_zeta zeta;
-            G1.mul proof.Proof.cm_w_zeta_omega (Fr.mul u zeta_omega);
-            f;
-            G1.neg e ]
+      (* R = zeta W_z + u zeta omega W_zw + [F] - [E], where
+         [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[s1] + v^5[s2] + u[z] and
+         [D] is the linearization commitment. *)
+      let fixed =
+        [| Fr.mul eval_a eval_b; eval_a; eval_b; eval_c; Fr.one; v4; v5;
+           perm_s3_coeff; Fr.neg e_scalar |]
       in
-      Some (lhs_g1, rhs_g1)
+      let neg_zh = Fr.neg zh_zeta in
+      let proof_terms =
+        [ (proof.Proof.cm_a, v);
+          (proof.Proof.cm_b, v2);
+          (proof.Proof.cm_c, v3);
+          (proof.Proof.cm_z, Fr.add perm_z_coeff u);
+          (proof.Proof.cm_t_lo, neg_zh);
+          (proof.Proof.cm_t_mid, Fr.mul neg_zh zeta_n);
+          (proof.Proof.cm_t_hi, Fr.mul neg_zh zeta_2n);
+          (proof.Proof.cm_w_zeta, zeta);
+          ( proof.Proof.cm_w_zeta_omega,
+            Fr.mul u (Fr.mul zeta (Domain.omega domain)) ) ]
+      in
+      Some { lhs; fixed; proof_terms }
     end
   end
+
+(* The folded check of equations over one SRS:
+   e(sum_i rho_i L_i, [tau]G2) = e(sum_i rho_i R_i, G2), with one MSM per
+   side and one two-pair check.  The scalars of each key's fixed points
+   are summed first, so a batch under one key adds 9 points to the R
+   side, not 9 per proof. *)
+let check_fold ~(g2_tau : G2.t) ~(g2 : G2.t)
+    (items : (Preprocess.verification_key * equation * Fr.t) list) : bool =
+  let keys = ref [] in
+  List.iter
+    (fun (vk, eq, rho) ->
+      let sums =
+        match List.assq_opt vk !keys with
+        | Some sums -> sums
+        | None ->
+          let sums = Array.make (Array.length eq.fixed) Fr.zero in
+          keys := (vk, sums) :: !keys;
+          sums
+      in
+      Array.iteri (fun j s -> sums.(j) <- Fr.add sums.(j) (Fr.mul rho s)) eq.fixed)
+    items;
+  let scaled pick =
+    List.concat_map
+      (fun (_, eq, rho) -> List.map (fun (p, s) -> (p, Fr.mul rho s)) (pick eq))
+      items
+  in
+  let msm terms =
+    let terms = Array.of_list terms in
+    G1.msm (Array.map fst terms) (Array.map snd terms)
+  in
+  let l = msm (scaled (fun eq -> eq.lhs)) in
+  let r =
+    msm
+      (List.concat_map
+         (fun (vk, sums) -> Array.to_list (Array.combine (fixed_points vk) sums))
+         !keys
+      @ scaled (fun eq -> eq.proof_terms))
+  in
+  Pairing.pairing_check [ (l, g2_tau); (G1.neg r, g2) ]
 
 let verify (vk : Preprocess.verification_key) (publics : Fr.t array)
     (proof : Proof.t) : bool =
   Telemetry.with_span "plonk.verify" @@ fun () ->
   Telemetry.count "plonk.verifies" 1;
   let ok =
-    match prepare vk publics proof with
+    match equation vk publics proof with
     | None -> false
-    | Some (lhs, rhs) ->
-      Pairing.pairing_check
-        [ (lhs, vk.Preprocess.vk_g2_tau); (G1.neg rhs, vk.Preprocess.vk_g2) ]
+    | Some eq ->
+      check_fold ~g2_tau:vk.Preprocess.vk_g2_tau ~g2:vk.Preprocess.vk_g2
+        [ (vk, eq, Fr.one) ]
   in
   if Obs.is_enabled () then
     Obs.emit (Zkdet_obs.Event.Proof_verified { system = "plonk"; ok });
@@ -199,13 +229,12 @@ let batch_scalars
        items)
 
 (** Verify many proofs — possibly for different circuits — with one folded
-    KZG check per distinct SRS: [prepare] reduces each proof to a pair
-    (L, R) valid iff [e(L, tau G2) = e(R, G2)], i.e. a KZG opening of R at
-    point 0 with witness L, and {!Kzg.verify_batch_openings} folds every
-    pair over the same SRS into a single pairing check under the
-    deterministic {!batch_scalars}.  Soundness error 1/|Fr| per batch;
-    accepts exactly when every proof verifies individually (grouping by
-    SRS keeps mixed-SRS batches equivalent to per-proof verification). *)
+    check per distinct SRS: each item's {!equation} is scaled by its
+    {!batch_scalars} rho_i, and per SRS one MSM sums rho_i L_i, one sums
+    rho_i R_i, and one two-pair check compares them.  Soundness error
+    1/|Fr| per batch; accepts exactly when every proof verifies
+    individually (grouping by SRS keeps mixed-SRS batches equivalent to
+    per-proof verification). *)
 let verify_batch
     (items : (Preprocess.verification_key * Fr.t array * Proof.t) list) : bool =
   match items with
@@ -220,39 +249,33 @@ let verify_batch
     Telemetry.count "verify.batch_size" n;
     Telemetry.observe "verify.batch_size" (float_of_int n);
     let rhos = batch_scalars items in
-    (* Group the prepared pairs by SRS (vk_g2_tau, vk_g2), in first-use
-       order: circuits preprocessed over one SRS fold together; a batch
-       spanning several ceremonies costs one pairing check per SRS. *)
-    let groups : ((G2.t * G2.t) * ((G1.t * G1.t) * Fr.t) list ref) list ref =
+    (* Group the equations by SRS (vk_g2_tau, vk_g2), in first-use order:
+       circuits preprocessed over one SRS fold together; a batch spanning
+       several ceremonies costs one check per SRS. *)
+    let groups : ((G2.t * G2.t) * (_ * equation * Fr.t) list ref) list ref =
       ref []
     in
     let structural_ok =
       List.for_all2
         (fun (vk, publics, proof) rho ->
-          match prepare vk publics proof with
+          match equation vk publics proof with
           | None -> false
-          | Some lr ->
+          | Some eq ->
             let tau = vk.Preprocess.vk_g2_tau and g2 = vk.Preprocess.vk_g2 in
             (match
                List.find_opt
                  (fun ((t, g), _) -> G2.equal t tau && G2.equal g g2)
                  !groups
              with
-            | Some (_, cell) -> cell := (lr, rho) :: !cell
-            | None -> groups := ((tau, g2), ref [ (lr, rho) ]) :: !groups);
+            | Some (_, cell) -> cell := (vk, eq, rho) :: !cell
+            | None -> groups := ((tau, g2), ref [ (vk, eq, rho) ]) :: !groups);
             true)
         items rhos
     in
     let ok =
       structural_ok
       && List.for_all
-           (fun ((g2_tau, g2), cell) ->
-             let entries = List.rev !cell in
-             Zkdet_kzg.Kzg.verify_batch_openings ~g2 ~g2_tau
-               (List.map
-                  (fun ((l, r), _) -> (r, Fr.zero, Fr.zero, l))
-                  entries)
-               ~rhos:(List.map snd entries))
+           (fun ((g2_tau, g2), cell) -> check_fold ~g2_tau ~g2 (List.rev !cell))
            !groups
     in
     if Obs.is_enabled () then

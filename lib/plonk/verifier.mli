@@ -1,14 +1,7 @@
-(** Plonk verifier: O(1) work — a fixed number of scalar multiplications
-    and exactly 2 pairings, independent of circuit size (§VI-B.3). *)
+(** Plonk verifier: O(1) work — two fixed-size MSMs and one two-pair
+    pairing check, independent of circuit size (§VI-B.3). *)
 
 module Fr = Zkdet_field.Bn254.Fr
-module G1 = Zkdet_curve.G1
-
-val prepare :
-  Preprocess.verification_key -> Fr.t array -> Proof.t -> (G1.t * G1.t) option
-(** Reduce verification to one pairing equation: the proof is valid iff
-    [e(L, [tau]G2) = e(R, G2)] for the returned [(L, R)]. [None] signals
-    a structural rejection (e.g. wrong public-input count). *)
 
 val verify : Preprocess.verification_key -> Fr.t array -> Proof.t -> bool
 
@@ -21,7 +14,8 @@ val batch_scalars :
 val verify_batch :
   (Preprocess.verification_key * Fr.t array * Proof.t) list -> bool
 (** Verify many proofs (possibly for different circuits) with one folded
-    KZG opening check per distinct SRS, under {!batch_scalars}.  Accepts
+    check per distinct SRS under {!batch_scalars}: one MSM per side of
+    the verification equation and one two-pair pairing check.  Accepts
     exactly when every proof verifies individually; soundness error
     1/|Fr| per batch.  Empty batches accept; singletons delegate to
     {!verify}. *)
