@@ -366,62 +366,75 @@ let rec audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
                 let src_commitments =
                   List.map (fun pm -> pm.c_d) parent_metas
                 in
-                let kind, dst_commitments =
-                  match meta.kind with
-                  | "duplication" -> (Transform.Duplication, [ meta.c_d ])
-                  | "aggregation" ->
-                    (Transform.Aggregation meta.src_sizes, [ meta.c_d ])
-                  | "partition" ->
-                    (* the proof covers all siblings; collect their c_d in
-                       part order via the stored part_sizes and sibling
-                       manifests — we verify against this token's view *)
-                    ( Transform.Partition
-                        (List.hd meta.src_sizes, meta.part_sizes),
-                      sibling_commitments m auditor tok meta )
-                  | k
+                (* Whoever mints a token writes its manifest and its
+                   parent list, so a kind this audit does not know, or a
+                   single-source kind without exactly one source size,
+                   is a malformed manifest. *)
+                let kind_and_outputs =
+                  match (meta.kind, meta.src_sizes) with
+                  | "duplication", _ -> Some (Transform.Duplication, [ meta.c_d ])
+                  | "aggregation", sizes ->
+                    Some (Transform.Aggregation sizes, [ meta.c_d ])
+                  | "partition", [ n ] ->
+                    (* the proof covers every output of the partition *)
+                    Option.map
+                      (fun outputs ->
+                        (Transform.Partition (n, meta.part_sizes), outputs))
+                      (sibling_commitments m auditor tok meta)
+                  | k, [ n ]
                     when String.length k > 11
                          && String.sub k 0 11 = "processing:" ->
-                    ( Transform.Processing
-                        (String.sub k 11 (String.length k - 11),
-                         List.hd meta.src_sizes),
-                      [ meta.c_d ] )
-                  | _ -> (Transform.Duplication, [ meta.c_d ])
+                    Some
+                      ( Transform.Processing
+                          (String.sub k 11 (String.length k - 11), n),
+                        [ meta.c_d ] )
+                  | _ -> None
                 in
-                let link =
-                  { Transform.kind; src_commitments; dst_commitments; proof }
-                in
-                let n_duplication =
-                  match kind with
-                  | Transform.Duplication -> (
-                    match meta.src_sizes with s :: _ -> s | [] -> meta.n)
-                  | _ -> 0
-                in
-                if Transform.verify_link m.env ~n_duplication link then begin
-                  incr checked;
-                  go rest
-                end
-                else Error (`Bad_transform_proof id)
+                match kind_and_outputs with
+                | None -> Error `No_meta
+                | Some (kind, dst_commitments) ->
+                  let link =
+                    { Transform.kind; src_commitments; dst_commitments; proof }
+                  in
+                  let n_duplication =
+                    match kind with
+                    | Transform.Duplication -> (
+                      match meta.src_sizes with s :: _ -> s | [] -> meta.n)
+                    | _ -> 0
+                  in
+                  if Transform.verify_link m.env ~n_duplication link then begin
+                    incr checked;
+                    go rest
+                  end
+                  else Error (`Bad_transform_proof id)
               end)))))
   in
   go tokens
 
 and sibling_commitments (m : t) (auditor : Storage.node) (tok : Erc721.token)
-    (meta : meta) : Fr.t list =
-  (* Children of a partition share prev_ids and the pi_t CID; find them in
-     token-id order. *)
-  let parent = List.hd tok.Erc721.prev_ids in
-  let siblings = ref [] in
-  Hashtbl.iter
-    (fun id t ->
-      if t.Erc721.prev_ids = [ parent ] && t.Erc721.transform = Some Erc721.Partition
-      then siblings := (id, t) :: !siblings)
-    m.nft.Erc721.tokens;
-  let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !siblings in
-  List.filter_map
-    (fun (id, _) ->
-      match token_meta m auditor id with Ok pm -> Some pm.c_d | Error _ -> None)
-    ordered
-  |> fun l -> if l = [] then [ meta.c_d ] else l
+    (meta : meta) : Fr.t list option =
+  (* The outputs of one partition share its single parent and its pi_t
+     CID; collect their c_d in token-id order. A second partition of the
+     same parent names another pi_t, so its children stay out. *)
+  match tok.Erc721.prev_ids with
+  | [ parent ] ->
+    let siblings =
+      Hashtbl.fold
+        (fun id t acc ->
+          if t.Erc721.prev_ids = [ parent ]
+             && t.Erc721.transform = Some Erc721.Partition
+          then id :: acc
+          else acc)
+        m.nft.Erc721.tokens []
+    in
+    List.sort compare siblings
+    |> List.filter_map (fun id ->
+           match token_meta m auditor id with
+           | Ok pm when pm.transform_proof_cid = meta.transform_proof_cid ->
+             Some pm.c_d
+           | Ok _ | Error _ -> None)
+    |> (fun l -> Some (if l = [] then [ meta.c_d ] else l))
+  | _ -> None
 
 (* ---- trading via the key-secure exchange ---- *)
 

@@ -28,19 +28,6 @@ module type S = sig
 
   val verify : verification_key -> Fr.t array -> proof -> bool
 
-  type prepared_vk
-  (** A verification key with its per-verify preprocessing hoisted out,
-      for reuse across a batch: Groth16 caches the fixed pairing factor
-      [e(alpha, beta)] (a 3-pair Miller loop per verify instead of 4)
-      plus the canonical vk bytes the batch transcript absorbs; Plonk's
-      verifier is already input-independent, so only the serialization
-      is cached. *)
-
-  val prepare_vk : verification_key -> prepared_vk
-
-  val verify_prepared : prepared_vk -> Fr.t array -> proof -> bool
-  (** Same verdict as {!verify}. *)
-
   val verify_batch : (verification_key * Fr.t array * proof) list -> bool
   (** Verify a batch with a random linear combination of the per-proof
       pairing checks — one multi-pairing instead of one per proof.  The

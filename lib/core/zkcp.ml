@@ -109,41 +109,3 @@ let verify (env : Env.t) (o : offer) (proof : Proof.t) : bool =
     the buyer — runs this. *)
 let third_party_decrypt (o : offer) ~(disclosed_key : Fr.t) : Fr.t array =
   Transform.decrypt ~key:disclosed_key ~nonce:o.nonce o.ciphertext
-
-(* ZKCP over any proof-system backend (Proof_system.S).  The circuit,
-   publics and offer logic above are backend-independent; only key
-   management and prove/verify go through [B].  Proving keys are cached
-   per circuit descriptor — sound because the circuit *structure* depends
-   only on (n, predicate), which is exactly what the descriptor names. *)
-module Make (B : Proof_system.S) = struct
-  let keys : (string, B.proving_key) Hashtbl.t = Hashtbl.create 8
-
-  let pk ?st ~n ~predicate () =
-    let d = descriptor ~n ~predicate in
-    match Hashtbl.find_opt keys d with
-    | Some pk -> pk
-    | None ->
-      let pk = B.setup ?st (Cs.compile (dummy ~n ~predicate ())) in
-      Hashtbl.add keys d pk;
-      pk
-
-  (** Seller: the Deliver step. *)
-  let prove ?st (s : Transform.sealed) (predicate : Circuits.predicate) :
-      B.proof =
-    Obs.with_span "zkcp.prove" @@ fun () ->
-    let pk = pk ?st ~n:(Transform.size s) ~predicate () in
-    let cs =
-      circuit ~data:s.Transform.data ~key:s.Transform.key
-        ~nonce:s.Transform.nonce ~predicate
-    in
-    B.prove ?st pk (Cs.compile cs)
-
-  (** Buyer: the Verify step. *)
-  let verify ?st (o : offer) (proof : B.proof) : bool =
-    Obs.with_span "zkcp.verify" @@ fun () ->
-    let pk = pk ?st ~n:(Array.length o.ciphertext) ~predicate:o.predicate () in
-    B.verify (B.vk pk)
-      (publics ~nonce:o.nonce ~h:o.h ~predicate:o.predicate
-         ~ciphertext:o.ciphertext)
-      proof
-end

@@ -40,22 +40,3 @@ val verify : Env.t -> offer -> Proof.t -> bool
 
 val third_party_decrypt : offer -> disclosed_key:Fr.t -> Fr.t array
 (** What anyone can do after the Open step put k on-chain. *)
-
-(** ZKCP over any proof-system backend: the same protocol steps, with
-    keys, proofs and verification provided by [B].  Proving keys are
-    cached per circuit descriptor (the circuit structure depends only on
-    [(n, predicate)]).  [prove]/[verify] consume randomness from [st]
-    only for the backend's setup/prover needs; pass the same state across
-    calls for reproducible transcripts. *)
-module Make (B : Proof_system.S) : sig
-  val pk :
-    ?st:Random.State.t -> n:int -> predicate:Circuits.predicate -> unit ->
-    B.proving_key
-
-  val prove :
-    ?st:Random.State.t -> Transform.sealed -> Circuits.predicate -> B.proof
-  (** The Deliver step. *)
-
-  val verify : ?st:Random.State.t -> offer -> B.proof -> bool
-  (** The buyer's Verify step. *)
-end

@@ -18,10 +18,6 @@ let vk (pk : proving_key) = pk.Groth16.vk
 let prove ?st pk compiled = Groth16.prove ?st pk compiled
 let verify = Groth16.verify
 
-type prepared_vk = Groth16.prepared_vk
-
-let prepare_vk = Groth16.prepare_vk
-let verify_prepared = Groth16.verify_prepared
 let verify_batch = Groth16.verify_batch
 let batch_scalars = Groth16.batch_scalars
 

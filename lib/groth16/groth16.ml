@@ -376,48 +376,6 @@ let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool
       (Zkdet_obs.Event.Proof_verified { system = "groth16"; ok });
   ok
 
-(* ---- prepared verification: vk preprocessing hoisted out of verify ---- *)
-
-(** A verification key with its per-verify preprocessing hoisted out, for
-    reuse across a batch: [e(alpha, beta)] is fixed per key, so caching it
-    turns the 4-pair Miller loop of {!verify} into a 3-pair one plus one
-    Gt comparison.  The canonical vk bytes are cached too — the
-    batch transcript absorbs them once per item. *)
-type prepared_vk = {
-  p_vk : verification_key;
-  p_vk_bytes : string;
-  p_e_alpha_beta : Pairing.Gt.t;
-}
-
-let prepare_vk (vk : verification_key) : prepared_vk =
-  {
-    p_vk = vk;
-    p_vk_bytes = vk_to_bytes vk;
-    p_e_alpha_beta = Pairing.pairing vk.vk_alpha_g1 vk.vk_beta_g2;
-  }
-
-let verify_prepared (pvk : prepared_vk) (publics : Fr.t array) (proof : proof) :
-    bool =
-  let vk = pvk.p_vk in
-  let ok =
-    match ic_of_publics vk publics with
-    | None -> false
-    | Some ic ->
-      (* e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta): one
-         multi-Miller loop over the 3 pairs, compared against the
-         precomputed factor. *)
-      Pairing.Gt.equal
-        (Pairing.pairing_product
-           [ (proof.pi_a, proof.pi_b);
-             (G1.neg ic, vk.vk_gamma_g2);
-             (G1.neg proof.pi_c, vk.vk_delta_g2) ])
-        pvk.p_e_alpha_beta
-  in
-  if Zkdet_obs.Obs.is_enabled () then
-    Zkdet_obs.Obs.emit
-      (Zkdet_obs.Event.Proof_verified { system = "groth16"; ok });
-  ok
-
 (* ---- batch verification: random linear combination of pairing checks ---- *)
 
 let batch_scalars (items : (verification_key * Fr.t array * proof) list) :

@@ -90,16 +90,6 @@ val verify : verification_key -> Fr.t array -> proof -> bool
 (** [e(A, B) = e(alpha, beta) e(IC(x), gamma) e(C, delta)] — one G1
     exponentiation per public input plus a 4-factor pairing product. *)
 
-type prepared_vk
-(** A verification key with its per-verify pairing precomputation hoisted
-    out: [e(alpha, beta)] is fixed per key, so {!verify_prepared} runs one
-    Miller loop over 3 pairs instead of 4.  The canonical vk bytes are
-    cached too for the batch transcript. *)
-
-val prepare_vk : verification_key -> prepared_vk
-val verify_prepared : prepared_vk -> Fr.t array -> proof -> bool
-(** Same verdict as {!verify}. *)
-
 val batch_scalars : (verification_key * Fr.t array * proof) list -> Fr.t list
 (** The deterministic Fiat-Shamir RLC scalars {!verify_batch} folds with:
     one per item, from a transcript over every (vk, publics, proof) in

@@ -35,12 +35,8 @@ let size t = Array.length t.g1_powers
 
 (* Fixed-base tables multiply the SRS memory footprint by ~24x (one
    shifted row per signed window), so they are only built — and persisted
-   — up to a size cap. Overridable for tests and memory-constrained
-   deployments. *)
-let fb_table_max () =
-  match Sys.getenv_opt "ZKDET_FB_TABLE_MAX" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 8192)
-  | None -> 8192
+   — up to this many G1 powers. *)
+let fb_table_max = 8192
 
 (** The fixed-base MSM tables for this SRS, built on first use (under the
     ["srs.fb_tables"] span) when the size is within the table cap; [None]
@@ -50,7 +46,7 @@ let fixed_base_table (t : t) : G1.Fixed_base.msm_table option =
   match t.fb with
   | Some tb -> Some tb
   | None ->
-    if size t > fb_table_max () then None
+    if size t > fb_table_max then None
     else begin
       Mutex.lock t.fb_lock;
       Fun.protect

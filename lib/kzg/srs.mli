@@ -22,14 +22,11 @@ val make : g1_powers:G1.t array -> g2:G2.t -> g2_tau:G2.t -> t
 
 val size : t -> int
 
-val fb_table_max : unit -> int
-(** Largest G1 power count for which fixed-base tables are built and
-    persisted (default 8192; override with [ZKDET_FB_TABLE_MAX]). *)
-
 val fixed_base_table : t -> G1.Fixed_base.msm_table option
 (** The fixed-base MSM tables over the G1 powers, built on first use
-    (["srs.fb_tables"] span) when [size <= fb_table_max ()], loaded from
-    the cache file when persisted, [None] beyond the cap. Thread-safe. *)
+    (["srs.fb_tables"] span) when [size <= 8192], loaded from the cache
+    file when persisted, [None] beyond that cap (the tables take ~24x the
+    memory of the powers). Thread-safe. *)
 
 val unsafe_generate : ?st:Random.State.t -> size:int -> unit -> t
 (** Locally simulated trusted setup: samples tau, computes the powers,

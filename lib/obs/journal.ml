@@ -118,42 +118,62 @@ let close_writer (w : writer) : unit = close_out w.oc
 
 (* {2 Reader} *)
 
+(* The one frame walker behind both readers.  From byte [pos] of [s], with
+   the chain state (next sequence number, previous hash) of the records
+   before [pos], decode and verify every complete frame: the length
+   prefix, the record, its sequence number and its chain hash.  Stops at
+   the end of [s] or before a partial frame, and returns the verified
+   entries, the state after the last one, and whether a partial frame is
+   left.  A negative length or a failed check is an error. *)
+type walk = {
+  w_entries : entry list;
+  w_pos : int;  (** end of the last complete frame *)
+  w_seq : int;
+  w_prev_hash : string;
+  w_partial : bool;
+}
+
+let walk_frames (s : string) ~pos ~seq ~prev_hash : (walk, error) result =
+  let n = String.length s in
+  let rec go pos seq prev_hash acc =
+    let stop partial =
+      Ok
+        { w_entries = List.rev acc; w_pos = pos; w_seq = seq;
+          w_prev_hash = prev_hash; w_partial = partial }
+    in
+    if pos = n then stop false
+    else if n - pos < 4 then stop true
+    else
+      let len = Int32.to_int (String.get_int32_be s pos) in
+      if len < 0 then Error (Truncated_record { index = seq })
+      else if n - pos - 4 < len then stop true
+      else
+        let record = String.sub s (pos + 4) len in
+        match C.decode entry_codec record with
+        | Error e -> Error (Bad_record { index = seq; error = e })
+        | Ok entry when entry.seq <> seq ->
+          Error (Seq_mismatch { index = seq; got = entry.seq })
+        | Ok entry ->
+          let body = String.sub record 0 (len - 32) in
+          let expect = Sha256.digest (prev_hash ^ body) in
+          if not (String.equal expect entry.entry_hash) then
+            Error (Hash_mismatch { index = seq })
+          else go (pos + 4 + len) (seq + 1) expect (entry :: acc)
+  in
+  go pos seq prev_hash []
+
 (* Decode + verify a whole journal held in memory.  Verification walks the
-   hash chain and the sequence numbers; any break is a typed error. *)
+   hash chain and the sequence numbers; any break is a typed error, and
+   so is a partial last frame. *)
 let of_bytes (s : string) : (entry list, error) result =
   let n = String.length s in
   if n < 6 || String.sub s 0 6 <> header_bytes then
     Error (Bad_header (String.sub s 0 (min n 6)))
-  else begin
-    let exception Fail of error in
-    try
-      let pos = ref 6 in
-      let index = ref 0 in
-      let prev_hash = ref genesis_hash in
-      let acc = ref [] in
-      while !pos < n do
-        if n - !pos < 4 then raise (Fail (Truncated_record { index = !index }));
-        let len = Int32.to_int (String.get_int32_be s !pos) in
-        if len < 0 || n - !pos - 4 < len then
-          raise (Fail (Truncated_record { index = !index }));
-        let record = String.sub s (!pos + 4) len in
-        (match C.decode entry_codec record with
-        | Error e -> raise (Fail (Bad_record { index = !index; error = e }))
-        | Ok entry ->
-            if entry.seq <> !index then
-              raise (Fail (Seq_mismatch { index = !index; got = entry.seq }));
-            let body = String.sub record 0 (len - 32) in
-            let expect = Sha256.digest (!prev_hash ^ body) in
-            if not (String.equal expect entry.entry_hash) then
-              raise (Fail (Hash_mismatch { index = !index }));
-            prev_hash := expect;
-            acc := entry :: !acc);
-        pos := !pos + 4 + len;
-        incr index
-      done;
-      Ok (List.rev !acc)
-    with Fail e -> Error e
-  end
+  else
+    match walk_frames s ~pos:6 ~seq:0 ~prev_hash:genesis_hash with
+    | Error _ as e -> e
+    | Ok w when w.w_partial -> Error (Truncated_record { index = w.w_seq })
+    | Ok w -> Ok w.w_entries
 
 let read_file (path : string) : (entry list, error) result =
   let ic = open_in_bin path in
@@ -195,48 +215,31 @@ let poll_tail (t : tail) : (entry list, error) result =
   match open_in_bin t.t_path with
   | exception Sys_error _ -> Ok [] (* not created yet: wait *)
   | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let size = in_channel_length ic in
-        let exception Fail of error in
-        try
-          if not t.t_header_ok then begin
-            if size < 6 then raise Exit (* header still being written *);
-            seek_in ic 0;
-            let h = really_input_string ic 6 in
-            if h <> header_bytes then raise (Fail (Bad_header h));
-            t.t_header_ok <- true;
-            t.t_pos <- 6
-          end;
-          seek_in ic t.t_pos;
-          let acc = ref [] in
-          (try
-             while size - t.t_pos >= 4 do
-               let lenb = really_input_string ic 4 in
-               let len = Int32.to_int (String.get_int32_be lenb 0) in
-               if len < 0 then
-                 raise (Fail (Truncated_record { index = t.t_seq }));
-               if size - t.t_pos - 4 < len then raise Exit (* partial frame *);
-               let record = really_input_string ic len in
-               (match C.decode entry_codec record with
-               | Error e ->
-                 raise (Fail (Bad_record { index = t.t_seq; error = e }))
-               | Ok entry ->
-                 if entry.seq <> t.t_seq then
-                   raise
-                     (Fail (Seq_mismatch { index = t.t_seq; got = entry.seq }));
-                 let body = String.sub record 0 (len - 32) in
-                 let expect = Sha256.digest (t.t_prev_hash ^ body) in
-                 if not (String.equal expect entry.entry_hash) then
-                   raise (Fail (Hash_mismatch { index = t.t_seq }));
-                 t.t_prev_hash <- expect;
-                 t.t_seq <- t.t_seq + 1;
-                 t.t_pos <- t.t_pos + 4 + len;
-                 acc := entry :: !acc)
-             done
-           with Exit -> ());
-          Ok (List.rev !acc)
-        with
-        | Fail e -> Error e
-        | Exit -> Ok [])
+    let base = t.t_pos in
+    let s =
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          seek_in ic base;
+          really_input_string ic (max 0 (in_channel_length ic - base)))
+    in
+    (* A partial last frame is the writer mid-append: stop before it and
+       start there next time. *)
+    let consume pos =
+      match walk_frames s ~pos ~seq:t.t_seq ~prev_hash:t.t_prev_hash with
+      | Error _ as e -> e
+      | Ok w ->
+        t.t_pos <- base + w.w_pos;
+        t.t_seq <- w.w_seq;
+        t.t_prev_hash <- w.w_prev_hash;
+        Ok w.w_entries
+    in
+    if t.t_header_ok then consume 0
+    else if String.length s < 6 then Ok [] (* header still being written *)
+    else if String.sub s 0 6 <> header_bytes then
+      Error (Bad_header (String.sub s 0 6))
+    else begin
+      t.t_header_ok <- true;
+      t.t_pos <- 6;
+      consume 6
+    end

@@ -55,19 +55,6 @@ let prove ?st (pk : proving_key) (compiled : Cs.compiled) : proof =
 let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool =
   Verifier.verify vk publics proof
 
-(* Plonk's verifier is already input-independent — there is no per-verify
-   pairing precomputation to hoist — so preparing a vk caches only its
-   canonical serialization, which the batch transcript absorbs per item. *)
-type prepared_vk = { p_vk : verification_key; p_vk_bytes : string }
-
-let prepare_vk (vk : verification_key) : prepared_vk =
-  { p_vk = vk; p_vk_bytes = Preprocess.vk_to_bytes vk }
-
-let verify_prepared (pvk : prepared_vk) (publics : Fr.t array) (proof : proof) :
-    bool =
-  ignore pvk.p_vk_bytes;
-  Verifier.verify pvk.p_vk publics proof
-
 let verify_batch = Verifier.verify_batch
 let batch_scalars = Verifier.batch_scalars
 

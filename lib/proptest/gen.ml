@@ -91,6 +91,25 @@ let small_nat =
 
 let bool = map (fun i -> i = 1) (int_range 0 1)
 
+(* ---- floats ---- *)
+
+(* Float shrinking follows [towards]: [dest], then [x] moved by the gap
+   halved 1..20 times; candidates too close to [x] to differ from it are
+   skipped, so every step makes progress. *)
+let float_towards dest x =
+  let d = x -. dest in
+  Seq.filter (fun y -> y <> x) (Seq.init 21 (fun k -> x -. Float.ldexp d (-k)))
+
+let rec float_tree origin x =
+  Node (x, Seq.map (float_tree origin) (float_towards origin x))
+
+let float_range lo hi rng =
+  if not (lo <= hi) then invalid_arg "Gen.float_range: empty range";
+  (* 53 uniform bits scaled onto [0, 1], both ends included. *)
+  let k = Int64.to_float (Int64.shift_right_logical (Rng.next_int64 rng) 11) in
+  let u = k /. (Float.ldexp 1. 53 -. 1.) in
+  float_tree (Float.max lo (Float.min hi 0.)) (lo +. (u *. (hi -. lo)))
+
 (* ---- choice ---- *)
 
 let oneof gens =
@@ -163,3 +182,17 @@ let list_size size_gen elt_gen =
 
 let list elt_gen = list_size small_nat elt_gen
 let array_size size_gen elt_gen = map Array.of_list (list_size size_gen elt_gen)
+
+(* ---- strings ---- *)
+
+(* Lengths below 10, 100, 1,000 and 10,000 with probabilities 1/2, 1/4,
+   1/5 and 1/20; shrinking moves toward the short ranges first. *)
+let string_length =
+  frequency
+    [ (10, int_range 0 9); (5, int_range 0 99); (4, int_range 0 999);
+      (1, int_range 0 9999) ]
+
+let string =
+  map
+    (fun cs -> String.of_seq (List.to_seq cs))
+    (list_size string_length (map Char.chr (int_range 0 255)))

@@ -53,6 +53,10 @@ val small_nat : int t
 val bool : bool t
 (** Shrinks toward [false]. *)
 
+val float_range : float -> float -> float t
+(** [float_range lo hi] is uniform on [\[lo, hi\]], shrinking toward the
+    point of the range nearest 0. *)
+
 (** {2 Choice} *)
 
 val oneof : 'a t list -> 'a t
@@ -70,3 +74,11 @@ val list : 'a t -> 'a list t
 (** [list g] = [list_size small_nat g]. *)
 
 val array_size : int t -> 'a t -> 'a array t
+
+(** {2 Strings} *)
+
+val string : string t
+(** Byte strings of length 0 to 9,999 with uniform bytes: shorter than
+    10 half the time, shorter than 100, 1,000 and 10,000 with
+    probabilities 1/4, 1/5 and 1/20. Shrinks by dropping chunks, then
+    bytes toward ['\000']. *)

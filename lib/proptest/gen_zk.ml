@@ -18,14 +18,15 @@ let draw f : 'a Gen.t = fun rng -> Gen.Node (f rng, Seq.empty)
 (* ---- field elements ---- *)
 
 (* The values modular arithmetic gets wrong first: 0, 1, -1 (= p-1), the
-   neighbourhood of the modulus, powers of two at limb and Montgomery-R
-   boundaries (the base-2^26 limb representation turns over there), and a
-   maximal-order root of unity. *)
+   neighbourhood of the modulus, the boundaries of the four 64-bit limbs
+   (2^64 - 1, 2^64, 2^128 - 1, 2^128, 2^192: a carry crosses a limb
+   there), the top bits, and a maximal-order root of unity. *)
 let fr_edge_cases =
   let p2 k = Fr.pow (Fr.of_int 2) k in
   [ Fr.zero; Fr.one; Fr.of_int 2; Fr.neg Fr.one; Fr.neg (Fr.of_int 2);
     Fr.inv (Fr.of_int 2);
-    p2 26; Fr.sub (p2 26) Fr.one; p2 52; p2 128; p2 253; p2 254;
+    Fr.sub (p2 64) Fr.one; p2 64; Fr.sub (p2 128) Fr.one; p2 128; p2 192;
+    p2 253; p2 254;
     Fr.of_nat (Nat.sub Fr.modulus Nat.one);
     Fr.root_of_unity ~log2size:Fr.two_adicity;
     Fr.root_of_unity ~log2size:1 ]
@@ -33,7 +34,8 @@ let fr_edge_cases =
 let fp_edge_cases =
   let p2 k = Fp.pow (Fp.of_int 2) k in
   [ Fp.zero; Fp.one; Fp.of_int 2; Fp.neg Fp.one; Fp.inv (Fp.of_int 3);
-    p2 26; p2 52; p2 128; p2 253; p2 254;
+    Fp.sub (p2 64) Fp.one; p2 64; Fp.sub (p2 128) Fp.one; p2 128; p2 192;
+    p2 253; p2 254;
     Fp.of_nat (Nat.sub Fp.modulus Nat.one) ]
 
 let fr : Fr.t Gen.t =

@@ -121,17 +121,6 @@ module Make (P : Proof_system.S) = struct
     Alcotest.(check bool) "mutated member, different scalars" false
       (List.for_all2 Fr.equal s1 s3)
 
-  (* prepared_vk must agree with the plain verifier on both verdicts. *)
-  let prepared_matches_verify () =
-    let vk, publics, proof = nth (Lazy.force batch) 0 in
-    let pvk = P.prepare_vk vk in
-    Alcotest.(check bool) "prepared accepts valid" true
-      (P.verify_prepared pvk publics proof);
-    let bad = Array.copy publics in
-    bad.(0) <- Fr.add bad.(0) Fr.one;
-    Alcotest.(check bool) "prepared rejects forged" false
-      (P.verify_prepared pvk bad proof)
-
   let tests =
     ( P.name,
       [ Alcotest.test_case "batch of valid proofs accepts" `Quick valid_accepts;
@@ -146,9 +135,7 @@ module Make (P : Proof_system.S) = struct
         Alcotest.test_case "vk swap rejects at every slot" `Quick
           vk_swap_rejects;
         Alcotest.test_case "RLC scalars deterministic and input-bound" `Quick
-          scalars_deterministic;
-        Alcotest.test_case "prepared vk agrees with verify" `Quick
-          prepared_matches_verify ] )
+          scalars_deterministic ] )
 end
 
 module Plonk_suite = Make (Proof_system.Plonk)

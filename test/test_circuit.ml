@@ -7,6 +7,7 @@ module Mimc_gadget = Zkdet_circuit.Mimc_gadget
 module Poseidon = Zkdet_poseidon.Poseidon
 module Poseidon_gadget = Zkdet_circuit.Poseidon_gadget
 module Merkle = Zkdet_circuit.Merkle
+module Gen = Zkdet_proptest.Gen
 
 let rng = Test_util.rng ~salt:"circuit" ()
 let fr = Alcotest.testable Fr.pp Fr.equal
@@ -316,16 +317,19 @@ let test_preimage_proof_end_to_end () =
        compiled.Cs.public_values proof)
 
 let props =
-  [ QCheck.Test.make ~name:"less_than matches ints" ~count:50
-      QCheck.(pair (int_range 0 10000) (int_range 0 10000)) (fun (a, b) ->
+  let prop = Test_util.prop in
+  [ prop ~count:50 "less_than matches ints"
+      (Test_util.pp2 string_of_int string_of_int)
+      (Gen.pair (Gen.int_range 0 10000) (Gen.int_range 0 10000)) (fun (a, b) ->
         let cs = Cs.create () in
         let wa = Cs.fresh cs (Fr.of_int a) in
         let wb = Cs.fresh cs (Fr.of_int b) in
         let lt = Gadgets.less_than cs wa wb ~nbits:14 in
         Cs.satisfied (Cs.compile cs) && Fr.equal (Cs.value cs lt)
           (if a < b then Fr.one else Fr.zero));
-    QCheck.Test.make ~name:"fixed mul close to float mul" ~count:30
-      QCheck.(pair (float_range (-50.) 50.) (float_range (-50.) 50.))
+    prop ~count:30 "fixed mul close to float mul"
+      (Test_util.pp2 (Printf.sprintf "%.17g") (Printf.sprintf "%.17g"))
+      (Gen.pair (Gen.float_range (-50.) 50.) (Gen.float_range (-50.) 50.))
       (fun (x, y) ->
         let cs = Cs.create () in
         let wx = Fixed.constant cs x in
@@ -363,4 +367,4 @@ let () =
       ( "end-to-end",
         [ Alcotest.test_case "poseidon preimage snark" `Slow
             test_preimage_proof_end_to_end ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest props) ]
+      ("properties", props) ]

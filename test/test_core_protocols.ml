@@ -13,6 +13,7 @@ module Marketplace = Zkdet_core.Marketplace
 module Storage = Zkdet_storage.Storage
 module Chain = Zkdet_chain.Chain
 module Escrow = Zkdet_contracts.Escrow
+module Erc721 = Zkdet_contracts.Erc721
 module Poseidon = Zkdet_poseidon.Poseidon
 
 (* One shared proving environment (universal setup) for the whole suite. *)
@@ -290,6 +291,84 @@ let test_marketplace_tamper_detected () =
   | Ok _ -> Alcotest.fail "tampered ciphertext must fail the audit"
   | Error _ -> Alcotest.fail "expected a storage integrity failure"
 
+(* The minter writes a token's manifest and parent list, so an audit must
+   answer a malformed one with [`No_meta], never an exception. Each
+   hostile token below reuses its parent's manifest, so its pi_e and
+   commitments check out, and points [transform_proof] at the parent's
+   pi_e, a proof that decodes. *)
+let test_marketplace_hostile_manifest () =
+  let env = Lazy.force env in
+  let m = Marketplace.bootstrap env ~operator in
+  let parent, _ =
+    match Marketplace.publish m ~owner:alice (dataset 2) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "publish failed: %s" e
+  in
+  let auditor = Marketplace.node m ~id:"auditor" in
+  let pmeta =
+    match Marketplace.token_meta m auditor parent with
+    | Ok meta -> meta
+    | Error _ -> Alcotest.fail "no parent meta"
+  in
+  let mint ~prev_ids (meta : Marketplace.meta) =
+    let uri =
+      Storage.Cid.to_string
+        (Storage.put m.Marketplace.net (Marketplace.node m ~id:alice)
+           (Marketplace.meta_to_string meta))
+    in
+    match
+      Erc721.mint_derived m.Marketplace.nft m.Marketplace.chain ~sender:alice
+        ~prev_ids ~transform:Erc721.Partition ~uri
+        ~key_commitment:meta.Marketplace.c_k
+        ~data_commitment:meta.Marketplace.c_d ~proof_refs:[]
+    with
+    | Some id, _ -> id
+    | None, _ -> Alcotest.fail "mint_derived refused the token"
+  in
+  let hostile =
+    { pmeta with
+      Marketplace.kind = "partition";
+      src_sizes = [];
+      transform_proof_cid = Some pmeta.Marketplace.enc_proof_cid }
+  in
+  List.iter
+    (fun (name, token) ->
+      match Marketplace.audit_provenance m ~auditor_id:"auditor" token with
+      | Error `No_meta -> ()
+      | Ok n -> Alcotest.failf "%s: audited Ok %d" name n
+      | Error _ -> Alcotest.failf "%s: expected No_meta" name)
+    [ ("partition without a source size", mint ~prev_ids:[ parent ] hostile);
+      ( "processing without a source size",
+        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum" } );
+      ( "partition without a parent",
+        mint ~prev_ids:[] { hostile with src_sizes = [ 2 ] } );
+      ( "unknown kind",
+        mint ~prev_ids:[ parent ] { hostile with kind = "shuffle"; src_sizes = [ 2 ] } ) ]
+
+(* Each partition of a parent proves its own pi_t over its own outputs: a
+   second partition of the same parent must not join the first one's. *)
+let test_marketplace_two_partitions () =
+  let env = Lazy.force env in
+  let m = Marketplace.bootstrap env ~operator in
+  let parent =
+    match Marketplace.publish m ~owner:alice (dataset 2) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "publish failed: %s" e
+  in
+  let partition sizes =
+    match Marketplace.derive m ~owner:alice ~parents:[ parent ] (`Partition sizes) with
+    | Ok ((child, _) :: _) -> child
+    | Ok [] | Error _ -> Alcotest.fail "partition failed"
+  in
+  let first = partition [ 1; 1 ] in
+  let second = partition [ 1; 1 ] in
+  List.iter
+    (fun (name, child) ->
+      match Marketplace.audit_provenance m ~auditor_id:"auditor" child with
+      | Ok n -> Alcotest.(check int) name 2 n
+      | Error _ -> Alcotest.failf "%s: audit failed" name)
+    [ ("child of the first partition", first); ("child of the second partition", second) ]
+
 let test_escrow_fairness_onchain () =
   (* The malicious-seller path through the real contracts: settlement with
      a wrong k_c reverts inside the escrow, and the buyer can refund. *)
@@ -352,4 +431,8 @@ let () =
       ( "marketplace",
         [ Alcotest.test_case "publish/derive/audit/trade" `Slow test_marketplace_end_to_end;
           Alcotest.test_case "storage tamper detected" `Slow test_marketplace_tamper_detected;
-          Alcotest.test_case "escrow fairness on-chain" `Slow test_escrow_fairness_onchain ] ) ]
+          Alcotest.test_case "escrow fairness on-chain" `Slow test_escrow_fairness_onchain;
+          Alcotest.test_case "hostile manifest audits as No_meta" `Slow
+            test_marketplace_hostile_manifest;
+          Alcotest.test_case "second partition keeps sibling audits" `Slow
+            test_marketplace_two_partitions ] ) ]

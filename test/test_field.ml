@@ -1,6 +1,8 @@
 module Nat = Zkdet_num.Nat
 module Fp = Zkdet_field.Bn254.Fp
 module Fr = Zkdet_field.Bn254.Fr
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let fr = Alcotest.testable Fr.pp Fr.equal
 let fp = Alcotest.testable Fp.pp Fp.equal
@@ -92,38 +94,28 @@ let test_batch_inv () =
   Alcotest.check_raises "zero in batch" Division_by_zero (fun () ->
       ignore (Fr.batch_inv [| Fr.one; Fr.zero; Fr.of_int 3 |]))
 
-let gen_fr = QCheck.Gen.map (fun i ->
-    Fr.add (Fr.of_int i) (Fr.random (Random.State.make [| i |])))
-    QCheck.Gen.int
-
-let arb_fr = QCheck.make ~print:Fr.to_string gen_fr
-
 let field_axioms =
-  [ QCheck.Test.make ~name:"add assoc" ~count:100
-      (QCheck.triple arb_fr arb_fr arb_fr) (fun (a, b, c) ->
+  let prop = Test_util.prop and pp = Fr.to_string in
+  let pp2 = Test_util.pp2 pp pp and pp3 = Test_util.pp3 pp pp pp in
+  let fr2 = Gen.pair Gz.fr Gz.fr and fr3 = Gen.triple Gz.fr Gz.fr Gz.fr in
+  [ prop ~count:100 "add assoc" pp3 fr3 (fun (a, b, c) ->
         Fr.(equal (add (add a b) c) (add a (add b c))));
-    QCheck.Test.make ~name:"mul assoc" ~count:100
-      (QCheck.triple arb_fr arb_fr arb_fr) (fun (a, b, c) ->
+    prop ~count:100 "mul assoc" pp3 fr3 (fun (a, b, c) ->
         Fr.(equal (mul (mul a b) c) (mul a (mul b c))));
-    QCheck.Test.make ~name:"mul comm" ~count:100 (QCheck.pair arb_fr arb_fr)
-      (fun (a, b) -> Fr.(equal (mul a b) (mul b a)));
-    QCheck.Test.make ~name:"distributivity" ~count:100
-      (QCheck.triple arb_fr arb_fr arb_fr) (fun (a, b, c) ->
+    prop ~count:100 "mul comm" pp2 fr2 (fun (a, b) ->
+        Fr.(equal (mul a b) (mul b a)));
+    prop ~count:100 "distributivity" pp3 fr3 (fun (a, b, c) ->
         Fr.(equal (mul a (add b c)) (add (mul a b) (mul a c))));
-    QCheck.Test.make ~name:"sub inverse of add" ~count:100
-      (QCheck.pair arb_fr arb_fr) (fun (a, b) ->
+    prop ~count:100 "sub inverse of add" pp2 fr2 (fun (a, b) ->
         Fr.(equal a (sub (add a b) b)));
-    QCheck.Test.make ~name:"neg" ~count:100 arb_fr (fun a ->
-        Fr.(is_zero (add a (neg a))));
-    QCheck.Test.make ~name:"sqr = mul self" ~count:100 arb_fr (fun a ->
+    prop ~count:100 "neg" pp Gz.fr (fun a -> Fr.(is_zero (add a (neg a))));
+    prop ~count:100 "sqr = mul self" pp Gz.fr (fun a ->
         Fr.(equal (sqr a) (mul a a)));
-    QCheck.Test.make ~name:"div inverse of mul" ~count:100
-      (QCheck.pair arb_fr arb_fr) (fun (a, b) ->
-        QCheck.assume (not (Fr.is_zero b));
-        Fr.(equal a (div (mul a b) b)));
-    QCheck.Test.make ~name:"nat roundtrip" ~count:100 arb_fr (fun a ->
+    prop ~count:100 "div inverse of mul" pp2 (Gen.pair Gz.fr Gz.fr_nonzero)
+      (fun (a, b) -> Fr.(equal a (div (mul a b) b)));
+    prop ~count:100 "nat roundtrip" pp Gz.fr (fun a ->
         Fr.(equal a (of_nat (to_nat a))));
-    QCheck.Test.make ~name:"string roundtrip" ~count:50 arb_fr (fun a ->
+    prop ~count:50 "string roundtrip" pp Gz.fr (fun a ->
         Fr.(equal a (of_string (to_string a)))) ]
 
 (* ---- reference check: Fp64 against modular arithmetic on Nat ----
@@ -465,4 +457,4 @@ let () =
           Alcotest.test_case "random streams agree" `Quick test_random_streams;
           Alcotest.test_case "codecs cross-backend" `Quick
             test_codec_cross_backend ] );
-      ("field-axioms", List.map QCheck_alcotest.to_alcotest field_axioms) ]
+      ("field-axioms", field_axioms) ]

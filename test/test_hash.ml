@@ -1,5 +1,6 @@
 module Sha256 = Zkdet_hash.Sha256
 module Keccak256 = Zkdet_hash.Keccak256
+module Gen = Zkdet_proptest.Gen
 
 let check_hex = Alcotest.(check string)
 
@@ -53,20 +54,21 @@ let test_lengths () =
   Alcotest.(check int) "sha256 len" 32 (String.length (Sha256.digest "x"));
   Alcotest.(check int) "keccak len" 32 (String.length (Keccak256.digest "x"))
 
-let prop_deterministic =
-  QCheck.Test.make ~name:"digests deterministic and distinct" ~count:100
-    QCheck.(pair string string) (fun (a, b) ->
-      let same_in = String.equal a b in
-      let sha_eq = String.equal (Sha256.digest a) (Sha256.digest b) in
-      let kec_eq = String.equal (Keccak256.digest a) (Keccak256.digest b) in
-      if same_in then sha_eq && kec_eq else (not sha_eq) && not kec_eq)
-
-let prop_boundary_lengths =
-  (* Exercise padding boundaries: 54..56 (sha), 135..137 (keccak). *)
-  QCheck.Test.make ~name:"padding boundaries" ~count:50
-    QCheck.(int_range 0 300) (fun n ->
-      let s = String.make n 'z' in
-      String.length (Sha256.digest s) = 32 && String.length (Keccak256.digest s) = 32)
+let props =
+  let prop = Test_util.prop in
+  [ prop ~count:100 "digests deterministic and distinct"
+      (Test_util.pp2 (Printf.sprintf "%S") (Printf.sprintf "%S"))
+      (Gen.pair Gen.string Gen.string) (fun (a, b) ->
+        let same_in = String.equal a b in
+        let sha_eq = String.equal (Sha256.digest a) (Sha256.digest b) in
+        let kec_eq = String.equal (Keccak256.digest a) (Keccak256.digest b) in
+        if same_in then sha_eq && kec_eq else (not sha_eq) && not kec_eq);
+    (* Exercise padding boundaries: 54..56 (sha), 135..137 (keccak). *)
+    prop ~count:50 "padding boundaries" string_of_int (Gen.int_range 0 300)
+      (fun n ->
+        let s = String.make n 'z' in
+        String.length (Sha256.digest s) = 32
+        && String.length (Keccak256.digest s) = 32) ]
 
 let () =
   Alcotest.run "zkdet_hash"
@@ -75,6 +77,4 @@ let () =
           Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
           Alcotest.test_case "keccak vectors" `Quick test_keccak_vectors;
           Alcotest.test_case "lengths" `Quick test_lengths ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_deterministic; prop_boundary_lengths ] ) ]
+      ("properties", props) ]

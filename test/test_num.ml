@@ -1,4 +1,5 @@
 module Nat = Zkdet_num.Nat
+module Gen = Zkdet_proptest.Gen
 
 let nat = Alcotest.testable Nat.pp Nat.equal
 
@@ -136,49 +137,32 @@ let test_pow () =
     Nat.(to_decimal (pow two 128));
   check_nat "x^0" Nat.one (Nat.pow (Nat.of_int 12345) 0)
 
-(* Property tests *)
-let gen_nat =
-  QCheck.Gen.(
-    map
+(* Property tests: naturals of 1 to 30 decimal digits. *)
+let props =
+  let nat =
+    Gen.map
       (fun ds ->
         let s = String.concat "" (List.map string_of_int ds) in
         Nat.of_decimal (if s = "" then "0" else s))
-      (list_size (int_range 1 30) (int_range 0 9)))
-
-let arb_nat = QCheck.make ~print:Nat.to_decimal gen_nat
-
-let prop_add_comm =
-  QCheck.Test.make ~name:"add commutative" ~count:200 (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) -> Nat.(equal (add a b) (add b a)))
-
-let prop_mul_assoc =
-  QCheck.Test.make ~name:"mul associative" ~count:100
-    (QCheck.triple arb_nat arb_nat arb_nat) (fun (a, b, c) ->
-      Nat.(equal (mul (mul a b) c) (mul a (mul b c))))
-
-let prop_distrib =
-  QCheck.Test.make ~name:"mul distributes over add" ~count:100
-    (QCheck.triple arb_nat arb_nat arb_nat) (fun (a, b, c) ->
-      Nat.(equal (mul a (add b c)) (add (mul a b) (mul a c))))
-
-let prop_divmod =
-  QCheck.Test.make ~name:"divmod identity" ~count:200 (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-      QCheck.assume (not (Nat.is_zero b));
-      let q, r = Nat.divmod a b in
-      Nat.(equal a (add (mul q b) r)) && Nat.compare r b < 0)
-
-let prop_decimal_roundtrip =
-  QCheck.Test.make ~name:"decimal roundtrip" ~count:200 arb_nat (fun a ->
-      Nat.(equal a (of_decimal (to_decimal a))))
-
-let prop_hex_roundtrip =
-  QCheck.Test.make ~name:"hex roundtrip" ~count:200 arb_nat (fun a ->
-      Nat.(equal a (of_hex (to_hex a))))
-
-let props = List.map QCheck_alcotest.to_alcotest
-    [ prop_add_comm; prop_mul_assoc; prop_distrib; prop_divmod;
-      prop_decimal_roundtrip; prop_hex_roundtrip ]
+      (Gen.list_size (Gen.int_range 1 30) (Gen.int_range 0 9))
+  in
+  let prop = Test_util.prop and pp = Nat.to_decimal in
+  let pp2 = Test_util.pp2 pp pp and pp3 = Test_util.pp3 pp pp pp in
+  [ prop ~count:200 "add commutative" pp2 (Gen.pair nat nat) (fun (a, b) ->
+        Nat.(equal (add a b) (add b a)));
+    prop ~count:100 "mul associative" pp3 (Gen.triple nat nat nat)
+      (fun (a, b, c) -> Nat.(equal (mul (mul a b) c) (mul a (mul b c))));
+    prop ~count:100 "mul distributes over add" pp3 (Gen.triple nat nat nat)
+      (fun (a, b, c) -> Nat.(equal (mul a (add b c)) (add (mul a b) (mul a c))));
+    prop ~count:200 "divmod identity" pp2
+      (Gen.pair nat (Gen.such_that (fun b -> not (Nat.is_zero b)) nat))
+      (fun (a, b) ->
+        let q, r = Nat.divmod a b in
+        Nat.(equal a (add (mul q b) r)) && Nat.compare r b < 0);
+    prop ~count:200 "decimal roundtrip" pp nat (fun a ->
+        Nat.(equal a (of_decimal (to_decimal a))));
+    prop ~count:200 "hex roundtrip" pp nat (fun a ->
+        Nat.(equal a (of_hex (to_hex a)))) ]
 
 let () =
   Alcotest.run "zkdet_num"

@@ -101,6 +101,74 @@ let test_journal_tamper_detected () =
       | Error e ->
         Alcotest.failf "unexpected error: %s" (Journal.error_to_string e))
 
+(* Every prefix and every single-bit flip of a real journal.  At each
+   truncation the tail returns exactly the complete records and no error;
+   [of_bytes] accepts only record boundaries, where the partial audit
+   passes; and every flip is a typed error, never [Ok] or an exception. *)
+let test_journal_prefixes_and_flips () =
+  let bytes =
+    with_journal "obs_prefix.zjnl" (fun path ->
+        let o = Scenario.run_cfg { Scenario.Config.default with seed = 5; n = 2 } in
+        Alcotest.(check bool) "exchange ok" true o.Scenario.ok;
+        Obs.close ();
+        read_file path)
+  in
+  let entries =
+    match Journal.of_bytes bytes with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "journal unreadable: %s" (Journal.error_to_string e)
+  in
+  let records = List.length entries in
+  (* [ends.(k)] is the length of the prefix holding the first k records *)
+  let ends = Array.make (records + 1) 6 in
+  for k = 1 to records do
+    let prev = ends.(k - 1) in
+    ends.(k) <- prev + 4 + Int32.to_int (String.get_int32_be bytes prev)
+  done;
+  Alcotest.(check int) "frames cover the journal" (String.length bytes) ends.(records);
+  let hashes es = List.map (fun (e : Journal.entry) -> e.Journal.entry_hash) es in
+  let first k = List.filteri (fun i _ -> i < k) (hashes entries) in
+  let cut = tmp "obs_prefix_cut.zjnl" in
+  let complete = ref 0 in
+  for len = 0 to String.length bytes do
+    if !complete < records && ends.(!complete + 1) <= len then incr complete;
+    let complete = !complete in
+    let prefix = String.sub bytes 0 len in
+    let oc = open_out_bin cut in
+    output_string oc prefix;
+    close_out oc;
+    (match Journal.poll_tail (Journal.create_tail cut) with
+    | Ok es ->
+      if hashes es <> first complete then
+        Alcotest.failf "prefix %d: tail returned %d records, not the %d complete ones"
+          len (List.length es) complete
+    | Error e ->
+      Alcotest.failf "prefix %d: tail error %s" len (Journal.error_to_string e));
+    let boundary = len >= 6 && ends.(complete) = len in
+    match Journal.of_bytes prefix with
+    | Ok es ->
+      if not boundary then Alcotest.failf "prefix %d accepted off a record boundary" len;
+      if hashes es <> first complete then Alcotest.failf "prefix %d: wrong records" len;
+      if not (Audit.run ~partial:true es).Audit.ok then
+        Alcotest.failf "prefix %d: partial audit failed" len
+    | Error e ->
+      if boundary then
+        Alcotest.failf "boundary %d rejected: %s" len (Journal.error_to_string e)
+  done;
+  let flipped = Bytes.of_string bytes in
+  for i = 0 to String.length bytes - 1 do
+    for bit = 0 to 7 do
+      let c = Bytes.get flipped i in
+      Bytes.set flipped i (Char.chr (Char.code c lxor (1 lsl bit)));
+      (match Journal.of_bytes (Bytes.to_string flipped) with
+      | Ok _ -> Alcotest.failf "flip of byte %d bit %d accepted" i bit
+      | Error _ -> ()
+      | exception ex ->
+        Alcotest.failf "flip of byte %d bit %d raised %s" i bit (Printexc.to_string ex));
+      Bytes.set flipped i c
+    done
+  done
+
 (* ---- trace propagation through the full exchange ---- *)
 
 let test_single_trace_and_tree () =
@@ -302,6 +370,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
           Alcotest.test_case "tamper detected" `Quick test_journal_tamper_detected;
+          Alcotest.test_case "prefixes and bit flips" `Slow
+            test_journal_prefixes_and_flips;
         ] );
       ( "trace",
         [

@@ -9,7 +9,6 @@ module G1 = Zkdet_curve.G1
 module G2 = Zkdet_curve.G2
 module Pairing = Zkdet_curve.Pairing
 module Domain = Zkdet_poly.Domain
-module Poly = Zkdet_poly.Poly
 module Srs = Zkdet_kzg.Srs
 module Kzg = Zkdet_kzg.Kzg
 module Cs = Zkdet_plonk.Cs
@@ -17,6 +16,8 @@ module Preprocess = Zkdet_plonk.Preprocess
 module Prover = Zkdet_plonk.Prover
 module Verifier = Zkdet_plonk.Verifier
 module Proof = Zkdet_plonk.Proof
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let srs = Srs.unsafe_generate ~st:(Test_util.rng ~salt:"parallel-srs" ()) ~size:300 ()
 
@@ -107,21 +108,31 @@ let toy_circuit ~x ~y =
   Cs.assert_equal cs out pub;
   cs
 
+(* Exactly [n] coefficients: a shrunk draw that dropped some is padded
+   back with zeros, so every shrink is still a full-size input. *)
+let coeffs n =
+  Gen.map
+    (fun c -> Array.init n (fun i -> if i < Array.length c then c.(i) else Fr.zero))
+    (Gen.array_size (Gen.return n) Gz.fr)
+
+let pp_frs a = Test_util.pp_list Fr.to_string (Array.to_list a)
+let prop = Test_util.prop
+
 let prop_msm_deterministic =
-  QCheck.Test.make ~name:"msm byte-identical at 1 vs 4 domains" ~count:5
-    QCheck.small_int (fun seed ->
-      let st = Random.State.make [| seed; 0x15a |] in
-      let points = Array.init 32 (fun _ -> G1.random st) in
-      let scalars = Array.init 32 (fun _ -> Fr.random st) in
+  prop ~count:5 "msm byte-identical at 1 vs 4 domains"
+    (fun terms ->
+      Test_util.pp_list
+        (Test_util.pp2 (Format.asprintf "%a" G1.pp) Fr.to_string)
+        (Array.to_list terms))
+    (Gen.array_size (Gen.return 32) (Gen.pair Gz.g1 Gz.fr)) (fun terms ->
+      let points = Array.map fst terms and scalars = Array.map snd terms in
       let s1, s4 = both (fun () -> G1.to_bytes (G1.msm points scalars)) in
       String.equal s1 s4)
 
 let prop_fft_deterministic =
-  QCheck.Test.make ~name:"fft/ifft byte-identical at 1 vs 4 domains" ~count:5
-    QCheck.small_int (fun seed ->
-      let st = Random.State.make [| seed; 0xff7 |] in
+  prop ~count:5 "fft/ifft byte-identical at 1 vs 4 domains" pp_frs (coeffs 1024)
+    (fun coeffs ->
       let d = Domain.create 10 in
-      let coeffs = Array.init 1024 (fun _ -> Fr.random st) in
       let evals1, evals4 = both (fun () -> Domain.fft d coeffs) in
       let back1, back4 = both (fun () -> Domain.ifft d evals1) in
       String.equal (fr_array_bytes evals1) (fr_array_bytes evals4)
@@ -129,11 +140,9 @@ let prop_fft_deterministic =
       && String.equal (fr_array_bytes back1) (fr_array_bytes coeffs))
 
 let prop_coset_deterministic =
-  QCheck.Test.make ~name:"coset evals byte-identical at 1 vs 4 domains" ~count:5
-    QCheck.small_int (fun seed ->
-      let st = Random.State.make [| seed; 0xc05 |] in
+  prop ~count:5 "coset evals byte-identical at 1 vs 4 domains" pp_frs
+    (coeffs 1024) (fun coeffs ->
       let d = Domain.create 10 in
-      let coeffs = Array.init 1024 (fun _ -> Fr.random st) in
       let evals1, evals4 = both (fun () -> Domain.coset_fft d coeffs) in
       let back1, back4 = both (fun () -> Domain.coset_ifft d evals1) in
       String.equal (fr_array_bytes evals1) (fr_array_bytes evals4)
@@ -141,10 +150,9 @@ let prop_coset_deterministic =
       && String.equal (fr_array_bytes back1) (fr_array_bytes coeffs))
 
 let prop_commit_batch_consistent =
-  QCheck.Test.make ~name:"commit_batch = sequential commits" ~count:3
-    QCheck.small_int (fun seed ->
-      let st = Random.State.make [| seed; 0x6b |] in
-      let ps = Array.init 4 (fun _ -> Poly.random st 200) in
+  prop ~count:3 "commit_batch = sequential commits"
+    (fun ps -> Test_util.pp_list pp_frs (Array.to_list ps))
+    (Gen.array_size (Gen.return 4) (coeffs 200)) (fun ps ->
       let batched =
         Pool.with_domains 4 (fun () -> Kzg.commit_batch srs ps)
       in
@@ -156,10 +164,8 @@ let prop_commit_batch_consistent =
         batched single)
 
 let prop_pairing_check_deterministic =
-  QCheck.Test.make ~name:"pairing_check stable at 1 vs 4 domains" ~count:3
-    QCheck.small_int (fun seed ->
-      let st = Random.State.make [| seed; 0xbeef |] in
-      let a = Fr.random st in
+  prop ~count:3 "pairing_check stable at 1 vs 4 domains" Fr.to_string
+    Gz.fr_nonzero (fun a ->
       (* e(aP, Q) * e(-P, aQ) = 1: a valid multi-pairing batch. *)
       let valid =
         [ (G1.mul G1.generator a, G2.generator);
@@ -174,9 +180,9 @@ let prop_pairing_check_deterministic =
       v1 && v4 && (not b1) && not b4)
 
 let prop_prove_transcript_deterministic =
-  QCheck.Test.make ~name:"Prover.prove byte-identical at 1 vs 4 domains"
-    ~count:3
-    QCheck.(pair small_int small_int)
+  let small = Gen.int_range 0 99 in
+  prop ~count:3 "Prover.prove byte-identical at 1 vs 4 domains"
+    (Test_util.pp2 string_of_int string_of_int) (Gen.pair small small)
     (fun (x, y) ->
       let cs = toy_circuit ~x:(Fr.of_int x) ~y:(Fr.of_int y) in
       let compiled = Cs.compile cs in
@@ -200,10 +206,9 @@ let () =
           Alcotest.test_case "exceptions and reuse" `Quick test_exception_and_reuse;
           Alcotest.test_case "configuration" `Quick test_config ] );
       ( "determinism",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_msm_deterministic;
-            prop_fft_deterministic;
-            prop_coset_deterministic;
-            prop_commit_batch_consistent;
-            prop_pairing_check_deterministic;
-            prop_prove_transcript_deterministic ] ) ]
+        [ prop_msm_deterministic;
+          prop_fft_deterministic;
+          prop_coset_deterministic;
+          prop_commit_batch_consistent;
+          prop_pairing_check_deterministic;
+          prop_prove_transcript_deterministic ] ) ]

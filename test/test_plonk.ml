@@ -5,6 +5,8 @@ module Prover = Zkdet_plonk.Prover
 module Verifier = Zkdet_plonk.Verifier
 module Proof = Zkdet_plonk.Proof
 module Srs = Zkdet_kzg.Srs
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let rng = Test_util.rng ~salt:"plonk" ()
 let srs = Srs.unsafe_generate ~st:(Test_util.rng ~salt:"plonk-srs" ()) ~size:300 ()
@@ -278,9 +280,10 @@ let test_soundness_multi_public_circuit () =
     (fr_mutations proof)
 
 let prop_completeness =
-  QCheck.Test.make ~name:"completeness on random witnesses" ~count:5
-    QCheck.(pair small_int small_int) (fun (x, y) ->
-      let cs = build_toy ~x:(Fr.of_int x) ~y:(Fr.of_int y) in
+  Test_util.prop ~count:5 "completeness on random witnesses"
+    (Test_util.pp2 Fr.to_string Fr.to_string)
+    (Gen.pair Gz.fr Gz.fr) (fun (x, y) ->
+      let cs = build_toy ~x ~y in
       let _, _, _, ok = prove_and_verify cs in
       ok)
 
@@ -303,4 +306,4 @@ let () =
             test_soundness_single_element_mutations;
           Alcotest.test_case "multi-public mutations rejected" `Quick
             test_soundness_multi_public_circuit ] );
-      ("plonk-properties", List.map QCheck_alcotest.to_alcotest [ prop_completeness ]) ]
+      ("plonk-properties", [ prop_completeness ]) ]

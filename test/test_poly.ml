@@ -1,6 +1,8 @@
 module Fr = Zkdet_field.Bn254.Fr
 module Poly = Zkdet_poly.Poly
 module Domain = Zkdet_poly.Domain
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let rng = Test_util.rng ~salt:"poly" ()
 let poly = Alcotest.testable Poly.pp Poly.equal
@@ -128,19 +130,19 @@ let test_vanishing_eval () =
     (Domain.vanishing_eval d x)
 
 let props =
-  let arb_poly n = QCheck.make ~print:(fun _ -> "<poly>")
-      QCheck.Gen.(map (fun seed -> Poly.random (Random.State.make [| seed |]) n) int)
-  in
-  [ QCheck.Test.make ~name:"add comm" ~count:50 (QCheck.pair (arb_poly 10) (arb_poly 12))
-      (fun (p, q) -> Poly.equal (Poly.add p q) (Poly.add q p));
-    QCheck.Test.make ~name:"mul comm" ~count:30 (QCheck.pair (arb_poly 8) (arb_poly 9))
-      (fun (p, q) -> Poly.equal (Poly.mul p q) (Poly.mul q p));
-    QCheck.Test.make ~name:"mul degree adds" ~count:30
-      (QCheck.pair (arb_poly 8) (arb_poly 9)) (fun (p, q) ->
-        QCheck.assume (not (Poly.is_zero p) && not (Poly.is_zero q));
-        Poly.degree (Poly.mul p q) = Poly.degree p + Poly.degree q);
-    QCheck.Test.make ~name:"eval homomorphic for add" ~count:50
-      (QCheck.pair (arb_poly 10) (arb_poly 10)) (fun (p, q) ->
+  let prop = Test_util.prop and pp = Format.asprintf "%a" Poly.pp in
+  let pp2 = Test_util.pp2 pp pp in
+  (* [n] coefficients; shrinking drops some, so degrees only fall. *)
+  let poly n = Gen.map Poly.of_coeffs (Gen.array_size (Gen.return n) Gz.fr) in
+  let nonzero n = Gen.such_that (fun p -> not (Poly.is_zero p)) (poly n) in
+  [ prop ~count:50 "add comm" pp2 (Gen.pair (poly 10) (poly 12)) (fun (p, q) ->
+        Poly.equal (Poly.add p q) (Poly.add q p));
+    prop ~count:30 "mul comm" pp2 (Gen.pair (poly 8) (poly 9)) (fun (p, q) ->
+        Poly.equal (Poly.mul p q) (Poly.mul q p));
+    prop ~count:30 "mul degree adds" pp2 (Gen.pair (nonzero 8) (nonzero 9))
+      (fun (p, q) -> Poly.degree (Poly.mul p q) = Poly.degree p + Poly.degree q);
+    prop ~count:50 "eval homomorphic for add" pp2 (Gen.pair (poly 10) (poly 10))
+      (fun (p, q) ->
         let x = Fr.of_int 77 in
         Fr.equal (Poly.eval (Poly.add p q) x) (Fr.add (Poly.eval p x) (Poly.eval q x))) ]
 
@@ -157,4 +159,4 @@ let () =
           Alcotest.test_case "div by vanishing" `Quick test_div_by_vanishing;
           Alcotest.test_case "lagrange/interpolate" `Quick test_lagrange;
           Alcotest.test_case "vanishing eval" `Quick test_vanishing_eval ] );
-      ("poly-properties", List.map QCheck_alcotest.to_alcotest props) ]
+      ("poly-properties", props) ]

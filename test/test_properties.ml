@@ -43,17 +43,8 @@ module Fairswap_escrow = Zkdet_contracts.Fairswap_escrow
 module Auction = Zkdet_contracts.Auction
 module Fairswap = Zkdet_core.Fairswap
 
-(* Wrap an engine check as an alcotest case; the Failed message carries
-   the replay seed and the shrunk counterexample. *)
-let prop ?count name print gen p =
-  Alcotest.test_case name `Quick (fun () ->
-      try P.check ?count ~name ~print gen p
-      with P.Failed msg -> Alcotest.fail msg)
+open Test_util
 
-let pp_list pp l = "[" ^ String.concat "; " (List.map pp l) ^ "]"
-let pp2 ppa ppb (a, b) = Printf.sprintf "(%s, %s)" (ppa a) (ppb b)
-let pp3 ppa ppb ppc (a, b, c) =
-  Printf.sprintf "(%s, %s, %s)" (ppa a) (ppb b) (ppc c)
 let pp_fr = Fr.to_string
 let pp_g1 p =
   match G1.to_affine p with

@@ -95,7 +95,8 @@ let test_stats () =
   Alcotest.(check bool) "bytes counted" true (net.Storage.bytes_transferred >= 13)
 
 let prop_roundtrip =
-  QCheck.Test.make ~name:"put/get roundtrip" ~count:50 QCheck.string (fun s ->
+  Test_util.prop ~count:50 "put/get roundtrip" (Printf.sprintf "%S")
+    Zkdet_proptest.Gen.string (fun s ->
       let net = Storage.create () in
       let a = Storage.add_node net ~id:"a" in
       let cid = Storage.put net a s in
@@ -114,4 +115,4 @@ let () =
           Alcotest.test_case "pin and gc" `Quick test_pin_gc;
           Alcotest.test_case "field codec" `Quick test_codec;
           Alcotest.test_case "network stats" `Quick test_stats ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]) ]
+      ("properties", [ prop_roundtrip ]) ]

@@ -3,6 +3,8 @@
 module Fr = Zkdet_field.Bn254.Fr
 module Mimc = Zkdet_mimc.Mimc
 module Poseidon = Zkdet_poseidon.Poseidon
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let rng = Test_util.rng ~salt:"symmetric" ()
 let fr = Alcotest.testable Fr.pp Fr.equal
@@ -130,20 +132,18 @@ let test_commitment () =
   Alcotest.(check bool) "hiding" false (Fr.equal c c2)
 
 let props =
-  let arb_fr =
-    QCheck.make ~print:Fr.to_string
-      QCheck.Gen.(map (fun i -> Fr.random (Random.State.make [| i |])) int)
-  in
-  [ QCheck.Test.make ~name:"mimc block roundtrip" ~count:10
-      (QCheck.pair arb_fr arb_fr) (fun (k, m) ->
+  let prop = Test_util.prop and pp = Fr.to_string in
+  [ prop ~count:10 "mimc block roundtrip" (Test_util.pp2 pp pp)
+      (Gen.pair Gz.fr Gz.fr) (fun (k, m) ->
         Fr.equal m (Mimc.decrypt_block k (Mimc.encrypt_block k m)));
-    QCheck.Test.make ~name:"ctr roundtrip" ~count:10
-      (QCheck.triple arb_fr arb_fr (QCheck.int_range 1 30)) (fun (k, n, len) ->
+    prop ~count:10 "ctr roundtrip" (Test_util.pp3 pp pp string_of_int)
+      (Gen.triple Gz.fr Gz.fr (Gen.int_range 1 30)) (fun (k, n, len) ->
         let data = Array.init len (fun i -> Fr.of_int (i * i)) in
         let rt = Mimc.Ctr.decrypt ~key:k ~nonce:n (Mimc.Ctr.encrypt ~key:k ~nonce:n data) in
         Array.for_all2 Fr.equal data rt);
-    QCheck.Test.make ~name:"poseidon collision-free on pairs" ~count:30
-      (QCheck.pair (QCheck.pair arb_fr arb_fr) (QCheck.pair arb_fr arb_fr))
+    prop ~count:30 "poseidon collision-free on pairs"
+      (Test_util.pp2 (Test_util.pp2 pp pp) (Test_util.pp2 pp pp))
+      (Gen.pair (Gen.pair Gz.fr Gz.fr) (Gen.pair Gz.fr Gz.fr))
       (fun ((a, b), (c, d)) ->
         let same_in = Fr.equal a c && Fr.equal b d in
         let same_out = Fr.equal (Poseidon.hash2 a b) (Poseidon.hash2 c d) in
@@ -162,4 +162,4 @@ let () =
           Alcotest.test_case "sponge hash" `Quick test_poseidon_hash;
           Alcotest.test_case "commitment" `Quick test_commitment;
           Alcotest.test_case "golden vectors" `Quick test_poseidon_golden ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest props) ]
+      ("properties", props) ]

@@ -18,6 +18,19 @@ let seed = Proptest.seed
 let rng ~salt () : Random.State.t =
   Rng.to_random_state (Rng.of_seed_and_label (seed ()) salt)
 
+(* A property as an Alcotest case. The engine draws from the stream of
+   (seed, name); a failure message carries the replay seed and the
+   shrunk counterexample. *)
+let prop ?count name print gen p =
+  Alcotest.test_case name `Quick (fun () ->
+      try Proptest.check ?count ~name ~print gen p
+      with Proptest.Failed msg -> Alcotest.fail msg)
+
+let pp_list pp l = "[" ^ String.concat "; " (List.map pp l) ^ "]"
+let pp2 ppa ppb (a, b) = Printf.sprintf "(%s, %s)" (ppa a) (ppb b)
+let pp3 ppa ppb ppc (a, b, c) =
+  Printf.sprintf "(%s, %s, %s)" (ppa a) (ppb b) (ppc c)
+
 (* Strict parser/validator for the Prometheus text exposition format, used
    to gate [Telemetry.Report.to_prometheus] and the live /metrics body.
    Deliberately unforgiving: any malformed line, undeclared family,
