@@ -525,12 +525,12 @@ let micro () =
   let vk = Exchange.key_vk env in
   let publics = Circuits.key_publics ~k_c ~c_k:sealed.Transform.c_k ~h_v in
   let d10 = Domain.create 10 in
-  let coeffs = Poly.random rng 1024 in
+  let buf10 = Domain.buf_of_coeffs d10 (Poly.random rng 1024) in
   let stage name f = Test.make ~name (Staged.stage f) in
   let groups =
     [ Test.make_grouped ~name:"fig5-setup-kernels"
         [ stage "kzg-commit-255" (fun () -> Kzg.commit srs256 poly255);
-          stage "fft-2^10" (fun () -> Domain.fft d10 coeffs) ];
+          stage "fft-2^10" (fun () -> Domain.fft_buf d10 buf10) ];
       Test.make_grouped ~name:"fig6-prover-kernels"
         [ stage "fr-mul" (fun () -> Fr.mul a b);
           stage "g1-add" (fun () -> G1.add p p);

@@ -297,27 +297,55 @@ let token_meta (m : t) (auditor : Storage.node) (token_id : int) :
         then Ok meta
         else Error `Commitment_mismatch))
 
-(** Verify one token's pi_e from public data. *)
-let audit_encryption (m : t) (auditor : Storage.node) (token_id : int) :
-    (unit, audit_failure) result =
+(* A token's ciphertext, fetched and decoded. *)
+let fetch_ciphertext (m : t) (auditor : Storage.node) (meta : meta) :
+    (Fr.t array, audit_failure) result =
+  Result.bind (fetch m auditor meta.ct_cid) (fun ct_bytes ->
+      Result.map_error
+        (fun e -> `Storage ("undecodable ciphertext: " ^ e))
+        (Storage.Codec.decode_result ct_bytes))
+
+(* Verify one token's pi_e, with its ciphertext from [ciphertext]. *)
+let check_encryption (m : t) (auditor : Storage.node) ~ciphertext
+    (token_id : int) : (unit, audit_failure) result =
   match token_meta m auditor token_id with
   | Error _ as e -> e
   | Ok meta -> (
-    match (fetch m auditor meta.ct_cid, fetch m auditor meta.enc_proof_cid) with
+    match (ciphertext meta, fetch m auditor meta.enc_proof_cid) with
     | Error e, _ | _, Error e -> Error e
-    | Ok ct_bytes, Ok proof_bytes -> (
-      match (Storage.Codec.decode_result ct_bytes, Proof.wire_decode proof_bytes)
-      with
-      | Error e, _ ->
-        Error (`Storage ("undecodable ciphertext: " ^ e))
-      | _, Error e ->
+    | Ok ciphertext, Ok proof_bytes -> (
+      match Proof.wire_decode proof_bytes with
+      | Error e ->
         Error (`Storage ("undecodable proof: " ^ Zkdet_codec.Codec.error_to_string e))
-      | Ok ciphertext, Ok proof ->
+      | Ok proof ->
         if
           Transform.verify_encryption m.env ~nonce:meta.nonce ~c_d:meta.c_d
             ~c_k:meta.c_k ~ciphertext proof
         then Ok ()
         else Error (`Bad_encryption_proof token_id)))
+
+(** Verify one token's pi_e from public data. *)
+let audit_encryption (m : t) (auditor : Storage.node) (token_id : int) :
+    (unit, audit_failure) result =
+  check_encryption m auditor ~ciphertext:(fetch_ciphertext m auditor) token_id
+
+(* The sizes a pi_t link takes from its manifest, checked against what
+   the audit verifies: each parent's ciphertext length, which the
+   parent's pi_e binds.  A partition's parts must also be positive and
+   sum to its parent's length.  A link whose parent count does not fit
+   its kind is left to [Transform.verify_link], which rejects it without
+   building a circuit. *)
+let sizes_match (kind : Transform.kind) ~n_duplication (lengths : int list) =
+  match (kind, lengths) with
+  | Transform.Duplication, [ len ] -> n_duplication = len
+  | Transform.Aggregation sizes, _ -> sizes = lengths
+  | Transform.Partition (n, parts), [ len ] ->
+    n = len && parts <> []
+    && List.for_all (fun p -> p > 0) parts
+    && List.fold_left ( + ) 0 parts = n
+  | Transform.Processing (_, n), [ len ] -> n = len
+  | (Transform.Duplication | Transform.Partition _ | Transform.Processing _), _
+    -> true
 
 (** Full provenance audit: walk prevIds[] back to the sources, re-verify
     every pi_e and every pi_t in the provenance graph. *)
@@ -327,11 +355,30 @@ let rec audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
   let auditor = node m ~id:auditor_id in
   let tokens = Erc721.provenance m.nft token_id in
   let checked = ref 0 in
+  (* Each ciphertext is fetched once per audit: a parent's length is
+     read when its child's link is checked, before the walk reaches the
+     parent's own pi_e. *)
+  let ciphertexts = Hashtbl.create 8 in
+  let ciphertext (meta : meta) =
+    match Hashtbl.find_opt ciphertexts meta.ct_cid with
+    | Some ct -> Ok ct
+    | None ->
+      let r = fetch_ciphertext m auditor meta in
+      Result.iter (Hashtbl.replace ciphertexts meta.ct_cid) r;
+      r
+  in
+  let rec lengths = function
+    | [] -> Ok []
+    | pm :: rest -> (
+      match ciphertext pm with
+      | Error e -> Error e
+      | Ok ct -> Result.map (fun ls -> Array.length ct :: ls) (lengths rest))
+  in
   let rec go = function
     | [] -> Ok !checked
     | tok :: rest -> (
       let id = tok.Erc721.token_id in
-      match audit_encryption m auditor id with
+      match check_encryption m auditor ~ciphertext id with
       | Error _ as e -> e
       | Ok () -> (
         match token_meta m auditor id with
@@ -402,11 +449,16 @@ let rec audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
                       match meta.src_sizes with s :: _ -> s | [] -> meta.n)
                     | _ -> 0
                   in
-                  if Transform.verify_link m.env ~n_duplication link then begin
-                    incr checked;
-                    go rest
-                  end
-                  else Error (`Bad_transform_proof id)
+                  match lengths parent_metas with
+                  | Error e -> Error e
+                  | Ok lens when not (sizes_match kind ~n_duplication lens) ->
+                    Error `No_meta
+                  | Ok _ ->
+                    if Transform.verify_link m.env ~n_duplication link then begin
+                      incr checked;
+                      go rest
+                    end
+                    else Error (`Bad_transform_proof id)
               end)))))
   in
   go tokens

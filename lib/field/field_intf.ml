@@ -88,11 +88,6 @@ module type CORE = sig
   val buf_neg : buf -> int -> buf -> int -> unit
   val buf_is_zero : buf -> int -> bool
   val buf_equal : buf -> int -> buf -> int -> bool
-
-  val buf_butterfly : buf -> int -> int -> buf -> int -> unit
-  (** [buf_butterfly b i j w k] is the fused radix-2 FFT butterfly:
-      with [u = b[i]] and [v = b[j] * w[k]], sets [b[i] <- u + v] and
-      [b[j] <- u - v].  Requires [i <> j]. *)
 end
 
 (** Full field signature: {!CORE} plus the derived operations. *)
@@ -159,6 +154,30 @@ module type S = sig
 
   val pp : Format.formatter -> t -> unit
   val compare : t -> t -> int
+
+  val buf_fft_layer :
+    buf ->
+    tw:buf ->
+    stride:int ->
+    half:int ->
+    blo:int ->
+    bhi:int ->
+    jlo:int ->
+    jhi:int ->
+    unit
+  (** One radix-2 layer of an in-place FFT, or the [\[blo, bhi)] x
+      [\[jlo, jhi)] part of it.  The buffer is cut into blocks of
+      [2 * half] cells; for every block [b] in [\[blo, bhi)] and
+      butterfly [j] in [\[jlo, jhi)], with [i = 2 * half * b + j],
+      [u = buf[i]] and [v = buf[i + half] * tw[j * stride]], it sets
+      [buf[i] <- u + v] and [buf[i + half] <- u - v].  Different blocks
+      and different butterflies touch different cells, so disjoint parts
+      may run concurrently.  [tw] cell 0 must be one.  Shapes are checked
+      and a bad one raises [Invalid_argument]. *)
+
+  val buf_bit_reverse : buf -> unit
+  (** Permute a buffer of [2^k] cells into bit-reversed index order;
+      raises [Invalid_argument] when the length is not a power of two. *)
 
   val buf_affine_round :
     (ex:buf ->

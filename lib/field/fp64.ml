@@ -10,10 +10,12 @@
    Arithmetic runs in a C stub (fp64_stubs.c, unsigned __int128 CIOS).  A
    pure-OCaml int64 kernel implementing the identical algorithm runs on
    big-endian hosts (see [use_c]); tests pin it on every host through
-   Make_kernel.  The C stubs also run the MSM's batch-affine bucket round
-   ([buf_affine_round]); without them the curve layer runs its own OCaml
-   round.  Montgomery constants are derived from the decimal modulus
-   with Zkdet_num.Nat — no transcribed magic numbers.
+   Make_kernel.  The C stubs also run whole FFT layers ([buf_fft_layer],
+   one call per layer chunk, with an OCaml twin on the buf ops) and the
+   MSM's batch-affine bucket round ([buf_affine_round]); without them the
+   curve layer runs its own OCaml round.  Montgomery constants are
+   derived from the decimal modulus with Zkdet_num.Nat — no transcribed
+   magic numbers.
 
    Derived operations (inv, sqrt, random, codecs, ...) come from
    Field_derived. *)
@@ -45,11 +47,6 @@ external c_sub :
   = "zkdet_fp64_sub_bc" "zkdet_fp64_sub"
 [@@noalloc]
 
-external c_butterfly :
-  Bytes.t -> Bytes.t -> int -> int -> Bytes.t -> int -> unit
-  = "zkdet_fp64_butterfly_bc" "zkdet_fp64_butterfly"
-[@@noalloc]
-
 (* The two halves of one batch-affine bucket round, around the field
    inversion: (prm, ex, ey, start, len, num, den, scratch [, np]). *)
 external c_round_pairs :
@@ -62,6 +59,16 @@ external c_round_apply :
   Bytes.t -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t ->
   Bytes.t -> Bytes.t -> int -> unit
   = "zkdet_fp64_round_apply_bc" "zkdet_fp64_round_apply"
+[@@noalloc]
+
+(* One radix-2 FFT layer: (prm, buf, tw, stride, half, blo, bhi, jlo,
+   jhi); and the bit-reversal permutation: (buf, log2 length). *)
+external c_fft_layer :
+  Bytes.t -> Bytes.t -> Bytes.t -> int -> int -> int -> int -> int -> int ->
+  unit = "zkdet_fp64_fft_layer_bc" "zkdet_fp64_fft_layer"
+[@@noalloc]
+
+external c_bit_reverse : Bytes.t -> int -> unit = "zkdet_fp64_bit_reverse"
 [@@noalloc]
 
 module Make_kernel (K : KERNEL) (M : Field_intf.MODULUS) : Field_intf.S =
@@ -262,15 +269,6 @@ struct
         c_sub prm dst doff a aoff b boff
       else ml_sub
 
-    let butterfly_off : Bytes.t -> int -> int -> Bytes.t -> int -> unit =
-      if use_c then fun b ioff joff w woff -> c_butterfly prm b ioff joff w woff
-      else fun b ioff joff w woff ->
-        (* v = b[j]*w in a temp; b[j] <- u - v before u is overwritten. *)
-        let v = Bytes.create el_bytes in
-        ml_mul v 0 b joff w woff;
-        ml_sub b joff b ioff v 0;
-        ml_add b ioff b ioff v 0
-
     type t = Bytes.t (* exactly 32 bytes, value < p, Montgomery form *)
 
     let zero = Bytes.make el_bytes '\000'
@@ -372,8 +370,6 @@ struct
       in
       go 0
 
-    let buf_butterfly (b : buf) i j (w : buf) k =
-      butterfly_off b (i * el_bytes) (j * el_bytes) w (k * el_bytes)
   end
 
   include Core
@@ -395,6 +391,60 @@ struct
     if buf_length num < !pairs || buf_length den < !pairs
        || buf_length scratch < !pairs + 2
     then invalid_arg "Fp64.buf_affine_round: scratch too small"
+
+  (* The FFT layer and bit reversal trust their arguments too: every
+     index they touch must be a cell of its buffer. *)
+  let check_layer_shapes b tw ~stride ~half ~blo ~bhi ~jlo ~jhi =
+    let n = buf_length b and ntw = buf_length tw in
+    if half < 1 || half > n / 2 || blo < 0 || blo > bhi
+       || bhi > n / (2 * half)
+    then invalid_arg "Fp64.buf_fft_layer: blocks out of range";
+    if jlo < 0 || jlo > jhi || jhi > half || stride < 0 then
+      invalid_arg "Fp64.buf_fft_layer: butterflies out of range";
+    if jhi > jlo && (ntw < 1 || (stride > 0 && jhi - 1 > (ntw - 1) / stride))
+    then invalid_arg "Fp64.buf_fft_layer: twiddle table too small"
+
+  (* The pure-OCaml layer: the C loop on this kernel's buf ops. *)
+  let ml_fft_layer b tw ~stride ~half ~blo ~bhi ~jlo ~jhi =
+    let v = buf_create 1 in
+    for blk = blo to bhi - 1 do
+      let lo = 2 * half * blk in
+      let hi = lo + half in
+      for j = jlo to jhi - 1 do
+        buf_mul v 0 b (hi + j) tw (j * stride);
+        buf_sub b (hi + j) b (lo + j) v 0;
+        buf_add b (lo + j) b (lo + j) v 0
+      done
+    done
+
+  let buf_fft_layer b ~tw ~stride ~half ~blo ~bhi ~jlo ~jhi =
+    check_layer_shapes b tw ~stride ~half ~blo ~bhi ~jlo ~jhi;
+    if use_c then c_fft_layer prm b tw stride half blo bhi jlo jhi
+    else ml_fft_layer b tw ~stride ~half ~blo ~bhi ~jlo ~jhi
+
+  let ml_bit_reverse b bits =
+    let t = buf_create 1 in
+    for i = 0 to (1 lsl bits) - 1 do
+      let j = ref 0 in
+      for k = 0 to bits - 1 do
+        if i land (1 lsl k) <> 0 then j := !j lor (1 lsl (bits - 1 - k))
+      done;
+      if i < !j then begin
+        buf_blit b i t 0 1;
+        buf_blit b !j b i 1;
+        buf_blit t 0 b !j 1
+      end
+    done
+
+  let buf_bit_reverse b =
+    let n = buf_length b in
+    if n < 1 || n land (n - 1) <> 0 then
+      invalid_arg "Fp64.buf_bit_reverse: length is not a power of two";
+    let bits =
+      let rec go k = if 1 lsl k = n then k else go (k + 1) in
+      go 0
+    in
+    if use_c then c_bit_reverse b bits else ml_bit_reverse b bits
 
   let buf_affine_round =
     if not use_c then None

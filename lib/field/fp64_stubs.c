@@ -198,31 +198,6 @@ CAMLprim value zkdet_fp64_sub_bc(value *argv, int argn)
                         argv[6]);
 }
 
-/* Fused radix-2 butterfly: u = buf[i]; v = buf[j]*w;
- * buf[i] = u + v; buf[j] = u - v.  (prm, buf, ioff, joff, w, woff). */
-CAMLprim value zkdet_fp64_butterfly(value vprm, value vbuf, value vioff,
-                                    value vjoff, value vw, value vwoff)
-{
-  uint64_t p[4], n0, u[4], x[4], w[4], v[4], s[4], d[4];
-  load_prm(vprm, p, &n0);
-  load_el(vbuf, vioff, u);
-  load_el(vbuf, vjoff, x);
-  load_el(vw, vwoff, w);
-  mont_mul4(p, n0, v, x, w);
-  add4(p, s, u, v);
-  sub4(p, d, u, v);
-  store_el(vbuf, vioff, s);
-  store_el(vbuf, vjoff, d);
-  return Val_unit;
-}
-
-CAMLprim value zkdet_fp64_butterfly_bc(value *argv, int argn)
-{
-  (void)argn;
-  return zkdet_fp64_butterfly(argv[0], argv[1], argv[2], argv[3], argv[4],
-                              argv[5]);
-}
-
 /* ---- Batch-affine bucket round (Weierstrass.reduce_buckets) ----
  *
  * Bucket b holds len[b] finite affine points of a y^2 = x^3 + b curve
@@ -387,4 +362,90 @@ CAMLprim value zkdet_fp64_round_apply_bc(value *argv, int argn)
   (void)argn;
   return zkdet_fp64_round_apply(argv[0], argv[1], argv[2], argv[3], argv[4],
                                 argv[5], argv[6], argv[7], argv[8]);
+}
+
+/* ---- Radix-2 FFT layer and bit reversal (Domain transforms) ----
+ *
+ * One layer of an iterative Cooley-Tukey transform works on blocks of
+ * 2*half cells.  For every block b in [blo, bhi) and butterfly j in
+ * [jlo, jhi), with i = 2*half*b + j, u = buf[i], x = buf[i + half] and
+ * twiddle w = tw[j*stride]:
+ *
+ *   buf[i] <- u + x*w      buf[i + half] <- u - x*w
+ *
+ * The twiddle table holds omega^j of the full transform, so layer
+ * stride n / (2*half) picks that layer's root powers.  Cell 0 of every
+ * table is one, and x * one = x exactly, so j = 0 skips the product.
+ * The OCaml side checks every index against the buffers' lengths before
+ * calling (fp64.ml, check_layer_shapes). */
+
+/* (prm, buf, tw, stride, half, blo, bhi, jlo, jhi). */
+CAMLprim value zkdet_fp64_fft_layer(value vprm, value vbuf, value vtw,
+                                    value vstride, value vhalf, value vblo,
+                                    value vbhi, value vjlo, value vjhi)
+{
+  uint64_t p[4], n0;
+  load_prm(vprm, p, &n0);
+  unsigned char *a = (unsigned char *)Bytes_val(vbuf);
+  const unsigned char *tw = (const unsigned char *)Bytes_val(vtw);
+  long stride = Long_val(vstride), half = Long_val(vhalf);
+  long bhi = Long_val(vbhi), jlo = Long_val(vjlo), jhi = Long_val(vjhi);
+  for (long b = Long_val(vblo); b < bhi; b++) {
+    unsigned char *lo = a + 32 * (2 * half * b);
+    unsigned char *hi = lo + 32 * half;
+    for (long j = jlo; j < jhi; j++) {
+      uint64_t u[4], x[4], w[4], v[4], s[4], d[4];
+      ld4(lo, j, u);
+      ld4(hi, j, x);
+      if (j == 0) {
+        memcpy(v, x, sizeof v);
+      } else {
+        ld4(tw, j * stride, w);
+        mont_mul4(p, n0, v, x, w);
+      }
+      add4(p, s, u, v);
+      sub4(p, d, u, v);
+      st4(lo, j, s);
+      st4(hi, j, d);
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value zkdet_fp64_fft_layer_bc(value *argv, int argn)
+{
+  (void)argn;
+  return zkdet_fp64_fft_layer(argv[0], argv[1], argv[2], argv[3], argv[4],
+                              argv[5], argv[6], argv[7], argv[8]);
+}
+
+/* Reverse the low [bits] bits of x (1 <= bits <= 63). */
+static inline uint64_t rev_bits(uint64_t x, int bits)
+{
+  x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
+  x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+  x = ((x >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((x & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  x = ((x >> 8) & 0x00FF00FF00FF00FFULL) | ((x & 0x00FF00FF00FF00FFULL) << 8);
+  x = ((x >> 16) & 0x0000FFFF0000FFFFULL) | ((x & 0x0000FFFF0000FFFFULL) << 16);
+  x = (x >> 32) | (x << 32);
+  return x >> (64 - bits);
+}
+
+/* (buf, log2n): swap cell i with cell rev(i) for the 2^log2n cells. */
+CAMLprim value zkdet_fp64_bit_reverse(value vbuf, value vlog)
+{
+  unsigned char *a = (unsigned char *)Bytes_val(vbuf);
+  int bits = (int)Long_val(vlog);
+  if (bits < 1) return Val_unit;
+  uint64_t n = (uint64_t)1 << bits;
+  for (uint64_t i = 0; i < n; i++) {
+    uint64_t j = rev_bits(i, bits);
+    if (i < j) {
+      unsigned char t[32];
+      memcpy(t, a + 32 * i, 32);
+      memcpy(a + 32 * i, a + 32 * j, 32);
+      memcpy(a + 32 * j, t, 32);
+    }
+  }
+  return Val_unit;
 }

@@ -277,36 +277,39 @@ let vk_of_bytes (s : string) :
 (* The quotient h(X) = (U V - W)/Z in coefficient form, via a 2m coset. *)
 let quotient (r : r1cs) (domain : Domain.t) (wit : Fr.t array) : Poly.t =
   let m = Domain.size domain in
-  let evals rows = Array.init m (fun i ->
-      if i < Array.length r.rows_a then row_eval rows.(i) wit else Fr.zero)
-  in
-  (* rows are padded with trivial 0*0=0 constraints *)
-  let ue = evals r.rows_a and ve = evals r.rows_b and we = evals r.rows_c in
-  let u_poly = Domain.ifft domain ue in
-  let v_poly = Domain.ifft domain ve in
-  let w_poly = Domain.ifft domain we in
   let domain2 = Domain.create (Domain.log2size domain + 1) in
-  let u2 = Domain.coset_fft domain2 u_poly in
-  let v2 = Domain.coset_fft domain2 v_poly in
-  let w2 = Domain.coset_fft domain2 w_poly in
-  let g = Domain.shift domain2 in
-  let w2n = Fr.pow (Domain.omega domain2) m in
   let n2 = Domain.size domain2 in
-  (* Z_H on the coset (explicit loop: order matters for the accumulator) *)
-  let z_evals = Array.make n2 Fr.zero in
-  let zc = ref (Fr.pow g m) in
-  for i = 0 to n2 - 1 do
-    z_evals.(i) <- Fr.sub !zc Fr.one;
-    zc := Fr.mul !zc w2n
-  done;
-  let z_invs = Fr.batch_inv z_evals in
-  let h2 =
-    Array.init n2 (fun i ->
-        Fr.mul (Fr.sub (Fr.mul u2.(i) v2.(i)) w2.(i)) z_invs.(i))
+  (* One column's row evaluations on H (rows are padded with trivial
+     0*0=0 constraints), interpolated and evaluated on the 2m coset. *)
+  let coset_evals rows =
+    let e = Fr.buf_create m in
+    for i = 0 to min m (Array.length r.rows_a) - 1 do
+      Fr.buf_set e i (row_eval rows.(i) wit)
+    done;
+    Domain.ifft_buf domain e;
+    let c = Fr.buf_create n2 in
+    Fr.buf_blit e 0 c 0 m;
+    c
   in
-  let h = Domain.coset_ifft domain2 h2 in
+  let u2 = coset_evals r.rows_a in
+  let v2 = coset_evals r.rows_b in
+  let w2 = coset_evals r.rows_c in
+  List.iter (Domain.coset_fft_buf domain2) [ u2; v2; w2 ];
+  (* Z_H(g w2^i) = g^m (w2^m)^i - 1 has period 2 on the coset. *)
+  let g_m = Fr.pow (Domain.shift domain2) m in
+  let w2_m = Fr.pow (Domain.omega domain2) m in
+  let z_inv =
+    Fr.buf_of_array
+      [| Fr.inv (Fr.sub g_m Fr.one); Fr.inv (Fr.sub (Fr.mul g_m w2_m) Fr.one) |]
+  in
+  for i = 0 to n2 - 1 do
+    Fr.buf_mul u2 i u2 i v2 i;
+    Fr.buf_sub u2 i u2 i w2 i;
+    Fr.buf_mul u2 i u2 i z_inv (i land 1)
+  done;
+  Domain.coset_ifft_buf domain2 u2;
   (* degree <= m - 2 *)
-  Array.sub h 0 (max 1 (m - 1))
+  Array.init (max 1 (m - 1)) (Fr.buf_get u2)
 
 let prove ?(st = Random.State.make_self_init ()) (pk : proving_key)
     (compiled : Cs.compiled) : proof =

@@ -8,8 +8,9 @@
 
      u32 length | entry bytes
 
-   where the entry bytes are [entry_codec]: the entry body (sequence
-   number, trace/span identity, event) followed by a 32-byte chain hash
+   with length at most [max_record_bytes], where the entry bytes are
+   [entry_codec]: the entry body (sequence number, trace/span identity,
+   event) followed by a 32-byte chain hash
 
      entry_hash_n = SHA-256(prev_hash || body_bytes)
      prev_hash_0  = SHA-256(header bytes)
@@ -38,6 +39,11 @@ let header_bytes =
   Bytes.to_string b
 
 let genesis_hash = Sha256.digest header_bytes
+
+(* The largest record a journal may hold.  Records are a few hundred
+   bytes (the 25 of a 2-entry exchange average ~150), so a longer length
+   prefix is corruption, not a write still in progress. *)
+let max_record_bytes = 65_536
 
 type entry = {
   seq : int;  (** 0-based position in the journal *)
@@ -69,6 +75,7 @@ type error =
   | Hash_mismatch of { index : int }
   | Seq_mismatch of { index : int; got : int }
   | Truncated_record of { index : int }
+  | Record_too_long of { index : int; length : int }
 
 let error_to_string = function
   | Bad_header got ->
@@ -86,6 +93,9 @@ let error_to_string = function
         index got
   | Truncated_record { index } ->
       Printf.sprintf "record %d is truncated mid-frame" index
+  | Record_too_long { index; length } ->
+      Printf.sprintf "record %d claims %d bytes, over the %d-byte bound" index
+        length max_record_bytes
 
 (* {2 Writer} *)
 
@@ -106,6 +116,8 @@ let append (w : writer) ~trace_id ~span_id ~parent (event : Event.t) : unit =
   let body = encode_body ~seq ~trace_id ~span_id ~parent event in
   let entry_hash = Sha256.digest (w.prev_hash ^ body) in
   let record = body ^ entry_hash in
+  if String.length record > max_record_bytes then
+    invalid_arg "Journal.append: record over the frame bound";
   let len = Bytes.create 4 in
   Bytes.set_int32_be len 0 (Int32.of_int (String.length record));
   output_bytes w.oc len;
@@ -124,7 +136,9 @@ let close_writer (w : writer) : unit = close_out w.oc
    prefix, the record, its sequence number and its chain hash.  Stops at
    the end of [s] or before a partial frame, and returns the verified
    entries, the state after the last one, and whether a partial frame is
-   left.  A negative length or a failed check is an error. *)
+   left.  A negative length, a length over [max_record_bytes] or a failed
+   check is an error: only a frame that could be complete is waited
+   for. *)
 type walk = {
   w_entries : entry list;
   w_pos : int;  (** end of the last complete frame *)
@@ -146,6 +160,8 @@ let walk_frames (s : string) ~pos ~seq ~prev_hash : (walk, error) result =
     else
       let len = Int32.to_int (String.get_int32_be s pos) in
       if len < 0 then Error (Truncated_record { index = seq })
+      else if len > max_record_bytes then
+        Error (Record_too_long { index = seq; length = len })
       else if n - pos - 4 < len then stop true
       else
         let record = String.sub s (pos + 4) len in
@@ -187,9 +203,11 @@ let read_file (path : string) : (entry list, error) result =
    to.  The writer flushes whole records, but a poll can still race a
    write mid-frame (or mid-header), so a partial trailing frame is a
    normal "try again later" condition, not corruption: the reader simply
-   stops before it and re-reads from the same offset next time.  Chain
-   state (offset, previous hash, next sequence number) carries across
-   polls, so each record is verified exactly once. *)
+   stops before it and re-reads from the same offset next time.  A frame
+   whose length is over the bound can never complete, so it is an error
+   here as in [of_bytes].  Chain state (offset, previous hash, next
+   sequence number) carries across polls, so each record is verified
+   exactly once. *)
 
 type tail = {
   t_path : string;

@@ -31,12 +31,14 @@ type proving_key = {
   sigma2 : Poly.t;
   sigma3 : Poly.t;
   (* permutation maps in evaluation form, for building z(X) *)
-  sigma1_evals : Fr.t array;
-  sigma2_evals : Fr.t array;
-  sigma3_evals : Fr.t array;
+  sigma1_evals : Fr.buf;
+  sigma2_evals : Fr.buf;
+  sigma3_evals : Fr.buf;
   (* coset (4n) evaluations of the fixed polynomials, precomputed once so
      the prover's quotient round does not redo their FFTs per proof *)
-  coset_fixed : Fr.t array array; (* ql qr qo qm qc s1 s2 s3 l1 *)
+  coset_fixed : Fr.buf array; (* ql qr qo qm qc s1 s2 s3 l1 *)
+  coset_x : Fr.buf; (* the 4n coset points g w4^i *)
+  coset_zh_inv : Fr.buf; (* 1 / Z_H(g w4^i), i < 4: Z_H has period 4 there *)
   vk : verification_key;
 }
 
@@ -143,12 +145,23 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
     Array.init n (fun i ->
         if i < raw_n then circuit.Cs.gates_arr.(i) else padding_gate)
   in
-  let selector f = Domain.ifft domain (Array.map f gates) in
-  let ql = selector (fun g -> g.Cs.ql) in
-  let qr = selector (fun g -> g.Cs.qr) in
-  let qo = selector (fun g -> g.Cs.qo) in
-  let qm = selector (fun g -> g.Cs.qm) in
-  let qc = selector (fun g -> g.Cs.qc) in
+  (* Fixed columns are interpolated on H into buffers, which feed the
+     coset FFTs below; [poly] copies the coefficients out for the
+     commitments and rounds 4-5. *)
+  let interpolate evals =
+    let c = Fr.buf_of_array evals in
+    Domain.ifft_buf domain c;
+    c
+  in
+  let poly = Fr.buf_to_array in
+  let selector f = interpolate (Array.map f gates) in
+  let ql_c = selector (fun g -> g.Cs.ql) in
+  let qr_c = selector (fun g -> g.Cs.qr) in
+  let qo_c = selector (fun g -> g.Cs.qo) in
+  let qm_c = selector (fun g -> g.Cs.qm) in
+  let qc_c = selector (fun g -> g.Cs.qc) in
+  let ql = poly ql_c and qr = poly qr_c and qo = poly qo_c
+  and qm = poly qm_c and qc = poly qc_c in
   let k1, k2 = find_cosets domain in
   (* Copy constraints: for every variable, the positions (col,row) holding
      it form one cycle. sigma maps each position to the next position of
@@ -187,12 +200,14 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
         in
         link poss)
     positions;
-  let sigma1_evals = sigma_evals.(0)
-  and sigma2_evals = sigma_evals.(1)
-  and sigma3_evals = sigma_evals.(2) in
-  let sigma1 = Domain.ifft domain sigma1_evals in
-  let sigma2 = Domain.ifft domain sigma2_evals in
-  let sigma3 = Domain.ifft domain sigma3_evals in
+  let sigma1_evals = Fr.buf_of_array sigma_evals.(0)
+  and sigma2_evals = Fr.buf_of_array sigma_evals.(1)
+  and sigma3_evals = Fr.buf_of_array sigma_evals.(2) in
+  let sigma1_c = interpolate sigma_evals.(0) in
+  let sigma2_c = interpolate sigma_evals.(1) in
+  let sigma3_c = interpolate sigma_evals.(2) in
+  let sigma1 = poly sigma1_c and sigma2 = poly sigma2_c
+  and sigma3 = poly sigma3_c in
   let commit = Kzg.commit srs in
   let vk =
     {
@@ -213,12 +228,30 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
       vk_g2_tau = srs.Srs.g2_tau;
     }
   in
-  let l1_poly =
-    Domain.ifft domain (Array.init n (fun i -> if i = 0 then Fr.one else Fr.zero))
+  let l1_c =
+    interpolate (Array.init n (fun i -> if i = 0 then Fr.one else Fr.zero))
   in
+  let n4 = Domain.size domain4 in
   let coset_fixed =
-    Array.map (Domain.coset_fft domain4)
-      [| ql; qr; qo; qm; qc; sigma1; sigma2; sigma3; l1_poly |]
+    Array.map
+      (fun c ->
+        let b = Fr.buf_create n4 in
+        Fr.buf_blit c 0 b 0 n;
+        Domain.coset_fft_buf domain4 b;
+        b)
+      [| ql_c; qr_c; qo_c; qm_c; qc_c; sigma1_c; sigma2_c; sigma3_c; l1_c |]
+  in
+  (* x = g w4^i on the coset, and Z_H(x) = g^n (w4^n)^i - 1, which
+     repeats with period 4 because w4^n has order 4. *)
+  let g = Domain.shift domain4 and w4 = Domain.omega domain4 in
+  let coset_x =
+    Fr.buf_of_array (Array.map (Fr.mul g) (Domain.elements domain4))
+  in
+  let coset_zh_inv =
+    let g_n = Fr.pow g n and w4_n = Fr.pow w4 n in
+    Fr.buf_of_array
+      (Array.init 4 (fun i ->
+           Fr.inv (Fr.sub (Fr.mul g_n (Fr.pow w4_n i)) Fr.one)))
   in
   {
     domain;
@@ -241,5 +274,7 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
     sigma2_evals;
     sigma3_evals;
     coset_fixed;
+    coset_x;
+    coset_zh_inv;
     vk;
   }

@@ -26,11 +26,14 @@ type proving_key = {
   sigma1 : Poly.t;
   sigma2 : Poly.t;
   sigma3 : Poly.t;
-  sigma1_evals : Fr.t array;
-  sigma2_evals : Fr.t array;
-  sigma3_evals : Fr.t array;
-  coset_fixed : Fr.t array array;
+  sigma1_evals : Fr.buf;
+  sigma2_evals : Fr.buf;
+  sigma3_evals : Fr.buf;
+  coset_fixed : Fr.buf array;
       (** precomputed 4n-coset evaluations: ql qr qo qm qc s1 s2 s3 l1 *)
+  coset_x : Fr.buf;  (** the 4n coset points [g w4^i] *)
+  coset_zh_inv : Fr.buf;
+      (** [1 / Z_H(g w4^i)] for [i < 4]; Z_H has period 4 on the coset *)
   vk : verification_key;
 }
 

@@ -22,27 +22,146 @@ let absorb_vk_and_publics (t : Transcript.t) (vk : Preprocess.verification_key)
   Transcript.absorb_g1 t ~label:"s3" vk.Preprocess.cm_sigma3;
   Array.iter (Transcript.absorb_fr t ~label:"pub") publics
 
-(* Add (b_hi X + b_lo) * Z_H to a polynomial given in coefficient form. *)
-let blind2 (coeffs : Fr.t array) n b_hi b_lo =
-  let out = Array.make (max (Array.length coeffs) (n + 2)) Fr.zero in
-  Array.blit coeffs 0 out 0 (Array.length coeffs);
-  out.(n + 1) <- Fr.add out.(n + 1) b_hi;
-  out.(n) <- Fr.add out.(n) b_lo;
-  out.(1) <- Fr.sub out.(1) b_hi;
-  out.(0) <- Fr.sub out.(0) b_lo;
-  out
+(* [blind domain n4 evals blinds] interpolates a column given on H and
+   adds (blinds.(k) X^k + ... + blinds.(0)) Z_H to it.  The coefficients
+   land in a fresh n4-cell buffer, ready for round 3's coset FFT; the
+   [Poly.t] for commitments and rounds 4-5 is its first n + k cells. *)
+let blind domain n4 (evals : Fr.buf) (blinds : Fr.t array) =
+  let n = Domain.size domain in
+  let c = Fr.buf_create n in
+  Fr.buf_blit evals 0 c 0 n;
+  Domain.ifft_buf domain c;
+  let out = Fr.buf_create n4 in
+  Fr.buf_blit c 0 out 0 n;
+  let bs = Fr.buf_of_array blinds in
+  Array.iteri
+    (fun k _ ->
+      Fr.buf_add out (n + k) out (n + k) bs k;
+      Fr.buf_sub out k out k bs k)
+    blinds;
+  (out, Array.init (n + Array.length blinds) (Fr.buf_get out))
 
-(* Add (b2 X^2 + b1 X + b0) * Z_H. *)
-let blind3 (coeffs : Fr.t array) n b2 b1 b0 =
-  let out = Array.make (max (Array.length coeffs) (n + 3)) Fr.zero in
-  Array.blit coeffs 0 out 0 (Array.length coeffs);
-  out.(n + 2) <- Fr.add out.(n + 2) b2;
-  out.(n + 1) <- Fr.add out.(n + 1) b1;
-  out.(n) <- Fr.add out.(n) b0;
-  out.(2) <- Fr.sub out.(2) b2;
-  out.(1) <- Fr.sub out.(1) b1;
-  out.(0) <- Fr.sub out.(0) b0;
-  out
+(* dst.(d) <- w.(i) + beta f.(i) + gamma, with beta and gamma in cells 0
+   and 1 of [k]: one factor of a permutation product. *)
+let factor k dst d w f i =
+  Fr.buf_mul dst d k 0 f i;
+  Fr.buf_add dst d dst d w i;
+  Fr.buf_add dst d dst d k 1
+
+(* Round 2's grand product over H: z_0 = 1 and z_(i+1) = z_i num_i /
+   den_i, where num_i = (a + beta w^i + gamma)(b + beta k1 w^i +
+   gamma)(c + beta k2 w^i + gamma) and den_i puts sigma_1..3 in place of
+   w^i, k1 w^i, k2 w^i.  All on buffers: nothing is allocated per row. *)
+let grand_product (pk : Preprocess.proving_key) ~wa ~wb ~wc ~beta ~gamma =
+  let n = pk.Preprocess.n in
+  (* constants: 0 beta, 1 gamma, 2 k1, 3 k2, 4 omega *)
+  let k =
+    Fr.buf_of_array
+      [| beta; gamma; pk.Preprocess.k1; pk.Preprocess.k2;
+         Domain.omega pk.Preprocess.domain |]
+  in
+  let nums = Fr.buf_create n and dens = Fr.buf_create n in
+  (* cell 0: beta w^i; 1: scratch *)
+  let t = Fr.buf_create 2 in
+  Fr.buf_set t 0 beta;
+  for i = 0 to n - 2 do
+    (* den_i *)
+    factor k dens i wa pk.Preprocess.sigma1_evals i;
+    factor k t 1 wb pk.Preprocess.sigma2_evals i;
+    Fr.buf_mul dens i dens i t 1;
+    factor k t 1 wc pk.Preprocess.sigma3_evals i;
+    Fr.buf_mul dens i dens i t 1;
+    if Fr.buf_is_zero dens i then raise Division_by_zero;
+    (* num_i, with t.(0) = beta w^i *)
+    Fr.buf_add nums i wa i t 0;
+    Fr.buf_add nums i nums i k 1;
+    Fr.buf_mul t 1 t 0 k 2;
+    Fr.buf_add t 1 t 1 wb i;
+    Fr.buf_add t 1 t 1 k 1;
+    Fr.buf_mul nums i nums i t 1;
+    Fr.buf_mul t 1 t 0 k 3;
+    Fr.buf_add t 1 t 1 wc i;
+    Fr.buf_add t 1 t 1 k 1;
+    Fr.buf_mul nums i nums i t 1;
+    Fr.buf_mul t 0 t 0 k 4
+  done;
+  Fr.buf_batch_inv0 ~scratch:(Fr.buf_create (n + 1)) dens (n - 1);
+  let z = Fr.buf_create n in
+  Fr.buf_set z 0 Fr.one;
+  for i = 0 to n - 2 do
+    Fr.buf_mul nums i nums i dens i;
+    Fr.buf_mul z (i + 1) z i nums i
+  done;
+  z
+
+(* Round 3's quotient numerator over the 4n coset, divided by Z_H, into
+   [t]: gate + alpha (perm_num - perm_den) + alpha^2 (z - 1) L1.  Rows
+   are independent, so chunks run on the pool, each with its own
+   scratch cells. *)
+let quotient_evals (pk : Preprocess.proving_key) ~a4 ~b4 ~c4 ~z4 ~pi4 ~beta
+    ~gamma ~alpha (t : Fr.buf) =
+  let n4 = Fr.buf_length t in
+  let fx = pk.Preprocess.coset_fixed in
+  let ql = fx.(0) and qr = fx.(1) and qo = fx.(2) and qm = fx.(3)
+  and qc = fx.(4) and s1 = fx.(5) and s2 = fx.(6) and s3 = fx.(7)
+  and l1 = fx.(8) in
+  let x = pk.Preprocess.coset_x and zh_inv = pk.Preprocess.coset_zh_inv in
+  (* constants: 0 beta, 1 gamma, 2 k1, 3 k2, 4 alpha, 5 alpha^2, 6 one *)
+  let k =
+    Fr.buf_of_array
+      [| beta; gamma; pk.Preprocess.k1; pk.Preprocess.k2; alpha; Fr.sqr alpha;
+         Fr.one |]
+  in
+  let chunk ~lo ~hi =
+    (* cells: 0 gate/result, 1 perm_num, 2 perm_den, 3 beta x, 4 scratch *)
+    let s = Fr.buf_create 5 in
+    for i = lo to hi - 1 do
+      let iw = (i + 4) mod n4 in
+      (* gate = a b qm + a ql + b qr + c qo + pi + qc *)
+      Fr.buf_mul s 0 a4 i b4 i;
+      Fr.buf_mul s 0 s 0 qm i;
+      Fr.buf_mul s 4 a4 i ql i;
+      Fr.buf_add s 0 s 0 s 4;
+      Fr.buf_mul s 4 b4 i qr i;
+      Fr.buf_add s 0 s 0 s 4;
+      Fr.buf_mul s 4 c4 i qo i;
+      Fr.buf_add s 0 s 0 s 4;
+      Fr.buf_add s 0 s 0 pi4 i;
+      Fr.buf_add s 0 s 0 qc i;
+      (* perm_num = (a + beta x + gamma)(b + beta k1 x + gamma)
+                    (c + beta k2 x + gamma) z(x) *)
+      Fr.buf_mul s 3 k 0 x i;
+      Fr.buf_add s 1 a4 i s 3;
+      Fr.buf_add s 1 s 1 k 1;
+      Fr.buf_mul s 4 s 3 k 2;
+      Fr.buf_add s 4 s 4 b4 i;
+      Fr.buf_add s 4 s 4 k 1;
+      Fr.buf_mul s 1 s 1 s 4;
+      Fr.buf_mul s 4 s 3 k 3;
+      Fr.buf_add s 4 s 4 c4 i;
+      Fr.buf_add s 4 s 4 k 1;
+      Fr.buf_mul s 1 s 1 s 4;
+      Fr.buf_mul s 1 s 1 z4 i;
+      (* perm_den = (a + beta s1 + gamma)(b + beta s2 + gamma)
+                    (c + beta s3 + gamma) z(w x) *)
+      factor k s 2 a4 s1 i;
+      factor k s 4 b4 s2 i;
+      Fr.buf_mul s 2 s 2 s 4;
+      factor k s 4 c4 s3 i;
+      Fr.buf_mul s 2 s 2 s 4;
+      Fr.buf_mul s 2 s 2 z4 iw;
+      (* + alpha (perm_num - perm_den) + alpha^2 (z - 1) L1, / Z_H *)
+      Fr.buf_sub s 1 s 1 s 2;
+      Fr.buf_mul s 1 s 1 k 4;
+      Fr.buf_add s 0 s 0 s 1;
+      Fr.buf_sub s 4 z4 i k 6;
+      Fr.buf_mul s 4 s 4 l1 i;
+      Fr.buf_mul s 4 s 4 k 5;
+      Fr.buf_add s 0 s 0 s 4;
+      Fr.buf_mul t i s 0 zh_inv (i land 3)
+    done
+  in
+  Pool.parallel_for_chunks 0 n4 chunk
 
 let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
     (circuit : Cs.compiled) : Proof.t =
@@ -54,6 +173,7 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
   let n = pk.Preprocess.n in
   let domain = pk.Preprocess.domain in
   let domain4 = pk.Preprocess.domain4 in
+  let n4 = Domain.size domain4 in
   let gates = pk.Preprocess.gates in
   let witness = circuit.Cs.witness in
   let publics = circuit.Cs.public_values in
@@ -61,19 +181,28 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
   absorb_vk_and_publics tr pk.Preprocess.vk publics;
 
   (* Wire value columns over the padded trace. *)
-  let wa = Array.map (fun g -> witness.(g.Cs.a)) gates in
-  let wb = Array.map (fun g -> witness.(g.Cs.b)) gates in
-  let wc = Array.map (fun g -> witness.(g.Cs.c)) gates in
+  let column wire =
+    let b = Fr.buf_create n in
+    Array.iteri (fun i g -> Fr.buf_set b i witness.(wire g)) gates;
+    b
+  in
+  let wa = column (fun g -> g.Cs.a) in
+  let wb = column (fun g -> g.Cs.b) in
+  let wc = column (fun g -> g.Cs.c) in
 
   (* ---- Round 1: blinded wire polynomials ---- *)
   let r () = Fr.random st in
-  let a_poly, b_poly, c_poly, cm_a, cm_b, cm_c =
+  (* Blinding draws run lowest coefficient first. *)
+  let blinds k = Array.init k (fun _ -> r ()) in
+  let (a4, a_poly), (b4, b_poly), (c4, c_poly), cm_a, cm_b, cm_c =
     Telemetry.with_span "round1.wires" (fun () ->
-        let a_poly = blind2 (Domain.ifft domain wa) n (r ()) (r ()) in
-        let b_poly = blind2 (Domain.ifft domain wb) n (r ()) (r ()) in
-        let c_poly = blind2 (Domain.ifft domain wc) n (r ()) (r ()) in
-        let cms = Kzg.commit_batch pk.Preprocess.srs [| a_poly; b_poly; c_poly |] in
-        (a_poly, b_poly, c_poly, cms.(0), cms.(1), cms.(2)))
+        let a = blind domain n4 wa (blinds 2) in
+        let b = blind domain n4 wb (blinds 2) in
+        let c = blind domain n4 wc (blinds 2) in
+        let cms =
+          Kzg.commit_batch pk.Preprocess.srs [| snd a; snd b; snd c |]
+        in
+        (a, b, c, cms.(0), cms.(1), cms.(2)))
   in
   Transcript.absorb_g1 tr ~label:"a" cm_a;
   Transcript.absorb_g1 tr ~label:"b" cm_b;
@@ -82,34 +211,11 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
   (* ---- Round 2: permutation accumulator ---- *)
   let beta = Transcript.challenge_fr tr ~label:"beta" in
   let gamma = Transcript.challenge_fr tr ~label:"gamma" in
-  let k1 = pk.Preprocess.k1 and k2 = pk.Preprocess.k2 in
-  let z_poly, cm_z =
+  let z4, z_poly, cm_z =
     Telemetry.with_span "round2.permutation" @@ fun () ->
-  let omegas = Domain.elements domain in
-  let z_evals = Array.make n Fr.one in
-  let dens =
-    Array.init (n - 1) (fun i ->
-        Fr.mul
-          (Fr.mul
-             (Fr.add (Fr.add wa.(i) (Fr.mul beta pk.Preprocess.sigma1_evals.(i))) gamma)
-             (Fr.add (Fr.add wb.(i) (Fr.mul beta pk.Preprocess.sigma2_evals.(i))) gamma))
-          (Fr.add (Fr.add wc.(i) (Fr.mul beta pk.Preprocess.sigma3_evals.(i))) gamma))
-  in
-  let den_invs = Fr.batch_inv dens in
-  for i = 0 to n - 2 do
-    let x = omegas.(i) in
-    let num =
-      Fr.mul
-        (Fr.mul
-           (Fr.add (Fr.add wa.(i) (Fr.mul beta x)) gamma)
-           (Fr.add (Fr.add wb.(i) (Fr.mul beta (Fr.mul k1 x))) gamma))
-        (Fr.add (Fr.add wc.(i) (Fr.mul beta (Fr.mul k2 x))) gamma)
-    in
-    z_evals.(i + 1) <- Fr.mul z_evals.(i) (Fr.mul num den_invs.(i))
-  done;
-  let z_poly = blind3 (Domain.ifft domain z_evals) n (r ()) (r ()) (r ()) in
-  let cm_z = Kzg.commit pk.Preprocess.srs z_poly in
-  (z_poly, cm_z)
+    let z = grand_product pk ~wa ~wb ~wc ~beta ~gamma in
+    let z4, z_poly = blind domain n4 z (blinds 3) in
+    (z4, z_poly, Kzg.commit pk.Preprocess.srs z_poly)
   in
   Transcript.absorb_g1 tr ~label:"z" cm_z;
 
@@ -118,102 +224,29 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
   let alpha2 = Fr.sqr alpha in
   let pi_poly, t_lo, t_mid, t_hi, cm_t_lo, cm_t_mid, cm_t_hi =
     Telemetry.with_span "round3.quotient" @@ fun () ->
-  let n4 = Domain.size domain4 in
-  let cfft = Domain.coset_fft domain4 in
-  let a4 = cfft a_poly and b4 = cfft b_poly and c4 = cfft c_poly in
-  let z4 = cfft z_poly in
-  let ql4 = pk.Preprocess.coset_fixed.(0)
-  and qr4 = pk.Preprocess.coset_fixed.(1)
-  and qo4 = pk.Preprocess.coset_fixed.(2)
-  and qm4 = pk.Preprocess.coset_fixed.(3)
-  and qc4 = pk.Preprocess.coset_fixed.(4) in
-  let s1_4 = pk.Preprocess.coset_fixed.(5)
-  and s2_4 = pk.Preprocess.coset_fixed.(6)
-  and s3_4 = pk.Preprocess.coset_fixed.(7) in
-  let pi_evals =
-    Array.init n (fun i ->
-        if i < Array.length publics then Fr.neg publics.(i) else Fr.zero)
-  in
-  let pi_poly = Domain.ifft domain pi_evals in
-  let pi4 = cfft pi_poly in
-  let l1_4 = pk.Preprocess.coset_fixed.(8) in
-  (* Z_H on the coset: (g w4^i)^n - 1 = g^n (w4^n)^i - 1, period 4. *)
-  let g = Domain.shift domain4 in
-  let g_n = Fr.pow g n in
-  let w4_n = Fr.pow (Domain.omega domain4) n in
-  let zh4 = Array.make n4 Fr.zero in
-  let acc = ref g_n in
-  for i = 0 to n4 - 1 do
-    zh4.(i) <- Fr.sub !acc Fr.one;
-    acc := Fr.mul !acc w4_n
-  done;
-  let zh4_inv = Array.map Fr.inv (Array.sub zh4 0 4) in
-  (* x on the coset *)
-  let x4 = Array.make n4 Fr.zero in
-  let acc = ref g in
-  for i = 0 to n4 - 1 do
-    x4.(i) <- !acc;
-    acc := Fr.mul !acc (Domain.omega domain4)
-  done;
-  let t_evals =
-    Pool.parallel_init n4 (fun i ->
-        let a = a4.(i) and b = b4.(i) and c = c4.(i) in
-        let zv = z4.(i) and zw = z4.((i + 4) mod n4) in
-        let x = x4.(i) in
-        let gate =
-          Fr.add
-            (Fr.add
-               (Fr.add (Fr.mul (Fr.mul a b) qm4.(i)) (Fr.mul a ql4.(i)))
-               (Fr.add (Fr.mul b qr4.(i)) (Fr.mul c qo4.(i))))
-            (Fr.add pi4.(i) qc4.(i))
-        in
-        let perm_num =
-          Fr.mul
-            (Fr.mul
-               (Fr.add (Fr.add a (Fr.mul beta x)) gamma)
-               (Fr.add (Fr.add b (Fr.mul beta (Fr.mul k1 x))) gamma))
-            (Fr.mul (Fr.add (Fr.add c (Fr.mul beta (Fr.mul k2 x))) gamma) zv)
-        in
-        let perm_den =
-          Fr.mul
-            (Fr.mul
-               (Fr.add (Fr.add a (Fr.mul beta s1_4.(i))) gamma)
-               (Fr.add (Fr.add b (Fr.mul beta s2_4.(i))) gamma))
-            (Fr.mul (Fr.add (Fr.add c (Fr.mul beta s3_4.(i))) gamma) zw)
-        in
-        let l1_term = Fr.mul (Fr.sub zv Fr.one) l1_4.(i) in
-        let num =
-          Fr.add gate
-            (Fr.add
-               (Fr.mul alpha (Fr.sub perm_num perm_den))
-               (Fr.mul alpha2 l1_term))
-        in
-        Fr.mul num zh4_inv.(i mod 4))
-  in
-  let t_poly = Domain.coset_ifft domain4 t_evals in
+  List.iter (Domain.coset_fft_buf domain4) [ a4; b4; c4; z4 ];
+  let pi_c = Fr.buf_create n in
+  Array.iteri (fun i p -> Fr.buf_set pi_c i (Fr.neg p)) publics;
+  Domain.ifft_buf domain pi_c;
+  let pi_poly = Fr.buf_to_array pi_c in
+  let pi4 = Fr.buf_create n4 in
+  Fr.buf_blit pi_c 0 pi4 0 n;
+  Domain.coset_fft_buf domain4 pi4;
+  let t4 = Fr.buf_create n4 in
+  quotient_evals pk ~a4 ~b4 ~c4 ~z4 ~pi4 ~beta ~gamma ~alpha t4;
+  Domain.coset_ifft_buf domain4 t4;
   (* Degree sanity: t has degree <= 3n + 5. *)
-  assert (Poly.degree t_poly <= (3 * n) + 5);
+  for i = (3 * n) + 6 to n4 - 1 do
+    assert (Fr.buf_is_zero t4 i)
+  done;
+  let slice lo len = Array.init len (fun i -> Fr.buf_get t4 (lo + i)) in
   let b10 = r () and b11 = r () in
-  let t_lo =
-    let out = Array.make (n + 1) Fr.zero in
-    Array.blit t_poly 0 out 0 n;
-    out.(n) <- b10;
-    out
-  in
-  let t_mid =
-    let out = Array.make (n + 1) Fr.zero in
-    Array.blit t_poly n out 0 n;
-    out.(0) <- Fr.sub out.(0) b10;
-    out.(n) <- b11;
-    out
-  in
-  let t_hi =
-    let len = Array.length t_poly - (2 * n) in
-    let out = Array.make (max len 1) Fr.zero in
-    Array.blit t_poly (2 * n) out 0 len;
-    out.(0) <- Fr.sub out.(0) b11;
-    out
-  in
+  let t_lo = slice 0 (n + 1) and t_mid = slice n (n + 1)
+  and t_hi = slice (2 * n) (n4 - (2 * n)) in
+  t_lo.(n) <- b10;
+  t_mid.(0) <- Fr.sub t_mid.(0) b10;
+  t_mid.(n) <- b11;
+  t_hi.(0) <- Fr.sub t_hi.(0) b11;
   let cm_ts = Kzg.commit_batch pk.Preprocess.srs [| t_lo; t_mid; t_hi |] in
   (pi_poly, t_lo, t_mid, t_hi, cm_ts.(0), cm_ts.(1), cm_ts.(2))
   in
@@ -222,6 +255,7 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
   Transcript.absorb_g1 tr ~label:"t_hi" cm_t_hi;
 
   (* ---- Round 4: evaluations at zeta ---- *)
+  let k1 = pk.Preprocess.k1 and k2 = pk.Preprocess.k2 in
   let zeta = Transcript.challenge_fr tr ~label:"zeta" in
   let eval_a, eval_b, eval_c, eval_s1, eval_s2, zeta_omega, eval_z_omega =
     Telemetry.with_span "round4.evaluations" (fun () ->

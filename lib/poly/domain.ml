@@ -2,12 +2,14 @@
    with radix-2 (I)FFT and coset variants used by the Plonk quotient
    computation.
 
-   The transform runs on flat Fr kernel buffers (Fr.buf): one contiguous
-   allocation for the whole coefficient vector instead of one heap array
-   per element, with the butterfly as a single fused field kernel
-   (Fr.buf_butterfly).  Array-based wrappers convert at the boundary; the
-   prover-side callers (Poly.mul_fft, the quotient pipeline) can stay in
-   buf-land across transforms via the [_buf] entry points. *)
+   Transforms run in place on flat Fr kernel buffers (Fr.buf): one
+   contiguous allocation for the whole vector.  A transform is one
+   bit-reversal call and then one Fr.buf_fft_layer call per radix-2
+   layer (per chunk when the layer is split over the pool); the layer
+   reads its twiddles from a table of omega^j, so no twiddle is computed
+   while transforming.  The tables depend only on the size and are built
+   once per size, on the first transform, and shared by every domain of
+   that size. *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module Pool = Zkdet_parallel.Pool
@@ -20,29 +22,17 @@ type t = {
   log2size : int;
   size : int;
   omega : Fr.t;
-  omega_inv : Fr.t;
-  size_inv : Fr.t;
-  shift : Fr.t; (* coset generator for coset_fft *)
-  shift_inv : Fr.t;
+  shift : Fr.t; (* coset generator for the coset transforms *)
 }
 
 let create log2size =
   if log2size < 0 || log2size > Fr.two_adicity then
     invalid_arg "Domain.create: size beyond the field's 2-adicity";
   let size = 1 lsl log2size in
-  let omega = Fr.root_of_unity ~log2size in
   let shift = Fr.coset_shift in
   (* The coset gH must be disjoint from H: shift^size <> 1. *)
   assert (not (Fr.is_one (Fr.pow shift size)));
-  {
-    log2size;
-    size;
-    omega;
-    omega_inv = Fr.inv omega;
-    size_inv = Fr.inv (Fr.of_int size);
-    shift;
-    shift_inv = Fr.inv shift;
-  }
+  { log2size; size; omega = Fr.root_of_unity ~log2size; shift }
 
 let size d = d.size
 let log2size d = d.log2size
@@ -60,71 +50,99 @@ let elements d =
   done;
   a
 
-let bit_reverse_permute_buf (a : Fr.buf) =
-  let n = Fr.buf_length a in
-  let log_n =
-    let rec go k = if 1 lsl k = n then k else go (k + 1) in
-    go 0
-  in
-  let tmp = Fr.buf_create 1 in
-  for i = 0 to n - 1 do
-    let j =
-      let r = ref 0 in
-      for b = 0 to log_n - 1 do
-        if i land (1 lsl b) <> 0 then r := !r lor (1 lsl (log_n - 1 - b))
-      done;
-      !r
-    in
-    if i < j then begin
-      Fr.buf_blit a i tmp 0 1;
-      Fr.buf_blit a j a i 1;
-      Fr.buf_blit tmp 0 a j 1
-    end
-  done
+(* The tables of one size n. *)
+type tables = {
+  fwd : Fr.buf; (* omega^j, j < n/2 *)
+  bwd : Fr.buf; (* omega^-j, j < n/2 *)
+  coset : Fr.buf; (* g^i, i < n *)
+  coset_inv : Fr.buf; (* n^-1 g^-i, i < n: the coset iFFT's last pass *)
+  size_inv : Fr.buf; (* one cell: n^-1 *)
+}
 
-let fft_in_place_buf (a : Fr.buf) (omega : Fr.t) =
+(* Cells x0 * step^i, i < len. *)
+let powers x0 step len =
+  let b = Fr.buf_create len in
+  if len > 0 then begin
+    let s = Fr.buf_create 1 in
+    Fr.buf_set s 0 step;
+    Fr.buf_set b 0 x0;
+    for i = 1 to len - 1 do
+      Fr.buf_mul b i b (i - 1) s 0
+    done
+  end;
+  b
+
+let build_tables d =
+  let n = d.size in
+  let n_inv = Fr.inv (Fr.of_int n) in
+  {
+    fwd = powers Fr.one d.omega (n / 2);
+    bwd = powers Fr.one (Fr.inv d.omega) (n / 2);
+    coset = powers Fr.one d.shift n;
+    coset_inv = powers n_inv (Fr.inv d.shift) n;
+    size_inv = Fr.buf_of_array [| n_inv |];
+  }
+
+(* One slot per size.  A transform may first run on a pool worker, where
+   racing a Lazy.force would raise; two racing builders instead both
+   build, the first to publish wins and the other adopts its tables. *)
+let cache : tables option Atomic.t array =
+  Array.init (Fr.two_adicity + 1) (fun _ -> Atomic.make None)
+
+let tables d =
+  let slot = cache.(d.log2size) in
+  match Atomic.get slot with
+  | Some t -> t
+  | None ->
+    let t = build_tables d in
+    if Atomic.compare_and_set slot None (Some t) then t
+    else Option.get (Atomic.get slot)
+
+(* Bit-reverse, then one layer call per layer (per chunk when the layer
+   is split).  Blocks are disjoint, and within a block the j-ranges are
+   disjoint, so any partition can run concurrently; the chunking below
+   only decides how the pool shares the work, and the result is the same
+   at any pool size. *)
+let transform (a : Fr.buf) (tw : Fr.buf) =
   let n = Fr.buf_length a in
   Telemetry.count "fft.calls" 1;
   Telemetry.count "fft.points" n;
   Telemetry.observe "fft.size" (float_of_int n);
-  bit_reverse_permute_buf a;
+  Fr.buf_bit_reverse a;
   let len = ref 2 in
   while !len <= n do
     let len_v = !len in
-    let w_len = Fr.pow omega (n / len_v) in
-    let half = len_v / 2 in
-    (* Butterflies of one block, twiddles w_len^jlo .. w_len^(jhi-1).
-       Blocks are disjoint, and within a block the j-ranges are disjoint,
-       so any partition can run concurrently; the field's canonical
-       representation makes the result independent of where each chunk
-       starts its twiddle (Fr.pow equals the running product exactly).
-       Each task owns a private 2-cell twiddle buffer: cell 0 the running
-       power, cell 1 the per-layer step. *)
-    let butterflies base jlo jhi =
-      let wb = Fr.buf_create 2 in
-      Fr.buf_set wb 0 (if jlo = 0 then Fr.one else Fr.pow w_len jlo);
-      Fr.buf_set wb 1 w_len;
-      for j = jlo to jhi - 1 do
-        Fr.buf_butterfly a (base + j) (base + j + half) wb 0;
-        Fr.buf_mul wb 0 wb 0 wb 1
-      done
+    let half = len_v / 2 and nblocks = n / len_v in
+    (* This layer's root is omega^(n / len_v), so its twiddles sit
+       nblocks cells apart in the table. *)
+    let layer ~blo ~bhi ~jlo ~jhi =
+      Fr.buf_fft_layer a ~tw ~stride:nblocks ~half ~blo ~bhi ~jlo ~jhi
     in
-    let nblocks = n / len_v in
-    if n < par_threshold then
-      for b = 0 to nblocks - 1 do
-        butterflies (b * len_v) 0 half
-      done
+    if n < par_threshold then layer ~blo:0 ~bhi:nblocks ~jlo:0 ~jhi:half
     else if nblocks >= 8 then
       (* many small blocks: one or more blocks per task *)
-      Pool.parallel_for 0 nblocks (fun b -> butterflies (b * len_v) 0 half)
+      Pool.parallel_for_chunks 0 nblocks (fun ~lo ~hi ->
+          layer ~blo:lo ~bhi:hi ~jlo:0 ~jhi:half)
     else
       (* few large blocks (top layers): split each block's butterflies *)
       for b = 0 to nblocks - 1 do
         Pool.parallel_for_chunks 0 half (fun ~lo ~hi ->
-            butterflies (b * len_v) lo hi)
+            layer ~blo:b ~bhi:(b + 1) ~jlo:lo ~jhi:hi)
       done;
     len := len_v * 2
   done
+
+(* a.(i) <- a.(i) * tab.(i * stride): stride 1 scales by a table, stride
+   0 by the constant in cell 0. *)
+let scale (a : Fr.buf) (tab : Fr.buf) ~stride =
+  let n = Fr.buf_length a in
+  let chunk ~lo ~hi =
+    for i = lo to hi - 1 do
+      Fr.buf_mul a i a i tab (i * stride)
+    done
+  in
+  if n < par_threshold then chunk ~lo:0 ~hi:n
+  else Pool.parallel_for_chunks 0 n chunk
 
 (** [buf_of_coeffs d coeffs] loads a coefficient vector into a fresh
     domain-sized flat buffer (zero padded). *)
@@ -135,83 +153,31 @@ let buf_of_coeffs d (coeffs : Fr.t array) : Fr.buf =
   Array.iteri (fun i c -> Fr.buf_set a i c) coeffs;
   a
 
-(* Multiply a.(i) by base^i in place, chunked over the pool. *)
-let scale_by_powers_buf (a : Fr.buf) (base : Fr.t) =
-  let n = Fr.buf_length a in
-  let chunk ~lo ~hi =
-    let gb = Fr.buf_create 2 in
-    Fr.buf_set gb 0 (if lo = 0 then Fr.one else Fr.pow base lo);
-    Fr.buf_set gb 1 base;
-    for i = lo to hi - 1 do
-      Fr.buf_mul a i a i gb 0;
-      Fr.buf_mul gb 0 gb 0 gb 1
-    done
-  in
-  if n < par_threshold then chunk ~lo:0 ~hi:n
-  else Pool.parallel_for_chunks 0 n chunk
-
-(* Multiply every cell by the constant [c] in place. *)
-let scale_all_buf (a : Fr.buf) (c : Fr.t) =
-  let n = Fr.buf_length a in
-  let chunk ~lo ~hi =
-    let cb = Fr.buf_create 1 in
-    Fr.buf_set cb 0 c;
-    for i = lo to hi - 1 do
-      Fr.buf_mul a i a i cb 0
-    done
-  in
-  if n < par_threshold then chunk ~lo:0 ~hi:n
-  else Pool.parallel_for_chunks 0 n chunk
-
 let check_size d (a : Fr.buf) name =
   if Fr.buf_length a <> d.size then invalid_arg (name ^ ": size mismatch")
 
 (** In-place transforms over domain-sized flat buffers. *)
 let fft_buf d (a : Fr.buf) =
   check_size d a "Domain.fft_buf";
-  fft_in_place_buf a d.omega
+  transform a (tables d).fwd
 
 let ifft_buf d (a : Fr.buf) =
   check_size d a "Domain.ifft_buf";
-  fft_in_place_buf a d.omega_inv;
-  scale_all_buf a d.size_inv
+  let t = tables d in
+  transform a t.bwd;
+  scale a t.size_inv ~stride:0
 
 let coset_fft_buf d (a : Fr.buf) =
   check_size d a "Domain.coset_fft_buf";
-  scale_by_powers_buf a d.shift;
-  fft_in_place_buf a d.omega
+  let t = tables d in
+  scale a t.coset ~stride:1;
+  transform a t.fwd
 
 let coset_ifft_buf d (a : Fr.buf) =
-  ifft_buf d a;
-  scale_by_powers_buf a d.shift_inv
-
-(** [fft d coeffs] evaluates the polynomial with coefficient vector
-    [coeffs] (padded/truncated to the domain size) at every domain element,
-    in order omega^0, omega^1, ... *)
-let fft d coeffs =
-  let a = buf_of_coeffs d coeffs in
-  fft_buf d a;
-  Fr.buf_to_array a
-
-(** Inverse FFT: evaluations on the domain back to coefficients. *)
-let ifft d evals =
-  if Array.length evals <> d.size then invalid_arg "Domain.ifft: size mismatch";
-  let a = Fr.buf_of_array evals in
-  ifft_buf d a;
-  Fr.buf_to_array a
-
-(** Evaluations on the coset (shift * H). *)
-let coset_fft d coeffs =
-  let a = buf_of_coeffs d coeffs in
-  coset_fft_buf d a;
-  Fr.buf_to_array a
-
-let coset_ifft d evals =
-  if Array.length evals <> d.size then
-    invalid_arg "Domain.coset_ifft: size mismatch";
-  let a = Fr.buf_of_array evals in
-  coset_ifft_buf d a;
-  Fr.buf_to_array a
+  check_size d a "Domain.coset_ifft_buf";
+  let t = tables d in
+  transform a t.bwd;
+  scale a t.coset_inv ~stride:1
 
 (** Z_H(x) = x^n - 1. *)
 let vanishing_eval d x = Fr.sub (Fr.pow x d.size) Fr.one

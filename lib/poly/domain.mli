@@ -15,7 +15,7 @@ val log2size : t -> int
 val omega : t -> Fr.t
 
 val shift : t -> Fr.t
-(** The coset generator used by [coset_fft]; guaranteed outside the
+(** The coset generator used by [coset_fft_buf]; guaranteed outside the
     subgroup. *)
 
 val element : t -> int -> Fr.t
@@ -23,23 +23,18 @@ val element : t -> int -> Fr.t
 
 val elements : t -> Fr.t array
 
-val fft : t -> Fr.t array -> Fr.t array
-(** Coefficients (padded to the domain size) to evaluations in order
-    omega^0, omega^1, ... *)
-
-val ifft : t -> Fr.t array -> Fr.t array
-val coset_fft : t -> Fr.t array -> Fr.t array
-val coset_ifft : t -> Fr.t array -> Fr.t array
-
 val buf_of_coeffs : t -> Fr.t array -> Fr.buf
 (** Load a coefficient vector into a fresh domain-sized flat buffer
     (zero padded); raises [Invalid_argument] if larger than the domain. *)
 
 val fft_buf : t -> Fr.buf -> unit
-(** In-place transforms over domain-sized flat buffers.  These are the
-    primary entry points — the array variants above convert and delegate.
-    All raise [Invalid_argument] when the buffer length is not the domain
-    size. *)
+(** In-place transforms over domain-sized flat buffers.  [fft_buf]
+    takes coefficients to evaluations in order omega^0, omega^1, ...;
+    [ifft_buf] inverts it; the coset variants evaluate on (shift * H)
+    and back.  All raise [Invalid_argument] when the buffer length is
+    not the domain size.  The first transform of a size builds that
+    size's twiddle and coset tables, shared by every domain of the size
+    (safe from any pool worker). *)
 
 val ifft_buf : t -> Fr.buf -> unit
 val coset_fft_buf : t -> Fr.buf -> unit

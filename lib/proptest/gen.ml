@@ -144,18 +144,17 @@ let such_that ?(max_tries = 100) p g rng =
 let drop_chunk xs start len =
   List.filteri (fun i _ -> i < start || i >= start + len) xs
 
-(* All lists obtained by removing an aligned chunk, at halving chunk
-   sizes: big cuts first so shrinking converges fast. *)
-let removals ts =
+(* All lists obtained by removing [d] consecutive elements: at aligned
+   offsets 0, d, 2d, ..., then the last [d] when [d] does not divide the
+   length. *)
+let removals d ts =
   let n = List.length ts in
-  let rec sizes k () = if k <= 0 then Seq.Nil else Seq.Cons (k, sizes (k / 2)) in
-  Seq.concat_map
-    (fun k ->
-      let rec offs i () =
-        if i >= n then Seq.Nil else Seq.Cons (drop_chunk ts i k, offs (i + k))
-      in
-      offs 0)
-    (sizes n)
+  let rec offs i () =
+    if i + d <= n then Seq.Cons (drop_chunk ts i d, offs (i + d))
+    else if i < n then Seq.Cons (drop_chunk ts (n - d) d, Seq.empty)
+    else Seq.Nil
+  in
+  if d <= 0 || d > n then Seq.empty else offs 0
 
 let rec shrink_one_elt prefix = function
   | [] -> Seq.empty
@@ -166,19 +165,33 @@ let rec shrink_one_elt prefix = function
         (shrink_one_elt (t :: prefix) rest)
         ()
 
-let rec interleave (ts : 'a tree list) : 'a list tree =
+(* The list of [ts]'s roots, whose length is the root of the size tree
+   [st].  It shrinks to each shorter length that [st] offers, by dropping
+   chunks, so every shrink keeps a length the size generator can draw;
+   then it shrinks one element at a time.  Big cuts come first because
+   size trees offer their smallest values first. *)
+let rec list_tree (Node (n, sizes) as st) ts =
   Node
     ( List.map root ts,
-      Seq.map interleave
-        (Seq.append (removals ts) (shrink_one_elt [] ts)) )
+      Seq.append
+        (Seq.concat_map
+           (fun (Node (k, _) as sk) ->
+             if k < 0 || k >= n then Seq.empty
+             else Seq.map (list_tree sk) (removals (n - k) ts))
+           sizes)
+        (Seq.map (list_tree st) (shrink_one_elt [] ts)) )
 
-let list_size size_gen elt_gen =
-  bind size_gen (fun n rng ->
-      let rec gen_trees acc k =
-        if k = 0 then List.rev acc
-        else gen_trees (elt_gen (Rng.split rng) :: acc) (k - 1)
-      in
-      interleave (gen_trees [] n))
+(* The same draws as [bind size_gen (fun n -> n elements)]: the size
+   from one split, the elements from successive splits of a second. *)
+let list_size size_gen elt_gen rng =
+  let rs = Rng.split rng in
+  let re = Rng.split rng in
+  let (Node (n, _) as st) = size_gen rs in
+  let rec gen_trees acc k =
+    if k <= 0 then List.rev acc
+    else gen_trees (elt_gen (Rng.split re) :: acc) (k - 1)
+  in
+  list_tree st (gen_trees [] n)
 
 let list elt_gen = list_size small_nat elt_gen
 let array_size size_gen elt_gen = map Array.of_list (list_size size_gen elt_gen)

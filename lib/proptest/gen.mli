@@ -70,6 +70,11 @@ val such_that : ?max_tries:int -> ('a -> bool) -> 'a t -> 'a t
 (** {2 Collections} *)
 
 val list_size : int t -> 'a t -> 'a list t
+(** [list_size size g] draws a length from [size], then that many
+    elements.  It shrinks by dropping chunks, but only to the shorter
+    lengths [size]'s own shrink tree offers, so a shrunk list always has
+    a length [size] can draw; then it shrinks element by element. *)
+
 val list : 'a t -> 'a list t
 (** [list g] = [list_size small_nat g]. *)
 

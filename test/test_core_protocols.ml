@@ -331,19 +331,33 @@ let test_marketplace_hostile_manifest () =
       src_sizes = [];
       transform_proof_cid = Some pmeta.Marketplace.enc_proof_cid }
   in
+  (* Sizes other than the parent's ciphertext length (2) must be refused
+     before any circuit is built for them. *)
+  let pks_before = Hashtbl.length env.Env.pk_cache in
   List.iter
     (fun (name, token) ->
       match Marketplace.audit_provenance m ~auditor_id:"auditor" token with
       | Error `No_meta -> ()
       | Ok n -> Alcotest.failf "%s: audited Ok %d" name n
-      | Error _ -> Alcotest.failf "%s: expected No_meta" name)
+      | Error _ -> Alcotest.failf "%s: expected No_meta" name
+      | exception ex -> Alcotest.failf "%s: raised %s" name (Printexc.to_string ex))
     [ ("partition without a source size", mint ~prev_ids:[ parent ] hostile);
       ( "processing without a source size",
         mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum" } );
       ( "partition without a parent",
         mint ~prev_ids:[] { hostile with src_sizes = [ 2 ] } );
       ( "unknown kind",
-        mint ~prev_ids:[ parent ] { hostile with kind = "shuffle"; src_sizes = [ 2 ] } ) ]
+        mint ~prev_ids:[ parent ] { hostile with kind = "shuffle"; src_sizes = [ 2 ] } );
+      ( "partition into a negative part",
+        mint ~prev_ids:[ parent ] { hostile with src_sizes = [ 2 ]; part_sizes = [ -1 ] } );
+      ( "processing of a negative size",
+        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum"; src_sizes = [ -1 ] } );
+      ( "aggregation of a negative size",
+        mint ~prev_ids:[ parent ] { hostile with kind = "aggregation"; src_sizes = [ -1 ] } );
+      ( "processing of a size over the parent's",
+        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum"; src_sizes = [ 1000 ] } ) ];
+  Alcotest.(check int) "no proving key built" pks_before
+    (Hashtbl.length env.Env.pk_cache)
 
 (* Each partition of a parent proves its own pi_t over its own outputs: a
    second partition of the same parent must not join the first one's. *)

@@ -289,14 +289,23 @@ module Ref (F : Zkdet_field.Field_intf.S) = struct
     unary "buf_sqr" F.buf_sqr (fun x -> mul x x);
     unary "buf_double" F.buf_double (fun x -> add x x);
     unary "buf_neg" F.buf_neg neg;
-    (* fused butterfly: b[i] <- u + v, b[j] <- u - v with v = b[j] * w[k] *)
+    (* one FFT layer over blocks of 8 cells: butterfly j of a block at
+       base i0 sets b[i0 + j] <- u + v and b[i0 + j + 4] <- u - v, with
+       v = b[i0 + j + 4] * tw[2 j]; cells past the last block stay *)
+    let twn = Array.mapi (fun k x -> if k = 0 then Nat.one else x) xs in
+    let tw = F.buf_of_array (Array.map F.of_nat twn) in
     let b = F.buf_of_array els in
-    for i = 0 to (n / 2) - 1 do
-      let j = (n / 2) + i and k = (i + 3) mod n in
-      F.buf_butterfly b i j src k;
-      let v = mul xs.(j) xs.(k) in
-      check (tag "buf_butterfly u+v") (add xs.(i) v) (F.buf_get b i);
-      check (tag "buf_butterfly u-v") (sub xs.(i) v) (F.buf_get b j)
+    let blocks = n / 8 in
+    F.buf_fft_layer b ~tw ~stride:2 ~half:4 ~blo:0 ~bhi:blocks ~jlo:0 ~jhi:4;
+    for i = 0 to n - 1 do
+      let j = i mod 8 in
+      if i >= 8 * blocks then check (tag "buf_fft_layer untouched") xs.(i) (F.buf_get b i)
+      else if j < 4 then
+        check (tag "buf_fft_layer u+v")
+          (add xs.(i) (mul xs.(i + 4) twn.(2 * j))) (F.buf_get b i)
+      else
+        check (tag "buf_fft_layer u-v")
+          (sub xs.(i - 4) (mul xs.(i) twn.(2 * (j - 4)))) (F.buf_get b i)
     done;
     (* batch inversion with zeros interleaved: zero cells stay zero *)
     let zs = Array.mapi (fun i x -> if i mod 3 = 1 then Nat.zero else x) xs in

@@ -155,6 +155,14 @@ let test_journal_prefixes_and_flips () =
       if boundary then
         Alcotest.failf "boundary %d rejected: %s" len (Journal.error_to_string e)
   done;
+  (* [frame_of.(i)] is the start of the frame whose length prefix holds
+     byte [i], or -1 *)
+  let frame_of = Array.make (String.length bytes) (-1) in
+  for k = 0 to records - 1 do
+    for b = 0 to 3 do
+      frame_of.(ends.(k) + b) <- ends.(k)
+    done
+  done;
   let flipped = Bytes.of_string bytes in
   for i = 0 to String.length bytes - 1 do
     for bit = 0 to 7 do
@@ -165,9 +173,54 @@ let test_journal_prefixes_and_flips () =
       | Error _ -> ()
       | exception ex ->
         Alcotest.failf "flip of byte %d bit %d raised %s" i bit (Printexc.to_string ex));
+      (* A length over the bound can never complete: the tail must
+         report it, not wait for it. *)
+      (if frame_of.(i) >= 0 then
+         let len = Int32.to_int (Bytes.get_int32_be flipped frame_of.(i)) in
+         if len < 0 || len > Journal.max_record_bytes then begin
+           let oc = open_out_bin cut in
+           output_bytes oc flipped;
+           close_out oc;
+           match Journal.poll_tail (Journal.create_tail cut) with
+           | Error _ -> ()
+           | Ok es ->
+             Alcotest.failf "flip of byte %d bit %d (length %d): tail Ok with %d records"
+               i bit len (List.length es)
+         end);
       Bytes.set flipped i c
     done
   done
+
+(* Bit 30 of the second frame's length in a 3-record journal: the tail
+   must fail on every poll, as [of_bytes] does, instead of waiting for
+   a gigabyte frame. *)
+let test_journal_oversized_length () =
+  let path = tmp "obs_oversized.zjnl" in
+  let w = Journal.create_writer path in
+  List.iteri
+    (fun i label ->
+      Journal.append w ~trace_id:"0000000000000001"
+        ~span_id:(Printf.sprintf "%016d" i) ~parent:None
+        (Event.Trace_begin { label }))
+    [ "a"; "b"; "c" ];
+  Journal.close_writer w;
+  let bytes = Bytes.of_string (read_file path) in
+  let second = 6 + 4 + Int32.to_int (Bytes.get_int32_be bytes 6) in
+  Bytes.set bytes second (Char.chr (Char.code (Bytes.get bytes second) lxor 0x40));
+  let oc = open_out_bin path in
+  output_bytes oc bytes;
+  close_out oc;
+  let tail = Journal.create_tail path in
+  for poll = 1 to 3 do
+    match Journal.poll_tail tail with
+    | Error (Journal.Record_too_long { index = 1; _ }) -> ()
+    | Error e -> Alcotest.failf "poll %d: wrong error %s" poll (Journal.error_to_string e)
+    | Ok es -> Alcotest.failf "poll %d: Ok with %d records" poll (List.length es)
+  done;
+  match Journal.of_bytes (Bytes.to_string bytes) with
+  | Error (Journal.Record_too_long { index = 1; _ }) -> ()
+  | Error e -> Alcotest.failf "of_bytes: wrong error %s" (Journal.error_to_string e)
+  | Ok _ -> Alcotest.fail "of_bytes accepted the journal"
 
 (* ---- trace propagation through the full exchange ---- *)
 
@@ -372,6 +425,8 @@ let () =
           Alcotest.test_case "tamper detected" `Quick test_journal_tamper_detected;
           Alcotest.test_case "prefixes and bit flips" `Slow
             test_journal_prefixes_and_flips;
+          Alcotest.test_case "oversized frame length is an error" `Quick
+            test_journal_oversized_length;
         ] );
       ( "trace",
         [

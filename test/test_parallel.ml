@@ -108,12 +108,14 @@ let toy_circuit ~x ~y =
   Cs.assert_equal cs out pub;
   cs
 
-(* Exactly [n] coefficients: a shrunk draw that dropped some is padded
-   back with zeros, so every shrink is still a full-size input. *)
-let coeffs n =
-  Gen.map
-    (fun c -> Array.init n (fun i -> if i < Array.length c then c.(i) else Fr.zero))
-    (Gen.array_size (Gen.return n) Gz.fr)
+(* Exactly [n] coefficients, shrunk forms included. *)
+let coeffs n = Gen.array_size (Gen.return n) Gz.fr
+
+(* Transforms run in place on buffers; this copies in and out. *)
+let transform f d (a : Fr.t array) =
+  let b = Fr.buf_of_array a in
+  f d b;
+  Fr.buf_to_array b
 
 let pp_frs a = Test_util.pp_list Fr.to_string (Array.to_list a)
 let prop = Test_util.prop
@@ -133,8 +135,8 @@ let prop_fft_deterministic =
   prop ~count:5 "fft/ifft byte-identical at 1 vs 4 domains" pp_frs (coeffs 1024)
     (fun coeffs ->
       let d = Domain.create 10 in
-      let evals1, evals4 = both (fun () -> Domain.fft d coeffs) in
-      let back1, back4 = both (fun () -> Domain.ifft d evals1) in
+      let evals1, evals4 = both (fun () -> transform Domain.fft_buf d coeffs) in
+      let back1, back4 = both (fun () -> transform Domain.ifft_buf d evals1) in
       String.equal (fr_array_bytes evals1) (fr_array_bytes evals4)
       && String.equal (fr_array_bytes back1) (fr_array_bytes back4)
       && String.equal (fr_array_bytes back1) (fr_array_bytes coeffs))
@@ -143,8 +145,12 @@ let prop_coset_deterministic =
   prop ~count:5 "coset evals byte-identical at 1 vs 4 domains" pp_frs
     (coeffs 1024) (fun coeffs ->
       let d = Domain.create 10 in
-      let evals1, evals4 = both (fun () -> Domain.coset_fft d coeffs) in
-      let back1, back4 = both (fun () -> Domain.coset_ifft d evals1) in
+      let evals1, evals4 =
+        both (fun () -> transform Domain.coset_fft_buf d coeffs)
+      in
+      let back1, back4 =
+        both (fun () -> transform Domain.coset_ifft_buf d evals1)
+      in
       String.equal (fr_array_bytes evals1) (fr_array_bytes evals4)
       && String.equal (fr_array_bytes back1) (fr_array_bytes back4)
       && String.equal (fr_array_bytes back1) (fr_array_bytes coeffs))

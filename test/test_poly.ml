@@ -25,13 +25,19 @@ let test_mul_matches_naive () =
       (Poly.eval via_fft x)
   done
 
+(* Transforms run in place on buffers; these copy in and out. *)
+let transform f d (a : Fr.t array) =
+  let b = Fr.buf_of_array a in
+  f d b;
+  Fr.buf_to_array b
+
 let test_fft_roundtrip () =
   List.iter
     (fun log2 ->
       let d = Domain.create log2 in
       let p = Poly.random rng (Domain.size d) in
-      let evals = Domain.fft d p in
-      let back = Domain.ifft d evals in
+      let evals = transform Domain.fft_buf d p in
+      let back = transform Domain.ifft_buf d evals in
       Alcotest.check poly
         (Printf.sprintf "ifft . fft = id (2^%d)" log2)
         (Poly.of_coeffs p) (Poly.of_coeffs back))
@@ -40,7 +46,7 @@ let test_fft_roundtrip () =
 let test_fft_is_evaluation () =
   let d = Domain.create 4 in
   let p = Poly.random rng 16 in
-  let evals = Domain.fft d p in
+  let evals = transform Domain.fft_buf d p in
   for i = 0 to 15 do
     Alcotest.check fr
       (Printf.sprintf "evals.(%d)" i)
@@ -51,7 +57,7 @@ let test_fft_is_evaluation () =
 let test_coset_fft () =
   let d = Domain.create 5 in
   let p = Poly.random rng 32 in
-  let evals = Domain.coset_fft d p in
+  let evals = transform Domain.coset_fft_buf d p in
   let g = Domain.shift d in
   for i = 0 to 31 do
     Alcotest.check fr
@@ -59,8 +65,87 @@ let test_coset_fft () =
       (Poly.eval (Poly.of_coeffs p) (Fr.mul g (Domain.element d i)))
       evals.(i)
   done;
-  let back = Domain.coset_ifft d evals in
+  let back = transform Domain.coset_ifft_buf d evals in
   Alcotest.check poly "coset roundtrip" (Poly.of_coeffs p) (Poly.of_coeffs back)
+
+(* Every transform against the O(n^2) definition, at 2^0 .. 2^10: the
+   forward ones must be evaluations at w^i (or g w^i), and the inverse
+   ones must give coefficients whose evaluations are the input. *)
+let test_transforms_naive () =
+  for log2 = 0 to 10 do
+    let d = Domain.create log2 in
+    let n = Domain.size d in
+    let points shift = Array.init n (fun i -> Fr.mul shift (Domain.element d i)) in
+    let naive coeffs xs = Array.map (Poly.eval (Poly.of_coeffs coeffs)) xs in
+    let check name want got =
+      Array.iteri
+        (fun i w ->
+          if not (Fr.equal w got.(i)) then
+            Alcotest.failf "%s 2^%d: cell %d differs from the naive value" name
+              log2 i)
+        want
+    in
+    let v = Poly.random rng n in
+    let plain = points Fr.one and coset = points (Domain.shift d) in
+    check "fft_buf" (naive v plain) (transform Domain.fft_buf d v);
+    check "coset_fft_buf" (naive v coset) (transform Domain.coset_fft_buf d v);
+    check "ifft_buf" v (naive (transform Domain.ifft_buf d v) plain);
+    check "coset_ifft_buf" v (naive (transform Domain.coset_ifft_buf d v) coset)
+  done
+
+(* The C layer kernel against the pure-OCaml kernel's, byte for byte: a
+   whole transform built from bit reversal and layer calls, each layer
+   cut in two (by blocks, or by butterflies once a layer is one block),
+   on both kernels from the same inputs and twiddles.  The C run must
+   also equal Domain.fft_buf. *)
+module Ml = Zkdet_field.Fp64.Make_kernel
+    (struct
+      let use_c = false
+    end)
+    (struct
+      let modulus_decimal = Zkdet_field.Bn254.fr_modulus_decimal
+    end)
+
+let test_layer_kernel_c_vs_ocaml () =
+  List.iter
+    (fun log2 ->
+      let n = 1 lsl log2 in
+      let d = Domain.create log2 in
+      let xs = Poly.random rng n in
+      let w = Domain.omega d in
+      let tws = Array.init (max 1 (n / 2)) (fun j -> Fr.pow w j) in
+      let to_ml a = Array.map (fun x -> Ml.of_bytes_be (Fr.to_bytes_be x)) a in
+      let run (type b) bit_reverse layer (buf : b) (tw : b) =
+        bit_reverse buf;
+        let len = ref 2 in
+        while !len <= n do
+          let half = !len / 2 and stride = n / !len and nb = n / !len in
+          let layer = layer buf ~tw ~stride ~half in
+          if nb >= 2 then begin
+            layer ~blo:0 ~bhi:(nb / 2) ~jlo:0 ~jhi:half;
+            layer ~blo:(nb / 2) ~bhi:nb ~jlo:0 ~jhi:half
+          end
+          else begin
+            layer ~blo:0 ~bhi:1 ~jlo:0 ~jhi:(half / 2);
+            layer ~blo:0 ~bhi:1 ~jlo:(half / 2) ~jhi:half
+          end;
+          len := !len * 2
+        done
+      in
+      let c = Fr.buf_of_array xs in
+      run Fr.buf_bit_reverse Fr.buf_fft_layer c (Fr.buf_of_array tws);
+      let m = Ml.buf_of_array (to_ml xs) in
+      run Ml.buf_bit_reverse Ml.buf_fft_layer m (Ml.buf_of_array (to_ml tws));
+      let dom = transform Domain.fft_buf d xs in
+      for i = 0 to n - 1 do
+        let cb = Fr.to_bytes_be (Fr.buf_get c i) in
+        if cb <> Ml.to_bytes_be (Ml.buf_get m i) then
+          Alcotest.failf "2^%d: cell %d differs between the C and OCaml kernels"
+            log2 i;
+        if cb <> Fr.to_bytes_be dom.(i) then
+          Alcotest.failf "2^%d: cell %d differs from Domain.fft_buf" log2 i
+      done)
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 14 ]
 
 let test_div_by_linear () =
   let p = Poly.random rng 20 in
@@ -132,7 +217,8 @@ let test_vanishing_eval () =
 let props =
   let prop = Test_util.prop and pp = Format.asprintf "%a" Poly.pp in
   let pp2 = Test_util.pp2 pp pp in
-  (* [n] coefficients; shrinking drops some, so degrees only fall. *)
+  (* [n] coefficients; shrinking moves them toward zero, so degrees
+     only fall. *)
   let poly n = Gen.map Poly.of_coeffs (Gen.array_size (Gen.return n) Gz.fr) in
   let nonzero n = Gen.such_that (fun p -> not (Poly.is_zero p)) (poly n) in
   [ prop ~count:50 "add comm" pp2 (Gen.pair (poly 10) (poly 12)) (fun (p, q) ->
@@ -154,6 +240,10 @@ let () =
           Alcotest.test_case "fft roundtrip" `Quick test_fft_roundtrip;
           Alcotest.test_case "fft is evaluation" `Quick test_fft_is_evaluation;
           Alcotest.test_case "coset fft" `Quick test_coset_fft;
+          Alcotest.test_case "transforms = naive" `Quick
+            test_transforms_naive;
+          Alcotest.test_case "layer kernel C = OCaml" `Quick
+            test_layer_kernel_c_vs_ocaml;
           Alcotest.test_case "div by linear" `Quick test_div_by_linear;
           Alcotest.test_case "divmod" `Quick test_divmod;
           Alcotest.test_case "div by vanishing" `Quick test_div_by_vanishing;

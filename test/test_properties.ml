@@ -108,6 +108,52 @@ let selftest_shrink_list () =
     Alcotest.(check bool) "dropping any element passes" true
       (List.for_all (fun x -> sum - x < 15) l)
 
+(* Every node of a shrink tree must be a value its generator can draw.
+   Walk the first [limit] nodes breadth-first, for 20 seeds, and return
+   the first value [ok] rejects. *)
+let first_bad_shrink ~limit (gen : 'a Gen.t) (ok : 'a -> bool) =
+  let bad = ref None in
+  for seed = 1 to 20 do
+    let q = Queue.create () in
+    Queue.add (gen (Rng.of_seed_and_label (Int64.of_int seed) "shrink-range")) q;
+    let queued = ref 1 in
+    while !bad = None && not (Queue.is_empty q) do
+      let node = Queue.pop q in
+      if not (ok (Gen.root node)) then bad := Some (Gen.root node)
+      else
+        Seq.iter
+          (fun c ->
+            if !queued < limit then begin
+              incr queued;
+              Queue.add c q
+            end)
+          (Gen.children node)
+    done
+  done;
+  !bad
+
+let selftest_shrink_in_range () =
+  let digit = Gen.int_range 0 9 in
+  (match
+     first_bad_shrink ~limit:2000 (Gen.list_size (Gen.int_range 2 3) digit)
+       (fun l -> List.length l >= 2 && List.length l <= 3)
+   with
+  | Some l -> Alcotest.failf "list_size 2..3 shrank to length %d" (List.length l)
+  | None -> ());
+  (match
+     first_bad_shrink ~limit:2000 (Gen.array_size (Gen.return 5) digit) (fun a ->
+         Array.length a = 5)
+   with
+  | Some a -> Alcotest.failf "array_size 5 shrank to length %d" (Array.length a)
+  | None -> ());
+  match
+    first_bad_shrink ~limit:2000 Gz.circuit_desc (fun (d : Gz.circuit_desc) ->
+        let within lo hi l = List.length l >= lo && List.length l <= hi in
+        within 1 3 d.Gz.publics && within 0 3 d.Gz.witnesses && within 1 12 d.Gz.ops)
+  with
+  | Some d -> Alcotest.failf "circuit_desc shrank out of range: %s" (Gz.pp_circuit_desc d)
+  | None -> ()
+
 let selftest_seed_env () =
   match Sys.getenv_opt "ZKDET_TEST_SEED" with
   | None | Some "" -> Alcotest.(check int) "default seed" 31337 (Int64.to_int (P.seed ()))
@@ -199,9 +245,14 @@ let fft_roundtrip =
            (Gen.list_size (Gen.return (1 lsl k)) Gz.fr)))
     (fun (k, xs) ->
       let d = Domain.create k in
-      let eq a b = Array.for_all2 Fr.equal a b in
-      eq (Domain.ifft d (Domain.fft d (Array.copy xs))) xs
-      && eq (Domain.coset_ifft d (Domain.coset_fft d (Array.copy xs))) xs)
+      let roundtrip f g =
+        let b = Fr.buf_of_array xs in
+        f d b;
+        g d b;
+        Array.for_all2 Fr.equal (Fr.buf_to_array b) xs
+      in
+      roundtrip Domain.fft_buf Domain.ifft_buf
+      && roundtrip Domain.coset_fft_buf Domain.coset_ifft_buf)
 
 let poly_eval_vs_coeffs =
   prop ~count:100 "poly eval = Horner" (pp2 (pp_list pp_fr) pp_fr)
@@ -1042,6 +1093,8 @@ let () =
           Alcotest.test_case "int shrinks to bound" `Quick selftest_shrink_int;
           Alcotest.test_case "list shrinks to local minimum" `Quick
             selftest_shrink_list;
+          Alcotest.test_case "shrinks stay in the size range" `Quick
+            selftest_shrink_in_range;
           Alcotest.test_case "seed env plumbing" `Quick selftest_seed_env ] );
       ( "metamorphic",
         [ fr_laws; fr_inverse; fr_pow_hom; fq_laws; g1_group_laws;
