@@ -217,7 +217,6 @@ exception Revert of string
 let balance_key (a : Address.t) = "b\x00" ^ a
 let slot_key ~contract ~key = "s\x00" ^ contract ^ "\x00" ^ key
 
-let env_sender (env : env) = env.sender
 let env_meter (env : env) = env.meter
 
 let env_balance (env : env) (a : Address.t) : int =

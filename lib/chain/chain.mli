@@ -97,7 +97,6 @@ val account_nonce : t -> Address.t -> int
     are only safe on the direct {!execute} path. *)
 type env
 
-val env_sender : env -> Address.t
 val env_meter : env -> Gas.meter
 
 val env_balance : env -> Address.t -> int

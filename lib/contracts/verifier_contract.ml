@@ -73,12 +73,6 @@ let charge_batch_item (m : Gas.meter) ~(n_public : int) =
 
 let charge_batch_finalize (m : Gas.meter) = Gas.pairing m ~pairs:2
 
-let charge_batch_verification (m : Gas.meter) ~(n_public : int) ~(count : int) =
-  for _ = 1 to count do
-    charge_batch_item m ~n_public
-  done;
-  charge_batch_finalize m
-
 (** On-chain verification call. Returns the verifier's verdict; the gas
     spent is in the receipt. *)
 let verify (c : t) (chain : Chain.t) ~(sender : Chain.Address.t)

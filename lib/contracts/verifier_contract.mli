@@ -34,10 +34,6 @@ val charge_batch_item : Gas.meter -> n_public:int -> unit
 val charge_batch_finalize : Gas.meter -> unit
 (** The one folded pairing check charged per block. *)
 
-val charge_batch_verification : Gas.meter -> n_public:int -> count:int -> unit
-(** [count] marginal charges plus one finalize — the whole block's
-    verification gas for internal (same-transaction) calls. *)
-
 val verify_batch :
   t -> Chain.t -> sender:Chain.Address.t -> (Fr.t array * Proof.t) list ->
   bool * Chain.receipt

@@ -58,68 +58,94 @@ let node (m : t) ~(id : string) : Storage.node =
 (* ---- metadata manifests ---- *)
 
 type meta = {
-  kind : string; (* "source" | Transform.kind_name *)
   n : int;
   nonce : Fr.t;
   ct_cid : string;
   c_d : Fr.t;
   c_k : Fr.t;
   enc_proof_cid : string; (* pi_e of this dataset *)
-  transform_proof_cid : string option; (* pi_t that created it *)
-  src_sizes : int list; (* structural params for the pi_t circuit *)
-  part_sizes : int list;
+  origin : (Transform.kind * string) option;
+      (* the derivation that made it and the CID of its pi_t; None for a
+         source *)
 }
 
+(* The "src_sizes" and "part_sizes" lines of a kind. *)
+let kind_sizes : Transform.kind -> int list * int list = function
+  | Transform.Duplication n | Transform.Processing (_, n) -> ([ n ], [])
+  | Transform.Aggregation sizes -> (sizes, [])
+  | Transform.Partition (n, parts) -> ([ n ], parts)
+
 let meta_to_string (m : meta) : string =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let kind, pi_t, (src_sizes, part_sizes) =
+    match m.origin with
+    | None -> ("source", "-", ([], []))
+    | Some (k, pi_t) -> (Transform.kind_name k, pi_t, kind_sizes k)
+  in
   String.concat "\n"
     [ "zkdet-meta-v1";
-      "kind:" ^ m.kind;
+      "kind:" ^ kind;
       "n:" ^ string_of_int m.n;
       "nonce:" ^ Fr.to_string m.nonce;
       "ct:" ^ m.ct_cid;
       "c_d:" ^ Fr.to_string m.c_d;
       "c_k:" ^ Fr.to_string m.c_k;
       "enc_proof:" ^ m.enc_proof_cid;
-      "transform_proof:" ^ Option.value ~default:"-" m.transform_proof_cid;
-      "src_sizes:" ^ String.concat "," (List.map string_of_int m.src_sizes);
-      "part_sizes:" ^ String.concat "," (List.map string_of_int m.part_sizes) ]
+      "transform_proof:" ^ pi_t;
+      "src_sizes:" ^ ints src_sizes;
+      "part_sizes:" ^ ints part_sizes ]
 
+let fr_digits = String.length (Fr.to_string (Fr.neg Fr.one))
+
+(* The one reader of manifest lines.  It accepts only what
+   [meta_to_string] writes: the lines must re-encode to themselves. *)
 let meta_of_string (s : string) : meta option =
+  let value line =
+    match String.index_opt line ':' with
+    | Some i -> String.sub line (i + 1) (String.length line - i - 1)
+    | None -> raise Exit
+  in
+  (* No canonical element has more digits than the modulus, and parsing
+     a decimal costs time quadratic in its length. *)
+  let fr line =
+    let v = value line in
+    if String.length v > fr_digits then raise Exit else Fr.of_string v
+  in
+  let ints = function
+    | "" -> []
+    | v -> List.map int_of_string (String.split_on_char ',' v)
+  in
+  let processing = "processing:" in
+  let origin kind pi_t src parts =
+    match (value kind, value pi_t, ints (value src), ints (value parts)) with
+    | "source", _, _, _ -> None
+    | _, "-", _, _ -> raise Exit (* a kind without a pi_t *)
+    | "duplication", pi_t, [ n ], [] -> Some (Transform.Duplication n, pi_t)
+    | "aggregation", pi_t, (_ :: _ as sizes), [] ->
+      Some (Transform.Aggregation sizes, pi_t)
+    | "partition", pi_t, [ n ], (_ :: _ as parts) ->
+      Some (Transform.Partition (n, parts), pi_t)
+    | k, pi_t, [ n ], [] when String.starts_with ~prefix:processing k ->
+      let l = String.length processing in
+      Some (Transform.Processing (String.sub k l (String.length k - l), n), pi_t)
+    | _ -> raise Exit (* an unknown kind, or one without its sizes *)
+  in
   match String.split_on_char '\n' s with
-  | "zkdet-meta-v1" :: fields ->
-    let tbl = Hashtbl.create 12 in
-    List.iter
-      (fun line ->
-        match String.index_opt line ':' with
-        | Some i ->
-          Hashtbl.replace tbl (String.sub line 0 i)
-            (String.sub line (i + 1) (String.length line - i - 1))
-        | None -> ())
-      fields;
-    let find k = Hashtbl.find_opt tbl k in
-    let ints k =
-      match find k with
-      | None | Some "" -> []
-      | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    in
-    (try
-       Some
-         {
-           kind = Option.get (find "kind");
-           n = int_of_string (Option.get (find "n"));
-           nonce = Fr.of_string (Option.get (find "nonce"));
-           ct_cid = Option.get (find "ct");
-           c_d = Fr.of_string (Option.get (find "c_d"));
-           c_k = Fr.of_string (Option.get (find "c_k"));
-           enc_proof_cid = Option.get (find "enc_proof");
-           transform_proof_cid =
-             (match find "transform_proof" with
-             | Some "-" | None -> None
-             | Some c -> Some c);
-           src_sizes = ints "src_sizes";
-           part_sizes = ints "part_sizes";
-         }
-     with _ -> None)
+  | [ "zkdet-meta-v1"; kind; n; nonce; ct; c_d; c_k; enc_proof; pi_t; src;
+      parts ] -> (
+    match
+      {
+        n = int_of_string (value n);
+        nonce = fr nonce;
+        ct_cid = value ct;
+        c_d = fr c_d;
+        c_k = fr c_k;
+        enc_proof_cid = value enc_proof;
+        origin = origin kind pi_t src parts;
+      }
+    with
+    | m -> if String.equal (meta_to_string m) s then Some m else None
+    | exception (Exit | Failure _ | Invalid_argument _) -> None)
   | _ -> None
 
 (* ---- publishing ---- *)
@@ -136,25 +162,25 @@ let upload_sealed (m : t) (node : Storage.node) (s : Transform.sealed) :
   in
   (ct_cid, proof_cid)
 
+(* Upload the manifest and mint: a source as an original, a derived
+   dataset with its parents and the registry's record of its kind. *)
 let mint_with_meta (m : t) ~(owner : Chain.Address.t) (meta : meta)
-    ~(prev_ids : int list) ~(transform : Erc721.transform_kind option) :
-    (int, string) result =
+    ~(prev_ids : int list) : (int, string) result =
   let owner_node = node m ~id:owner in
   let uri =
     Storage.Cid.to_string (Storage.put m.net owner_node (meta_to_string meta))
   in
   let id_opt, receipt =
-    match transform with
+    match meta.origin with
     | None ->
       Erc721.mint m.nft m.chain ~sender:owner ~recipient:owner ~uri
         ~key_commitment:meta.c_k ~data_commitment:meta.c_d
         ~proof_refs:[ meta.enc_proof_cid ]
-    | Some tk ->
-      Erc721.mint_derived m.nft m.chain ~sender:owner ~prev_ids ~transform:tk
-        ~uri ~key_commitment:meta.c_k ~data_commitment:meta.c_d
-        ~proof_refs:
-          (meta.enc_proof_cid
-          :: Option.to_list meta.transform_proof_cid)
+    | Some (kind, pi_t_cid) ->
+      Erc721.mint_derived m.nft m.chain ~sender:owner ~prev_ids
+        ~transform:(Transform.chain_kind kind) ~uri ~key_commitment:meta.c_k
+        ~data_commitment:meta.c_d
+        ~proof_refs:[ meta.enc_proof_cid; pi_t_cid ]
   in
   match (id_opt, receipt.Chain.status) with
   | Some id, Ok () -> Ok id
@@ -172,19 +198,16 @@ let publish (m : t) ~(owner : Chain.Address.t) (data : Fr.t array) :
   let ct_cid, proof_cid = upload_sealed m owner_node sealed in
   let meta =
     {
-      kind = "source";
       n = Array.length data;
       nonce = sealed.Transform.nonce;
       ct_cid;
       c_d = sealed.Transform.c_d;
       c_k = sealed.Transform.c_k;
       enc_proof_cid = proof_cid;
-      transform_proof_cid = None;
-      src_sizes = [];
-      part_sizes = [];
+      origin = None;
     }
   in
-  match mint_with_meta m ~owner meta ~prev_ids:[] ~transform:None with
+  match mint_with_meta m ~owner meta ~prev_ids:[] with
   | Ok id ->
     Log.info (fun f ->
         f "published token #%d (n=%d) by %s" id (Array.length data) owner);
@@ -206,29 +229,23 @@ let derive (m : t) ~(owner : Chain.Address.t)
   let owner_node = node m ~id:owner in
   let parent_ids = List.map fst parents in
   let parent_sealed = List.map snd parents in
-  let outputs, link, transform_kind =
+  let outputs, link =
     match (operation, parent_sealed) with
     | `Duplicate, [ src ] ->
       let dst, link = Transform.duplicate m.env src in
-      ([ dst ], link, Erc721.Duplication)
+      ([ dst ], link)
     | `Aggregate, sources when List.length sources >= 2 ->
       let dst, link = Transform.aggregate m.env sources in
-      ([ dst ], link, Erc721.Aggregation)
-    | `Partition sizes, [ src ] ->
-      let parts, link = Transform.partition m.env src ~sizes in
-      (parts, link, Erc721.Partition)
+      ([ dst ], link)
+    | `Partition sizes, [ src ] -> Transform.partition m.env src ~sizes
     | `Process spec, [ src ] ->
       let dst, link = Transform.process m.env src ~spec in
-      ([ dst ], link, Erc721.Processing spec.Circuits.proc_name)
+      ([ dst ], link)
     | _ -> invalid_arg "Marketplace.derive: operand count mismatch"
   in
   let pi_t_cid =
     Storage.Cid.to_string
       (Storage.put m.net owner_node (Proof.wire_encode link.Transform.proof))
-  in
-  let src_sizes = List.map Transform.size parent_sealed in
-  let part_sizes =
-    match operation with `Partition sizes -> sizes | _ -> []
   in
   let rec mint_all acc = function
     | [] -> Ok (List.rev acc)
@@ -236,22 +253,16 @@ let derive (m : t) ~(owner : Chain.Address.t)
       let ct_cid, enc_proof_cid = upload_sealed m owner_node sealed in
       let meta =
         {
-          kind = Transform.kind_name link.Transform.kind;
           n = Transform.size sealed;
           nonce = sealed.Transform.nonce;
           ct_cid;
           c_d = sealed.Transform.c_d;
           c_k = sealed.Transform.c_k;
           enc_proof_cid;
-          transform_proof_cid = Some pi_t_cid;
-          src_sizes;
-          part_sizes;
+          origin = Some (link.Transform.kind, pi_t_cid);
         }
       in
-      match
-        mint_with_meta m ~owner meta ~prev_ids:parent_ids
-          ~transform:(Some transform_kind)
-      with
+      match mint_with_meta m ~owner meta ~prev_ids:parent_ids with
       | Ok id ->
         Log.info (fun f ->
             f "derived token #%d via %s from [%s]" id
@@ -279,6 +290,14 @@ let fetch (m : t) (auditor : Storage.node) (cid : string) :
   | Error `Not_found -> Error (`Storage ("not found: " ^ cid))
   | Error `Tampered -> Error (`Storage ("tampered: " ^ cid))
 
+let fetch_proof (m : t) (auditor : Storage.node) (cid : string) :
+    (Proof.t, audit_failure) result =
+  Result.bind (fetch m auditor cid) (fun bytes ->
+      Result.map_error
+        (fun e ->
+          `Storage ("undecodable proof: " ^ Zkdet_codec.Codec.error_to_string e))
+        (Proof.wire_decode bytes))
+
 let token_meta (m : t) (auditor : Storage.node) (token_id : int) :
     (meta, audit_failure) result =
   match Erc721.token m.nft token_id with
@@ -298,195 +317,118 @@ let token_meta (m : t) (auditor : Storage.node) (token_id : int) :
         else Error `Commitment_mismatch))
 
 (* A token's ciphertext, fetched and decoded. *)
-let fetch_ciphertext (m : t) (auditor : Storage.node) (meta : meta) :
+let fetch_ciphertext (m : t) (auditor : Storage.node) (ct_cid : string) :
     (Fr.t array, audit_failure) result =
-  Result.bind (fetch m auditor meta.ct_cid) (fun ct_bytes ->
+  Result.bind (fetch m auditor ct_cid) (fun ct_bytes ->
       Result.map_error
         (fun e -> `Storage ("undecodable ciphertext: " ^ e))
         (Storage.Codec.decode_result ct_bytes))
 
-(* Verify one token's pi_e, with its ciphertext from [ciphertext]. *)
-let check_encryption (m : t) (auditor : Storage.node) ~ciphertext
-    (token_id : int) : (unit, audit_failure) result =
-  match token_meta m auditor token_id with
-  | Error _ as e -> e
-  | Ok meta -> (
-    match (ciphertext meta, fetch m auditor meta.enc_proof_cid) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok ciphertext, Ok proof_bytes -> (
-      match Proof.wire_decode proof_bytes with
-      | Error e ->
-        Error (`Storage ("undecodable proof: " ^ Zkdet_codec.Codec.error_to_string e))
-      | Ok proof ->
-        if
-          Transform.verify_encryption m.env ~nonce:meta.nonce ~c_d:meta.c_d
-            ~c_k:meta.c_k ~ciphertext proof
-        then Ok ()
-        else Error (`Bad_encryption_proof token_id)))
-
-(** Verify one token's pi_e from public data. *)
-let audit_encryption (m : t) (auditor : Storage.node) (token_id : int) :
-    (unit, audit_failure) result =
-  check_encryption m auditor ~ciphertext:(fetch_ciphertext m auditor) token_id
-
-(* The sizes a pi_t link takes from its manifest, checked against what
-   the audit verifies: each parent's ciphertext length, which the
-   parent's pi_e binds.  A partition's parts must also be positive and
-   sum to its parent's length.  A link whose parent count does not fit
-   its kind is left to [Transform.verify_link], which rejects it without
-   building a circuit. *)
-let sizes_match (kind : Transform.kind) ~n_duplication (lengths : int list) =
+(* Today's rule for the sizes a derivation names: each must be its
+   parent's ciphertext length, which the parent's pi_e binds, and a
+   partition's parts must be positive and sum to it.  A parent count that
+   does not fit the kind fails too. *)
+let sizes_match (kind : Transform.kind) (lengths : int list) =
   match (kind, lengths) with
-  | Transform.Duplication, [ len ] -> n_duplication = len
+  | (Transform.Duplication n | Transform.Processing (_, n)), [ len ] -> n = len
   | Transform.Aggregation sizes, _ -> sizes = lengths
   | Transform.Partition (n, parts), [ len ] ->
-    n = len && parts <> []
+    n = len
     && List.for_all (fun p -> p > 0) parts
     && List.fold_left ( + ) 0 parts = n
-  | Transform.Processing (_, n), [ len ] -> n = len
-  | (Transform.Duplication | Transform.Partition _ | Transform.Processing _), _
-    -> true
+  | (Transform.Duplication _ | Transform.Partition _ | Transform.Processing _), _
+    -> false
 
-(** Full provenance audit: walk prevIds[] back to the sources, re-verify
-    every pi_e and every pi_t in the provenance graph. *)
-let rec audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
+(** Full provenance audit (Fig. 3): walk prevIds[] back to the sources and,
+    for every token, check its manifest against the chain, its pi_e, and
+    the pi_t that made it. *)
+let audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
     (int, audit_failure) result =
   Obs.with_span "marketplace.audit_provenance" @@ fun () ->
   let auditor = node m ~id:auditor_id in
-  let tokens = Erc721.provenance m.nft token_id in
-  let checked = ref 0 in
-  (* Each ciphertext is fetched once per audit: a parent's length is
-     read when its child's link is checked, before the walk reaches the
-     parent's own pi_e. *)
-  let ciphertexts = Hashtbl.create 8 in
-  let ciphertext (meta : meta) =
-    match Hashtbl.find_opt ciphertexts meta.ct_cid with
-    | Some ct -> Ok ct
-    | None ->
-      let r = fetch_ciphertext m auditor meta in
-      Result.iter (Hashtbl.replace ciphertexts meta.ct_cid) r;
-      r
+  let ( let* ) = Result.bind in
+  (* Each manifest and each ciphertext is fetched and decoded once per
+     audit: a parent's are read when its child's link is checked, before
+     the walk reaches the parent, and a partition output's siblings are
+     read by each of them. *)
+  let memo f =
+    let tbl = Hashtbl.create 8 in
+    fun key ->
+      match Hashtbl.find_opt tbl key with
+      | Some r -> r
+      | None ->
+        let r = f key in
+        Hashtbl.replace tbl key r;
+        r
   in
-  let rec lengths = function
+  let meta = memo (token_meta m auditor) in
+  let ciphertext = memo (fetch_ciphertext m auditor) in
+  let rec all f = function
     | [] -> Ok []
-    | pm :: rest -> (
-      match ciphertext pm with
-      | Error e -> Error e
-      | Ok ct -> Result.map (fun ls -> Array.length ct :: ls) (lengths rest))
+    | x :: rest ->
+      let* y = f x in
+      let* ys = all f rest in
+      Ok (y :: ys)
   in
-  let rec go = function
-    | [] -> Ok !checked
-    | tok :: rest -> (
-      let id = tok.Erc721.token_id in
-      match check_encryption m auditor ~ciphertext id with
-      | Error _ as e -> e
-      | Ok () -> (
-        match token_meta m auditor id with
-        | Error _ as e -> e
-        | Ok meta -> (
-          match meta.transform_proof_cid with
-          | None ->
-            incr checked;
-            go rest
-          | Some pi_t_cid -> (
-            match fetch m auditor pi_t_cid with
-            | Error e -> Error e
-            | Ok proof_bytes -> (
-              match Proof.wire_decode proof_bytes with
-              | Error e ->
-                Error
-                  (`Storage
-                    ("undecodable proof: " ^ Zkdet_codec.Codec.error_to_string e))
-              | Ok proof ->
-              (* reconstruct the link from on-chain provenance + manifests *)
-              let parent_metas =
-                List.filter_map
-                  (fun pid ->
-                    match token_meta m auditor pid with
-                    | Ok pm -> Some pm
-                    | Error _ -> None)
-                  tok.Erc721.prev_ids
-              in
-              if List.length parent_metas <> List.length tok.Erc721.prev_ids
-              then Error `No_meta
-              else begin
-                let src_commitments =
-                  List.map (fun pm -> pm.c_d) parent_metas
-                in
-                (* Whoever mints a token writes its manifest and its
-                   parent list, so a kind this audit does not know, or a
-                   single-source kind without exactly one source size,
-                   is a malformed manifest. *)
-                let kind_and_outputs =
-                  match (meta.kind, meta.src_sizes) with
-                  | "duplication", _ -> Some (Transform.Duplication, [ meta.c_d ])
-                  | "aggregation", sizes ->
-                    Some (Transform.Aggregation sizes, [ meta.c_d ])
-                  | "partition", [ n ] ->
-                    (* the proof covers every output of the partition *)
-                    Option.map
-                      (fun outputs ->
-                        (Transform.Partition (n, meta.part_sizes), outputs))
-                      (sibling_commitments m auditor tok meta)
-                  | k, [ n ]
-                    when String.length k > 11
-                         && String.sub k 0 11 = "processing:" ->
-                    Some
-                      ( Transform.Processing
-                          (String.sub k 11 (String.length k - 11), n),
-                        [ meta.c_d ] )
-                  | _ -> None
-                in
-                match kind_and_outputs with
-                | None -> Error `No_meta
-                | Some (kind, dst_commitments) ->
-                  let link =
-                    { Transform.kind; src_commitments; dst_commitments; proof }
-                  in
-                  let n_duplication =
-                    match kind with
-                    | Transform.Duplication -> (
-                      match meta.src_sizes with s :: _ -> s | [] -> meta.n)
-                    | _ -> 0
-                  in
-                  match lengths parent_metas with
-                  | Error e -> Error e
-                  | Ok lens when not (sizes_match kind ~n_duplication lens) ->
-                    Error `No_meta
-                  | Ok _ ->
-                    if Transform.verify_link m.env ~n_duplication link then begin
-                      incr checked;
-                      go rest
-                    end
-                    else Error (`Bad_transform_proof id)
-              end)))))
-  in
-  go tokens
-
-and sibling_commitments (m : t) (auditor : Storage.node) (tok : Erc721.token)
-    (meta : meta) : Fr.t list option =
-  (* The outputs of one partition share its single parent and its pi_t
-     CID; collect their c_d in token-id order. A second partition of the
-     same parent names another pi_t, so its children stay out. *)
-  match tok.Erc721.prev_ids with
-  | [ parent ] ->
-    let siblings =
-      Hashtbl.fold
-        (fun id t acc ->
-          if t.Erc721.prev_ids = [ parent ]
-             && t.Erc721.transform = Some Erc721.Partition
-          then id :: acc
-          else acc)
-        m.nft.Erc721.tokens []
-    in
-    List.sort compare siblings
+  (* The outputs of one partition share its single parent and its origin,
+     pi_t included; collect their c_d in token-id order. A second
+     partition of the same parent names another pi_t, so its children
+     stay out. *)
+  let siblings parent origin =
+    Hashtbl.fold
+      (fun id t acc ->
+        if t.Erc721.prev_ids = [ parent ]
+           && t.Erc721.transform = Some Erc721.Partition
+        then id :: acc
+        else acc)
+      m.nft.Erc721.tokens []
+    |> List.sort compare
     |> List.filter_map (fun id ->
-           match token_meta m auditor id with
-           | Ok pm when pm.transform_proof_cid = meta.transform_proof_cid ->
-             Some pm.c_d
-           | Ok _ | Error _ -> None)
-    |> (fun l -> Some (if l = [] then [ meta.c_d ] else l))
-  | _ -> None
+           match meta id with
+           | Ok pm when pm.origin = origin -> Some pm.c_d
+           | _ -> None)
+  in
+  let check (tok : Erc721.token) =
+    let id = tok.Erc721.token_id in
+    let* me = meta id in
+    let* ct = ciphertext me.ct_cid in
+    let* pi_e = fetch_proof m auditor me.enc_proof_cid in
+    if
+      not
+        (Transform.verify_encryption m.env ~nonce:me.nonce ~c_d:me.c_d
+           ~c_k:me.c_k ~ciphertext:ct pi_e)
+    then Error (`Bad_encryption_proof id)
+    else
+      match (me.origin, tok.Erc721.transform) with
+      | None, None -> Ok ()
+      | Some (kind, pi_t_cid), Some on_chain
+        when Transform.chain_kind kind = on_chain -> (
+        let* parents =
+          all (fun pid -> Result.map_error (fun _ -> `No_meta) (meta pid))
+            tok.Erc721.prev_ids
+        in
+        let* lengths =
+          all (fun pm -> Result.map Array.length (ciphertext pm.ct_cid)) parents
+        in
+        if not (sizes_match kind lengths) then Error `No_meta
+        else
+          let* proof = fetch_proof m auditor pi_t_cid in
+          let dst_commitments =
+            match (kind, tok.Erc721.prev_ids) with
+            | Transform.Partition _, [ parent ] -> siblings parent me.origin
+            | _ -> [ me.c_d ]
+          in
+          let link =
+            { Transform.kind;
+              src_commitments = List.map (fun pm -> pm.c_d) parents;
+              dst_commitments; proof }
+          in
+          if Transform.verify_link m.env link then Ok ()
+          else Error (`Bad_transform_proof id))
+      | _ -> Error `No_meta
+  in
+  let* checked = all check (Erc721.provenance m.nft token_id) in
+  Ok (List.length checked)
 
 (* ---- trading via the key-secure exchange ---- *)
 
@@ -554,26 +496,3 @@ let trade (m : t) ~(seller : Chain.Address.t) ~(buyer : Chain.Address.t)
           Ok data
         end)
   end
-
-(* ---- batched settlement ---- *)
-
-(** Settle a block of escrow deals [(deal_id, k_c, pi_k)] in one metered
-    call (the settlement-at-scale path): the proofs are batch-verified by
-    the on-chain verifier with a single folded pairing check, gas is
-    attributed per deal, and the block is all-or-nothing — one invalid
-    proof reverts every settlement with no surviving events. *)
-let settle_batch (m : t) ~(seller : Chain.Address.t)
-    (entries : (int * Fr.t * Proof.t) list) : Chain.receipt =
-  Obs.with_span "marketplace.settle_batch" @@ fun () ->
-  let receipt = Escrow.settle_batch m.escrow m.chain ~seller entries in
-  (match receipt.Chain.status with
-  | Ok () ->
-    step "settle-batch"
-      ~detail:[ ("deals", string_of_int (List.length entries)) ];
-    Log.info (fun f ->
-        f "settle-batch: %d deal(s) settled by %s for %d gas"
-          (List.length entries) seller receipt.Chain.gas_used)
-  | Error e ->
-    Log.err (fun f ->
-        f "settle-batch failed for %s: %s" seller (Chain.error_to_string e)));
-  receipt

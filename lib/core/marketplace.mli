@@ -32,22 +32,26 @@ val node : t -> id:string -> Storage.node
 (** The storage node of a participant (created on first use). *)
 
 (** Token metadata manifest, stored in the network; the token URI is its
-    CID. *)
+    CID. Its text format, [zkdet-meta-v1], is specified in FORMATS.md. *)
 type meta = {
-  kind : string;
   n : int;
   nonce : Fr.t;
   ct_cid : string;
   c_d : Fr.t;
   c_k : Fr.t;
-  enc_proof_cid : string;
-  transform_proof_cid : string option;
-  src_sizes : int list;
-  part_sizes : int list;
+  enc_proof_cid : string;  (** pi_e of this dataset *)
+  origin : (Transform.kind * string) option;
+      (** the derivation that made the dataset and the CID of its pi_t;
+          [None] for a source *)
 }
 
 val meta_to_string : meta -> string
+
 val meta_of_string : string -> meta option
+(** The only reader of manifest lines: [None] unless the lines are
+    exactly what {!meta_to_string} writes for some [meta]. An unknown
+    kind, a kind without its sizes, a pi_t without a kind and a kind
+    without a pi_t are all [None]. *)
 
 val publish :
   t -> owner:Chain.Address.t -> Fr.t array ->
@@ -76,14 +80,16 @@ type audit_failure =
   | `Bad_transform_proof of int ]
 
 val token_meta : t -> Storage.node -> int -> (meta, audit_failure) result
-
-val audit_encryption : t -> Storage.node -> int -> (unit, audit_failure) result
-(** Re-verify one token's pi_e from chain + storage alone. *)
+(** A token's decoded manifest, whose commitments match the chain's. *)
 
 val audit_provenance :
   t -> auditor_id:string -> int -> (int, audit_failure) result
-(** Full lineage audit: walk prevIds[] to the sources and re-verify every
-    pi_e and pi_t. Returns the number of tokens verified. *)
+(** Full lineage audit (Fig. 3): for every token in [Erc721.provenance]
+    order, decode its manifest once, verify pi_e, require the manifest's
+    origin to be the chain's [transform] (a source exactly when the chain
+    records none, else the same kind), check its sizes against the
+    parents' ciphertext lengths and verify its pi_t. Returns the number
+    of tokens verified. *)
 
 type trade_failure =
   [ `Offer_rejected
@@ -102,10 +108,3 @@ val trade :
   (Fr.t array, trade_failure) result
 (** Run a complete key-secure exchange of a token, ending with the NFT
     transfer; returns the buyer's recovered plaintext. *)
-
-val settle_batch :
-  t -> seller:Chain.Address.t -> (int * Fr.t * Zkdet_plonk.Proof.t) list ->
-  Chain.receipt
-(** Settle a block of escrow deals [(deal_id, k_c, pi_k)] in one metered
-    call: proofs are batch-verified with a single folded pairing check,
-    gas is attributed per deal, and the block is all-or-nothing. *)

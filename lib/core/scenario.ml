@@ -21,14 +21,13 @@ module Telemetry = Zkdet_telemetry.Telemetry
 (* ---- unified scenario configuration ---- *)
 
 (** One configuration record drives every scenario entry point
-    ({!run_cfg}, {!run_batch_cfg}, {!load}); call sites override the
+    ({!run_cfg}, {!load}); call sites override the
     fields they care about in {!Config.default}. *)
 module Config = struct
   type t = {
     seed : int;  (** master RNG seed; every address and dataset derives from it *)
     n : int;  (** dataset size for the exchange scenarios *)
     price : int;  (** escrowed price per deal / per purchase *)
-    batch : int;  (** deals settled in one call by {!run_batch_cfg} *)
     accounts : int;  (** [load]: distinct on-chain accounts *)
     datasets : int;  (** [load]: catalogue size for Zipf sampling *)
     blocks : int;  (** [load]: blocks to produce *)
@@ -49,7 +48,6 @@ module Config = struct
       seed = 42;
       n = 8;
       price = 1_000;
-      batch = 4;
       accounts = 64;
       datasets = 32;
       blocks = 8;
@@ -198,115 +196,6 @@ let run_cfg (cfg : Config.t) : outcome =
         if delivered then step "complete" ~detail:[ ("deal", string_of_int deal_id) ];
         { chain; net; proof_ok; delivered; ok = delivered })
   end
-
-(* ---- batched settlement scenario ---- *)
-
-module Escrow = Zkdet_contracts.Escrow
-module Verifier_contract = Zkdet_contracts.Verifier_contract
-
-type batch_outcome = {
-  batch_chain : Chain.t;
-  locked : int;  (** deals opened by the buyers *)
-  settled : int;  (** deals settled by the single settle-batch call *)
-  recovered : int;  (** buyers whose decrypted plaintext matched *)
-  batch_ok : bool;
-}
-
-(** [run_batch_cfg cfg] runs [cfg.batch] complete key-secure
-    exchanges whose settlements land in ONE on-chain settle-batch call:
-    each buyer validates the seller's pi_p and locks payment; the seller
-    then derives every (k_c, pi_k) and settles the whole block with a
-    single folded pairing check.  Fully seeded and deterministic, like
-    {!run_cfg}; emits one ["settle-batch"] protocol step covering the
-    block.  Honours [cfg.journal] and [cfg.prom]. *)
-let run_batch_cfg (cfg : Config.t) : batch_outcome =
-  let seed = cfg.Config.seed
-  and batch = cfg.Config.batch
-  and n = cfg.Config.n
-  and price = cfg.Config.price in
-  with_sinks cfg @@ fun () ->
-  let env = Env.create ~log2_max_gates:13 ~seed:[| seed; 1 |] () in
-  let chain = Chain.create () in
-  let seller = Chain.Address.of_seed (Printf.sprintf "batch-seller/%d" seed) in
-  Chain.faucet chain seller 100_000_000;
-  let verifier, _ =
-    Verifier_contract.deploy chain ~deployer:seller (Exchange.key_vk env)
-  in
-  let escrow, _ = Escrow.deploy chain ~deployer:seller verifier in
-  Obs.with_trace "zkdet-batch-settle" @@ fun () ->
-  step "batch-offer"
-    ~detail:[ ("batch", string_of_int batch); ("n", string_of_int n) ];
-  (* Phase 1 per exchange: seal, validate, blind, lock. *)
-  let deals =
-    List.init batch (fun i ->
-        let buyer =
-          Chain.Address.of_seed (Printf.sprintf "batch-buyer/%d/%d" seed i)
-        in
-        Chain.faucet chain buyer (price + 10_000_000);
-        let data =
-          Array.init n (fun j -> Fr.of_int ((seed * 1_000) + (i * 100) + j))
-        in
-        let sealed = Transform.seal ~st:env.Env.rng data in
-        let offer = Exchange.make_offer sealed ~predicate:Circuits.Trivial ~price in
-        let pi_p = Exchange.prove_validation env sealed Circuits.Trivial in
-        let proof_ok = Exchange.verify_validation env offer pi_p in
-        let k_v, h_v = Exchange.buyer_blinding ~st:env.Env.rng () in
-        let deal_id, _ =
-          Escrow.lock escrow chain ~buyer ~seller ~amount:price ~h_v
-            ~key_commitment:offer.Exchange.c_k ~timeout_blocks:100
-        in
-        ignore (Chain.mine chain);
-        (deal_id, proof_ok, sealed, offer, k_v, data))
-  in
-  let locked =
-    List.length
-      (List.filter (fun (id, ok, _, _, _, _) -> ok && id <> None) deals)
-  in
-  (* Phase 2: the seller settles the whole block in one call. *)
-  let entries =
-    List.filter_map
-      (fun (deal_id, proof_ok, sealed, _, k_v, _) ->
-        match deal_id with
-        | Some id when proof_ok ->
-          let k_c, pi_k = Exchange.prove_key env sealed ~k_v in
-          Some (id, k_c, pi_k)
-        | _ -> None)
-      deals
-  in
-  let receipt = Escrow.settle_batch escrow chain ~seller entries in
-  ignore (Chain.mine chain);
-  let settle_ok = receipt.Chain.status = Ok () in
-  if settle_ok then
-    step "settle-batch"
-      ~detail:
-        [ ("deals", string_of_int (List.length entries));
-          ("gas", string_of_int receipt.Chain.gas_used) ];
-  let settled =
-    List.length
-      (List.filter
-         (fun (deal_id, _, _, _, _, _) ->
-           match Option.bind deal_id (Escrow.deal escrow) with
-           | Some d -> d.Escrow.status = Escrow.Settled
-           | None -> false)
-         deals)
-  in
-  (* Every buyer recovers with the published k_c and their private k_v. *)
-  let recovered =
-    List.length
-      (List.filter
-         (fun (deal_id, _, _, offer, k_v, data) ->
-           match Option.bind deal_id (Escrow.deal escrow) with
-           | Some { Escrow.k_c = Some k_c; _ } ->
-             let plain = Exchange.recover offer ~k_c ~k_v in
-             Exchange.recovered_matches offer ~k_c ~k_v plain
-             && Array.length plain = Array.length data
-             && Array.for_all2 Fr.equal plain data
-           | _ -> false)
-         deals)
-  in
-  let batch_ok = settle_ok && locked = batch && settled = batch && recovered = batch in
-  if batch_ok then step "batch-complete" ~detail:[ ("batch", string_of_int batch) ];
-  { batch_chain = chain; locked; settled; recovered; batch_ok }
 
 (* ---- sustained marketplace load (mempool + parallel blocks) ---- *)
 

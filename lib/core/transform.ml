@@ -1,15 +1,16 @@
 (* The generic data transformation protocol (paper §IV-B): sealed datasets
    (encrypted + committed), decoupled proofs of encryption pi_e reusable
-   across transformations, proofs of transformation pi_t for the four
-   fundamental formulae, and proof-chain validation (Fig. 3). *)
+   across transformations, and proofs of transformation pi_t for the four
+   fundamental formulae.  The lineage audit that chains them (Fig. 3) is
+   [Marketplace.audit_provenance]. *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
 module Prover = Zkdet_plonk.Prover
 module Verifier = Zkdet_plonk.Verifier
 module Proof = Zkdet_plonk.Proof
-module Preprocess = Zkdet_plonk.Preprocess
 module Mimc = Zkdet_mimc.Mimc
+module Erc721 = Zkdet_contracts.Erc721
 
 (** A dataset as its owner holds it: plaintext and secrets alongside the
     public ciphertext and commitments. *)
@@ -49,41 +50,55 @@ let decrypt ~(key : Fr.t) ~(nonce : Fr.t) (ciphertext : Fr.t array) : Fr.t array
 
 (* ---- pi_e ---- *)
 
-let encryption_pk env ~n =
-  Env.proving_key env ~descriptor:(Circuits.encryption_descriptor ~n)
-    ~build:(Circuits.encryption_dummy ~n)
-
 (** Generate pi_e for a sealed dataset. *)
 let prove_encryption (env : Env.t) (s : sealed) : Proof.t =
-  let pk = encryption_pk env ~n:(size s) in
+  let n = size s in
+  let pk =
+    Env.proving_key env ~descriptor:(Circuits.encryption_descriptor ~n)
+      ~build:(Circuits.encryption_dummy ~n)
+  in
   let cs =
     Circuits.encryption_circuit ~data:s.data ~key:s.key ~nonce:s.nonce
       ~o_d:s.o_d ~o_k:s.o_k
   in
   Prover.prove ~st:env.Env.rng pk (Cs.compile cs)
 
+(* Verify [proof] of [publics] in the circuit family [descriptor], whose
+   datasets have [sizes].  Every dataset of a lineage carries a pi_e, so
+   one longer than the env's largest pi_e cannot verify: answer false
+   before building a circuit for it. *)
+let verify_sized (env : Env.t) ~sizes ~descriptor ~build publics proof =
+  List.for_all (fun n -> n <= Env.max_dataset env) sizes
+  &&
+  match Env.verification_key env ~descriptor ~build with
+  | Some vk -> Verifier.verify vk publics proof
+  | None -> false
+
 (** Verify pi_e from public data only. *)
 let verify_encryption (env : Env.t) ~(nonce : Fr.t) ~(c_d : Fr.t) ~(c_k : Fr.t)
     ~(ciphertext : Fr.t array) (proof : Proof.t) : bool =
   let n = Array.length ciphertext in
-  let pk = encryption_pk env ~n in
-  Verifier.verify pk.Preprocess.vk
+  verify_sized env ~sizes:[ n ]
+    ~descriptor:(Circuits.encryption_descriptor ~n)
+    ~build:(Circuits.encryption_dummy ~n)
     (Circuits.encryption_publics ~nonce ~c_d ~c_k ~ciphertext)
     proof
 
 (* ---- transformations ---- *)
 
 type kind =
-  | Duplication
+  | Duplication of int (* source size *)
   | Aggregation of int list (* source sizes in order *)
   | Partition of int * int list (* source size, part sizes *)
   | Processing of string * int (* registered spec name, source size *)
 
-let kind_name = function
-  | Duplication -> "duplication"
-  | Aggregation _ -> "aggregation"
-  | Partition _ -> "partition"
-  | Processing (name, _) -> "processing:" ^ name
+let chain_kind : kind -> Erc721.transform_kind = function
+  | Duplication _ -> Erc721.Duplication
+  | Aggregation _ -> Erc721.Aggregation
+  | Partition _ -> Erc721.Partition
+  | Processing (name, _) -> Erc721.Processing name
+
+let kind_name k = Erc721.transform_name (chain_kind k)
 
 (** One link of a proof chain: the transformation relates source
     commitments to destination commitments through pi_t. *)
@@ -109,7 +124,7 @@ let duplicate (env : Env.t) (src : sealed) : sealed * link =
   in
   let proof = Prover.prove ~st pk (Cs.compile cs) in
   ( dst,
-    { kind = Duplication; src_commitments = [ src.c_d ];
+    { kind = Duplication n; src_commitments = [ src.c_d ];
       dst_commitments = [ dst.c_d ]; proof } )
 
 (** Aggregate several datasets into their ordered concatenation (§IV-D.2). *)
@@ -186,79 +201,35 @@ let process (env : Env.t) (src : sealed) ~(spec : Circuits.processing_spec) :
 
 (* ---- verification ---- *)
 
-(** Verify one pi_t link against its public commitments. Duplication
-    circuits are keyed by the dataset size, which the link itself does not
-    carry — pass it as [n_duplication] (token metadata supplies it). *)
-let verify_link (env : Env.t) ?(n_duplication = 0) (l : link) : bool =
-  let vk_and_publics =
-    match (l.kind, l.src_commitments, l.dst_commitments) with
-    | Duplication, [ c_s ], [ c_d ] ->
-      let n = n_duplication in
-      if n <= 0 then None
-      else
-        Some
-          ( Env.verification_key env
-              ~descriptor:(Circuits.duplication_descriptor ~n)
-              ~build:(Circuits.duplication_dummy ~n),
-            Circuits.duplication_publics ~c_s ~c_d )
-    | Aggregation sizes, c_sources, [ c_d ] ->
-      Some
-        ( Env.verification_key env
-            ~descriptor:(Circuits.aggregation_descriptor ~sizes)
-            ~build:(Circuits.aggregation_dummy ~sizes),
-          Circuits.aggregation_publics ~c_sources ~c_d )
-    | Partition (n, sizes), [ c_s ], c_parts ->
-      Some
-        ( Env.verification_key env
-            ~descriptor:(Circuits.partition_descriptor ~n ~sizes)
-            ~build:(Circuits.partition_dummy ~n ~sizes),
-          Circuits.partition_publics ~c_s ~c_parts )
-    | Processing (name, n), [ c_s ], [ c_d ] -> (
-      match Circuits.find_processing name with
-      | None -> None
-      | Some spec ->
-        Some
-          ( Env.verification_key env
-              ~descriptor:(Circuits.processing_descriptor ~name ~n)
-              ~build:(Circuits.processing_dummy ~spec ~n),
-            Circuits.processing_publics ~c_s ~c_d ))
-    | _ -> None
-  in
-  match vk_and_publics with
-  | None -> false
-  | Some (vk, publics) -> Verifier.verify vk publics l.proof
-
-(** Verify a chain of transformations (Fig. 3): every link's proof holds
-    and each link's sources appear among the accumulated commitments
-    (original sources or earlier destinations). [roots] are the trusted
-    origin commitments; [dup_sizes] supplies n for duplication links (in
-    chain order). *)
-let verify_chain (env : Env.t) ~(roots : Fr.t list) ?(dup_sizes : int list = [])
-    (chain : link list) : bool =
-  let known = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace known (Fr.to_bytes_be c) ()) roots;
-  let dup_sizes = ref dup_sizes in
-  let take_dup_size () =
-    match !dup_sizes with
-    | [] -> 0
-    | s :: rest ->
-      dup_sizes := rest;
-      s
-  in
-  List.for_all
-    (fun l ->
-      let sources_known =
-        List.for_all
-          (fun c -> Hashtbl.mem known (Fr.to_bytes_be c))
-          l.src_commitments
-      in
-      let n_duplication =
-        match l.kind with Duplication -> take_dup_size () | _ -> 0
-      in
-      let ok = sources_known && verify_link env ~n_duplication l in
-      if ok then
-        List.iter
-          (fun c -> Hashtbl.replace known (Fr.to_bytes_be c) ())
-          l.dst_commitments;
-      ok)
-    chain
+(** Verify one pi_t link against its public commitments. *)
+let verify_link (env : Env.t) (l : link) : bool =
+  match (l.kind, l.src_commitments, l.dst_commitments) with
+  | Duplication n, [ c_s ], [ c_d ] ->
+    verify_sized env ~sizes:[ n ]
+      ~descriptor:(Circuits.duplication_descriptor ~n)
+      ~build:(Circuits.duplication_dummy ~n)
+      (Circuits.duplication_publics ~c_s ~c_d)
+      l.proof
+  | Aggregation sizes, c_sources, [ c_d ] ->
+    verify_sized env
+      ~sizes:(List.fold_left ( + ) 0 sizes :: sizes)
+      ~descriptor:(Circuits.aggregation_descriptor ~sizes)
+      ~build:(Circuits.aggregation_dummy ~sizes)
+      (Circuits.aggregation_publics ~c_sources ~c_d)
+      l.proof
+  | Partition (n, sizes), [ c_s ], c_parts ->
+    verify_sized env ~sizes:[ n ]
+      ~descriptor:(Circuits.partition_descriptor ~n ~sizes)
+      ~build:(Circuits.partition_dummy ~n ~sizes)
+      (Circuits.partition_publics ~c_s ~c_parts)
+      l.proof
+  | Processing (name, n), [ c_s ], [ c_d ] -> (
+    match Circuits.find_processing name with
+    | None -> false
+    | Some spec ->
+      verify_sized env ~sizes:[ n ]
+        ~descriptor:(Circuits.processing_descriptor ~name ~n)
+        ~build:(Circuits.processing_dummy ~spec ~n)
+        (Circuits.processing_publics ~c_s ~c_d)
+        l.proof)
+  | _ -> false

@@ -1,7 +1,8 @@
 (** The generic data transformation protocol (paper §IV-B): sealed
     datasets (encrypted + committed), decoupled reusable proofs of
-    encryption pi_e, proofs of transformation pi_t for the four
-    fundamental formulae of §IV-D, and proof-chain validation (Fig. 3). *)
+    encryption pi_e, and proofs of transformation pi_t for the four
+    fundamental formulae of §IV-D. The lineage audit that chains them
+    (Fig. 3) is [Marketplace.audit_provenance]. *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module Proof = Zkdet_plonk.Proof
@@ -34,17 +35,25 @@ val prove_encryption : Env.t -> sealed -> Proof.t
 val verify_encryption :
   Env.t -> nonce:Fr.t -> c_d:Fr.t -> c_k:Fr.t -> ciphertext:Fr.t array ->
   Proof.t -> bool
-(** Verification from public data only. *)
+(** Verification from public data only. False, with no circuit built,
+    for a ciphertext longer than {!Env.max_dataset}. *)
 
 (** {2 Transformations (pi_t)} *)
 
+(** A derivation: which formula made a dataset, over which sizes. The
+    sizes key the pi_t circuit. *)
 type kind =
-  | Duplication
+  | Duplication of int  (** source size *)
   | Aggregation of int list  (** source sizes, in order *)
   | Partition of int * int list  (** source size, part sizes *)
   | Processing of string * int  (** registered spec name, source size *)
 
+val chain_kind : kind -> Zkdet_contracts.Erc721.transform_kind
+(** What the NFT registry records of a derivation: the kind without its
+    sizes. *)
+
 val kind_name : kind -> string
+(** [Erc721.transform_name (chain_kind k)]. *)
 
 (** One link of a proof chain: a transformation relating source
     commitments to destination commitments through pi_t. *)
@@ -73,13 +82,8 @@ val process : Env.t -> sealed -> spec:Circuits.processing_spec -> sealed * link
 
 (** {2 Verification} *)
 
-val verify_link : Env.t -> ?n_duplication:int -> link -> bool
-(** Verify one pi_t against its public commitments. Duplication circuits
-    are keyed by the dataset size, which the link does not carry — pass
-    it as [n_duplication] (token metadata supplies it). *)
-
-val verify_chain :
-  Env.t -> roots:Fr.t list -> ?dup_sizes:int list -> link list -> bool
-(** Verify a chain of transformations (Fig. 3): every link verifies and
-    every link's sources are either trusted [roots] or destinations of
-    earlier links. *)
+val verify_link : Env.t -> link -> bool
+(** Verify one pi_t against its public commitments. False, with no
+    circuit built, when a dataset of the link is longer than
+    {!Env.max_dataset}, and false when its circuit does not fit the
+    SRS. *)

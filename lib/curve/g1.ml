@@ -29,7 +29,6 @@ end)
    recovered as sqrt(x^3 + 3) with the tagged parity. 33 bytes instead of
    65. The byte format lives in Weierstrass (shared with G2); these
    wrappers keep the historical raising API and error messages. *)
-let y_parity = Fp_curve.parity
 
 let of_bytes_compressed (s : string) : t =
   match of_bytes_compressed_result s with

@@ -7,9 +7,6 @@
 
 module Nat = Zkdet_num.Nat
 
-(* Curve seed t: p and r are the standard BN polynomials evaluated at t. *)
-let seed_decimal = "4965661367192848881"
-
 let fp_modulus_decimal =
   "21888242871839275222246405745257275088696311157297823662689037894645226208583"
 

@@ -226,7 +226,6 @@ let create_tail path =
     t_header_ok = false;
   }
 
-let tail_pos t = t.t_pos
 let tail_seq t = t.t_seq
 
 let poll_tail (t : tail) : (entry list, error) result =

@@ -17,13 +17,6 @@ type proving_key = Preprocess.proving_key
 type verification_key = Preprocess.verification_key
 type proof = Proof.t
 
-(* Padded domain size the preprocessor will pick for this circuit
-   (mirrors Preprocess.setup's padding rule). *)
-let padded_size (compiled : Cs.compiled) =
-  let rec next_pow2 x acc = if 1 lsl acc >= x then acc else next_pow2 x (acc + 1) in
-  let log2n = max 2 (next_pow2 (max (Cs.num_gates compiled) 8) 0) in
-  1 lsl log2n
-
 let srs_cache : (int, Srs.t) Hashtbl.t = Hashtbl.create 4
 let srs_mutex = Mutex.create ()
 
@@ -42,9 +35,8 @@ let srs_for ?st (size : int) : Srs.t =
         srs)
 
 let setup ?st (compiled : Cs.compiled) : proving_key =
-  let n = padded_size compiled in
   (* n + 6 powers are required; a little slack matches Env's sizing. *)
-  let srs = srs_for ?st (n + 8) in
+  let srs = srs_for ?st (Preprocess.padded_size compiled + 8) in
   Preprocess.setup srs compiled
 
 let vk (pk : proving_key) : verification_key = pk.Preprocess.vk

@@ -131,14 +131,24 @@ let find_cosets (d : Domain.t) : Fr.t * Fr.t =
   in
   (k1, find_k2 3)
 
-(** Build the proving key for a compiled circuit over the given SRS. The SRS
-    must have at least [n + 6] G1 powers for blinding headroom. *)
+(* log2 of the row count [setup] pads a circuit to. *)
+let padded_log2 (circuit : Cs.compiled) =
+  max 2 (next_pow2 (max (Cs.num_gates circuit) 8))
+
+let padded_size circuit = 1 lsl padded_log2 circuit
+
+(* [n + 6] G1 powers over the padded rows: the blinding headroom. *)
+let fits (srs : Srs.t) (circuit : Cs.compiled) =
+  Srs.size srs >= padded_size circuit + 6
+
+(** Build the proving key for a compiled circuit over the given SRS.
+    Raises [Invalid_argument] unless the circuit {!fits}. *)
 let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
   Telemetry.with_span "plonk.preprocess" @@ fun () ->
+  if not (fits srs circuit) then invalid_arg "Preprocess.setup: SRS too small";
   let raw_n = Cs.num_gates circuit in
-  let log2n = max 2 (next_pow2 (max raw_n 8)) in
+  let log2n = padded_log2 circuit in
   let n = 1 lsl log2n in
-  if Srs.size srs < n + 6 then invalid_arg "Preprocess.setup: SRS too small";
   let domain = Domain.create log2n in
   let domain4 = Domain.create (log2n + 2) in
   let gates =
@@ -208,7 +218,9 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
   let sigma3_c = interpolate sigma_evals.(2) in
   let sigma1 = poly sigma1_c and sigma2 = poly sigma2_c
   and sigma3 = poly sigma3_c in
-  let commit = Kzg.commit srs in
+  let cms =
+    Kzg.commit_batch srs [| ql; qr; qo; qm; qc; sigma1; sigma2; sigma3 |]
+  in
   let vk =
     {
       vk_n = n;
@@ -216,14 +228,14 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
       vk_domain = domain;
       vk_k1 = k1;
       vk_k2 = k2;
-      cm_ql = commit ql;
-      cm_qr = commit qr;
-      cm_qo = commit qo;
-      cm_qm = commit qm;
-      cm_qc = commit qc;
-      cm_sigma1 = commit sigma1;
-      cm_sigma2 = commit sigma2;
-      cm_sigma3 = commit sigma3;
+      cm_ql = cms.(0);
+      cm_qr = cms.(1);
+      cm_qo = cms.(2);
+      cm_qm = cms.(3);
+      cm_qc = cms.(4);
+      cm_sigma1 = cms.(5);
+      cm_sigma2 = cms.(6);
+      cm_sigma3 = cms.(7);
       vk_g2 = srs.Srs.g2;
       vk_g2_tau = srs.Srs.g2_tau;
     }

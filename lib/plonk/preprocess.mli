@@ -62,7 +62,14 @@ val vk_codec : verification_key Zkdet_codec.Codec.t
 val vk_to_bytes : verification_key -> string
 val vk_of_bytes : string -> (verification_key, Zkdet_codec.Codec.error) result
 
+val padded_size : Cs.compiled -> int
+(** The row count [n] that {!setup} pads a circuit to: the next power of
+    two, at least 8. *)
+
+val fits : Srs.t -> Cs.compiled -> bool
+(** Whether {!setup} accepts the circuit over the SRS: it needs [n + 6]
+    G1 powers for the padded size [n] (blinding headroom). *)
+
 val setup : Srs.t -> Cs.compiled -> proving_key
 (** Build the proving key (and embedded verification key) for a compiled
-    circuit. Pads to the next power of two; requires the SRS to have at
-    least [n + 6] G1 powers (blinding headroom). *)
+    circuit. Raises [Invalid_argument] unless the circuit {!fits}. *)

@@ -215,7 +215,7 @@ let prove ?(st = Random.State.make_self_init ()) (pk : Preprocess.proving_key)
     Telemetry.with_span "round2.permutation" @@ fun () ->
     let z = grand_product pk ~wa ~wb ~wc ~beta ~gamma in
     let z4, z_poly = blind domain n4 z (blinds 3) in
-    (z4, z_poly, Kzg.commit pk.Preprocess.srs z_poly)
+    (z4, z_poly, (Kzg.commit_batch pk.Preprocess.srs [| z_poly |]).(0))
   in
   Transcript.absorb_g1 tr ~label:"z" cm_z;
 

@@ -117,7 +117,6 @@ type window = {
 }
 
 let window_flag = Atomic.make false
-let window_enabled () = Atomic.get window_flag
 let set_window_enabled b = Atomic.set window_flag b
 
 let fresh_window () =

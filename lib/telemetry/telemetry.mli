@@ -141,8 +141,6 @@ val snapshot : unit -> Report.t
     intentionally nondeterministic; it never feeds {!snapshot} or any
     persisted artifact. *)
 
-val window_enabled : unit -> bool
-
 val set_window_enabled : bool -> unit
 (** Recording into windows additionally requires {!set_enabled}[ true]. *)
 

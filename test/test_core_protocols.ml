@@ -15,6 +15,9 @@ module Chain = Zkdet_chain.Chain
 module Escrow = Zkdet_contracts.Escrow
 module Erc721 = Zkdet_contracts.Erc721
 module Poseidon = Zkdet_poseidon.Poseidon
+module Gen = Zkdet_proptest.Gen
+module Cs = Zkdet_plonk.Cs
+module Gen_zk = Zkdet_proptest.Gen_zk
 
 (* One shared proving environment (universal setup) for the whole suite. *)
 let env = lazy (Env.create ~log2_max_gates:13 ())
@@ -67,11 +70,10 @@ let test_duplication () =
     (Fr.equal src.Transform.key dst.Transform.key);
   Alcotest.(check bool) "fresh commitment" false
     (Fr.equal src.Transform.c_d dst.Transform.c_d);
-  Alcotest.(check bool) "pi_t verifies" true
-    (Transform.verify_link env ~n_duplication:2 link);
+  Alcotest.(check bool) "pi_t verifies" true (Transform.verify_link env link);
   (* wrong structural size must fail *)
   Alcotest.(check bool) "wrong n rejected" false
-    (Transform.verify_link env ~n_duplication:3 link)
+    (Transform.verify_link env { link with Transform.kind = Transform.Duplication 3 })
 
 let test_aggregation () =
   let env = Lazy.force env in
@@ -118,23 +120,23 @@ let test_processing () =
   (* a forged destination commitment must fail *)
   let forged = { link with Transform.dst_commitments = [ Fr.random rng ] } in
   Alcotest.(check bool) "forged dst rejected" false
-    (Transform.verify_link env forged)
-
-let test_proof_chain () =
-  let env = Lazy.force env in
-  let src = Transform.seal ~st:rng (dataset 2) in
-  let dup, l1 = Transform.duplicate env src in
-  let _summed, l2 = Transform.process env dup ~spec:Circuits.sum_spec in
-  let chain = [ l1; l2 ] in
-  Alcotest.(check bool) "chain verifies from root" true
-    (Transform.verify_chain env ~roots:[ src.Transform.c_d ] ~dup_sizes:[ 2 ] chain);
-  (* a chain from an unknown root must fail *)
-  Alcotest.(check bool) "unknown root rejected" false
-    (Transform.verify_chain env ~roots:[ Fr.random rng ] ~dup_sizes:[ 2 ] chain);
-  (* out-of-order links break the commitment flow *)
-  Alcotest.(check bool) "reordered chain rejected" false
-    (Transform.verify_chain env ~roots:[ src.Transform.c_d ] ~dup_sizes:[ 2 ]
-       [ l2; l1 ])
+    (Transform.verify_link env forged);
+  (* a registered function whose circuit outgrows the SRS (2^13 rows)
+     at any size: its link answers false, and no key is built *)
+  Circuits.register_processing
+    (Circuits.pure_spec ~name:"test-over-srs" ~out_size:Fun.id
+       ~apply:(fun cs s_ws ->
+         for _ = 1 to 9_000 do
+           ignore (Cs.mul cs s_ws.(0) s_ws.(0))
+         done;
+         s_ws)
+       ~reference:Fun.id);
+  let pks_before = Hashtbl.length env.Env.pk_cache in
+  Alcotest.(check bool) "circuit over the SRS rejected" false
+    (Transform.verify_link env
+       { link with Transform.kind = Transform.Processing ("test-over-srs", 2) });
+  Alcotest.(check int) "no proving key built" pks_before
+    (Hashtbl.length env.Env.pk_cache)
 
 (* ---- key-secure exchange (§IV-F) ---- *)
 
@@ -291,73 +293,286 @@ let test_marketplace_tamper_detected () =
   | Ok _ -> Alcotest.fail "tampered ciphertext must fail the audit"
   | Error _ -> Alcotest.fail "expected a storage integrity failure"
 
+(* ---- lineage audits of hand-minted tokens ---- *)
+
+(* A token manifest written line by line over a real token's fields, so
+   a test can mint what the typed writer never would. *)
+let manifest_lines ?n ?ct (base : Marketplace.meta) ~kind ~pi_t ~src ~parts =
+  String.concat "\n"
+    [ "zkdet-meta-v1"; "kind:" ^ kind;
+      "n:" ^ string_of_int (Option.value n ~default:base.Marketplace.n);
+      "nonce:" ^ Fr.to_string base.Marketplace.nonce;
+      "ct:" ^ Option.value ct ~default:base.Marketplace.ct_cid;
+      "c_d:" ^ Fr.to_string base.Marketplace.c_d;
+      "c_k:" ^ Fr.to_string base.Marketplace.c_k;
+      "enc_proof:" ^ base.Marketplace.enc_proof_cid;
+      "transform_proof:" ^ pi_t; "src_sizes:" ^ src; "part_sizes:" ^ parts ]
+
+(* Mint [lines] as alice's token, with [base]'s commitments on chain and
+   the chain's record [transform] of its derivation from [prev_ids]. *)
+let mint_lines (m : Marketplace.t) (base : Marketplace.meta) ~prev_ids
+    ~transform lines =
+  let uri =
+    Storage.Cid.to_string
+      (Storage.put m.Marketplace.net (Marketplace.node m ~id:alice) lines)
+  in
+  let key_commitment = base.Marketplace.c_k
+  and data_commitment = base.Marketplace.c_d in
+  let minted, _ =
+    match transform with
+    | None ->
+      Erc721.mint m.Marketplace.nft m.Marketplace.chain ~sender:alice
+        ~recipient:alice ~uri ~key_commitment ~data_commitment ~proof_refs:[]
+    | Some transform ->
+      Erc721.mint_derived m.Marketplace.nft m.Marketplace.chain ~sender:alice
+        ~prev_ids ~transform ~uri ~key_commitment ~data_commitment
+        ~proof_refs:[]
+  in
+  match minted with
+  | Some id -> id
+  | None -> Alcotest.fail "the registry refused the token"
+
+let publish_meta (m : Marketplace.t) data =
+  match Marketplace.publish m ~owner:alice data with
+  | Error e -> Alcotest.failf "publish failed: %s" e
+  | Ok (id, sealed) -> (
+    match Marketplace.token_meta m (Marketplace.node m ~id:"auditor") id with
+    | Ok meta -> (id, sealed, meta)
+    | Error _ -> Alcotest.fail "no manifest for a published token")
+
+let verdict : (int, Marketplace.audit_failure) result -> string = function
+  | Ok n -> Printf.sprintf "Ok %d" n
+  | Error `No_token -> "No_token"
+  | Error `No_meta -> "No_meta"
+  | Error (`Storage _) -> "Storage"
+  | Error `Commitment_mismatch -> "Commitment_mismatch"
+  | Error (`Bad_encryption_proof id) -> Printf.sprintf "Bad_encryption_proof %d" id
+  | Error (`Bad_transform_proof id) -> Printf.sprintf "Bad_transform_proof %d" id
+
+let check_audit (m : Marketplace.t) name expected token =
+  let got =
+    match Marketplace.audit_provenance m ~auditor_id:"auditor" token with
+    | r -> verdict r
+    | exception ex -> "raised " ^ Printexc.to_string ex
+  in
+  Alcotest.(check string) name expected got
+
 (* The minter writes a token's manifest and parent list, so an audit must
    answer a malformed one with [`No_meta], never an exception. Each
    hostile token below reuses its parent's manifest, so its pi_e and
    commitments check out, and points [transform_proof] at the parent's
-   pi_e, a proof that decodes. *)
+   pi_e, a proof that decodes. The first three line sets fail in the
+   manifest reader; the rest are typed and fail the audit's checks of
+   the chain's kind, the parent count and the parent's length (2). *)
 let test_marketplace_hostile_manifest () =
   let env = Lazy.force env in
   let m = Marketplace.bootstrap env ~operator in
-  let parent, _ =
-    match Marketplace.publish m ~owner:alice (dataset 2) with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "publish failed: %s" e
-  in
-  let auditor = Marketplace.node m ~id:"auditor" in
-  let pmeta =
-    match Marketplace.token_meta m auditor parent with
-    | Ok meta -> meta
-    | Error _ -> Alcotest.fail "no parent meta"
-  in
-  let mint ~prev_ids (meta : Marketplace.meta) =
-    let uri =
-      Storage.Cid.to_string
-        (Storage.put m.Marketplace.net (Marketplace.node m ~id:alice)
-           (Marketplace.meta_to_string meta))
+  let parent, _, pmeta = publish_meta m (dataset 2) in
+  let hostile ?(prev_ids = [ parent ]) ?(on_chain = Erc721.Partition) ~kind ~src
+      ?(parts = "") ~readable () =
+    let lines =
+      manifest_lines pmeta ~kind ~pi_t:pmeta.Marketplace.enc_proof_cid ~src
+        ~parts
     in
-    match
-      Erc721.mint_derived m.Marketplace.nft m.Marketplace.chain ~sender:alice
-        ~prev_ids ~transform:Erc721.Partition ~uri
-        ~key_commitment:meta.Marketplace.c_k
-        ~data_commitment:meta.Marketplace.c_d ~proof_refs:[]
-    with
-    | Some id, _ -> id
-    | None, _ -> Alcotest.fail "mint_derived refused the token"
+    Alcotest.(check bool) (kind ^ " lines readable") readable
+      (Marketplace.meta_of_string lines <> None);
+    mint_lines m pmeta ~prev_ids ~transform:(Some on_chain) lines
   in
-  let hostile =
-    { pmeta with
-      Marketplace.kind = "partition";
-      src_sizes = [];
-      transform_proof_cid = Some pmeta.Marketplace.enc_proof_cid }
-  in
+  let processing = Erc721.Processing "sum" in
   (* Sizes other than the parent's ciphertext length (2) must be refused
      before any circuit is built for them. *)
   let pks_before = Hashtbl.length env.Env.pk_cache in
   List.iter
-    (fun (name, token) ->
-      match Marketplace.audit_provenance m ~auditor_id:"auditor" token with
-      | Error `No_meta -> ()
-      | Ok n -> Alcotest.failf "%s: audited Ok %d" name n
-      | Error _ -> Alcotest.failf "%s: expected No_meta" name
-      | exception ex -> Alcotest.failf "%s: raised %s" name (Printexc.to_string ex))
-    [ ("partition without a source size", mint ~prev_ids:[ parent ] hostile);
+    (fun (name, token) -> check_audit m name "No_meta" token)
+    [ ( "partition without a source size",
+        hostile ~kind:"partition" ~src:"" ~parts:"1,1" ~readable:false () );
       ( "processing without a source size",
-        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum" } );
+        hostile ~on_chain:processing ~kind:"processing:sum" ~src:""
+          ~readable:false () );
       ( "partition without a parent",
-        mint ~prev_ids:[] { hostile with src_sizes = [ 2 ] } );
-      ( "unknown kind",
-        mint ~prev_ids:[ parent ] { hostile with kind = "shuffle"; src_sizes = [ 2 ] } );
+        hostile ~prev_ids:[] ~kind:"partition" ~src:"2" ~parts:"1,1"
+          ~readable:true () );
+      ("unknown kind", hostile ~kind:"shuffle" ~src:"2" ~readable:false ());
       ( "partition into a negative part",
-        mint ~prev_ids:[ parent ] { hostile with src_sizes = [ 2 ]; part_sizes = [ -1 ] } );
+        hostile ~kind:"partition" ~src:"2" ~parts:"-1" ~readable:true () );
       ( "processing of a negative size",
-        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum"; src_sizes = [ -1 ] } );
+        hostile ~on_chain:processing ~kind:"processing:sum" ~src:"-1"
+          ~readable:true () );
       ( "aggregation of a negative size",
-        mint ~prev_ids:[ parent ] { hostile with kind = "aggregation"; src_sizes = [ -1 ] } );
+        hostile ~on_chain:Erc721.Aggregation ~kind:"aggregation" ~src:"-1"
+          ~readable:true () );
       ( "processing of a size over the parent's",
-        mint ~prev_ids:[ parent ] { hostile with kind = "processing:sum"; src_sizes = [ 1000 ] } ) ];
+        hostile ~on_chain:processing ~kind:"processing:sum" ~src:"1000"
+          ~readable:true () ) ];
   Alcotest.(check int) "no proving key built" pks_before
     (Hashtbl.length env.Env.pk_cache)
+
+(* The manifest's origin must be the chain's record of the token: two
+   lineages whose every proof verifies, but whose manifest and chain
+   disagree, audit as [`No_meta]. *)
+let test_marketplace_lineage_forgeries () =
+  let env = Lazy.force env in
+  let m = Marketplace.bootstrap env ~operator in
+  let parent, sealed, _ = publish_meta m (dataset 2) in
+  (* A source manifest, with its own valid pi_e, minted as a duplicate of
+     [parent]: no pi_t proves the derivation the chain records. *)
+  let _, _, other = publish_meta m (dataset 2) in
+  let no_pi_t =
+    mint_lines m other ~prev_ids:[ parent ] ~transform:(Some Erc721.Duplication)
+      (Marketplace.meta_to_string other)
+  in
+  check_audit m "duplicate without a pi_t" "No_meta" no_pi_t;
+  (* A real duplicate with its genuine pi_t, minted as a processing. *)
+  let copy =
+    match Marketplace.derive m ~owner:alice ~parents:[ (parent, sealed) ] `Duplicate with
+    | Ok [ (id, _) ] -> id
+    | Ok _ | Error _ -> Alcotest.fail "duplicate failed"
+  in
+  check_audit m "the real duplicate" "Ok 2" copy;
+  let copy_meta =
+    match Marketplace.token_meta m (Marketplace.node m ~id:"auditor") copy with
+    | Ok meta -> meta
+    | Error _ -> Alcotest.fail "no manifest for the duplicate"
+  in
+  let relabelled =
+    mint_lines m copy_meta ~prev_ids:[ parent ]
+      ~transform:(Some (Erc721.Processing "logistic-regression"))
+      (Marketplace.meta_to_string copy_meta)
+  in
+  check_audit m "duplicate recorded as a processing" "No_meta" relabelled
+
+(* A minter chooses a token's ciphertext, and its length sizes the pi_e
+   circuit: a length over the largest pi_e the env's SRS admits must be
+   refused before any circuit is built, for the token and for a link
+   from it.  Building either 5,000-element circuit allocates gigabytes,
+   so each audit must stay far below that. *)
+let test_marketplace_oversize_ciphertext () =
+  let env = Lazy.force env in
+  let m = Marketplace.bootstrap env ~operator in
+  let _, _, real = publish_meta m (dataset 2) in
+  let owner_node = Marketplace.node m ~id:alice in
+  let big =
+    Storage.Cid.to_string
+      (Storage.put m.Marketplace.net owner_node
+         (Storage.Codec.encode (Array.make 5_000 Fr.one)))
+  in
+  let pks_before = Hashtbl.length env.Env.pk_cache in
+  let root =
+    mint_lines m real ~prev_ids:[] ~transform:None
+      (manifest_lines real ~n:5_000 ~ct:big ~kind:"source" ~pi_t:"-" ~src:""
+         ~parts:"")
+  in
+  let audit_within_budget name expected token =
+    let before = Gc.allocated_bytes () in
+    check_audit m name expected token;
+    let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+    if mb > 256. then Alcotest.failf "%s: the audit allocated %.0f MB" name mb
+  in
+  audit_within_budget "oversize root"
+    (Printf.sprintf "Bad_encryption_proof %d" root)
+    root;
+  let copy =
+    mint_lines m real ~prev_ids:[ root ] ~transform:(Some Erc721.Duplication)
+      (manifest_lines real ~kind:"duplication"
+         ~pi_t:real.Marketplace.enc_proof_cid ~src:"5000" ~parts:"")
+  in
+  audit_within_budget "duplicate of the oversize root"
+    (Printf.sprintf "Bad_transform_proof %d" copy)
+    copy;
+  Alcotest.(check int) "no proving key built" pks_before
+    (Hashtbl.length env.Env.pk_cache)
+
+(* ---- token manifests ---- *)
+
+let meta_equal (a : Marketplace.meta) (b : Marketplace.meta) =
+  a.Marketplace.n = b.Marketplace.n
+  && Fr.equal a.Marketplace.nonce b.Marketplace.nonce
+  && a.Marketplace.ct_cid = b.Marketplace.ct_cid
+  && Fr.equal a.Marketplace.c_d b.Marketplace.c_d
+  && Fr.equal a.Marketplace.c_k b.Marketplace.c_k
+  && a.Marketplace.enc_proof_cid = b.Marketplace.enc_proof_cid
+  && a.Marketplace.origin = b.Marketplace.origin
+
+let gen_meta : Marketplace.meta Gen.t =
+  let size = Gen.int_range (-3) 5_000 in
+  let sizes = Gen.list_size (Gen.int_range 1 4) size in
+  let cid = Gen.map Storage.Cid.of_bytes Gen.string in
+  let kind =
+    Gen.oneof
+      [ Gen.map (fun n -> Transform.Duplication n) size;
+        Gen.map (fun l -> Transform.Aggregation l) sizes;
+        Gen.map2 (fun n l -> Transform.Partition (n, l)) size sizes;
+        Gen.map2
+          (fun name n -> Transform.Processing (name, n))
+          (Gen.oneof_const [ "sum"; "logistic-regression"; ""; "a:b,c" ])
+          size ]
+  in
+  let origin =
+    Gen.oneof [ Gen.return None; Gen.map2 (fun k c -> Some (k, c)) kind cid ]
+  in
+  Gen.bind (Gen.triple size (Gen.triple Gen_zk.fr Gen_zk.fr Gen_zk.fr)
+              (Gen.triple cid cid origin))
+    (fun (n, (nonce, c_d, c_k), (ct_cid, enc_proof_cid, origin)) ->
+      Gen.return
+        { Marketplace.n; nonce; ct_cid; c_d; c_k; enc_proof_cid; origin })
+
+let manifest_props =
+  [ Test_util.prop ~count:200 "meta_of_string . meta_to_string = Some"
+      Marketplace.meta_to_string gen_meta (fun m ->
+        match Marketplace.meta_of_string (Marketplace.meta_to_string m) with
+        | Some back -> meta_equal m back
+        | None -> false) ]
+
+(* Line sets no typed origin writes: the reader refuses each. *)
+let test_manifest_reader_rejects () =
+  let base =
+    { Marketplace.n = 2; nonce = Fr.of_int 7; ct_cid = "ct"; c_d = Fr.of_int 11;
+      c_k = Fr.of_int 13; enc_proof_cid = "pi_e"; origin = None }
+  in
+  List.iter
+    (fun (name, kind, pi_t, src, parts) ->
+      Alcotest.(check bool) name true
+        (Marketplace.meta_of_string (manifest_lines base ~kind ~pi_t ~src ~parts)
+        = None))
+    [ ("unknown kind", "shuffle", "pi_t", "2", "");
+      ("duplication without its size", "duplication", "pi_t", "", "");
+      ("duplication of two sizes", "duplication", "pi_t", "2,2", "");
+      ("aggregation without sizes", "aggregation", "pi_t", "", "");
+      ("partition without parts", "partition", "pi_t", "2", "");
+      ("partition without a source size", "partition", "pi_t", "", "1,1");
+      ("processing without a source size", "processing:sum", "pi_t", "", "");
+      ("processing with parts", "processing:sum", "pi_t", "2", "1,1");
+      ("a size that is no number", "duplication", "pi_t", "two", "");
+      ("a size written with a leading zero", "duplication", "pi_t", "02", "");
+      ("a pi_t without a kind", "source", "pi_t", "", "");
+      ("a source with sizes", "source", "-", "2", "");
+      ("a kind without a pi_t", "duplication", "-", "2", "") ];
+  Alcotest.(check bool) "the source lines read" true
+    (Marketplace.meta_of_string
+       (manifest_lines base ~kind:"source" ~pi_t:"-" ~src:"" ~parts:"")
+    <> None);
+  (* a decimal parse costs time quadratic in the digits: an element far
+     longer than any canonical one is refused before it is parsed *)
+  let overlong =
+    String.split_on_char '\n' (Marketplace.meta_to_string base)
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"c_d:" l then
+             "c_d:" ^ String.make 40_000 '9'
+           else l)
+    |> String.concat "\n"
+  in
+  let before = Gc.allocated_bytes () in
+  Alcotest.(check bool) "an overlong field element" true
+    (Marketplace.meta_of_string overlong = None);
+  Alcotest.(check bool) "refused before it is parsed" true
+    (Gc.allocated_bytes () -. before < 10e6);
+  Alcotest.(check bool) "a line out of order" true
+    (Marketplace.meta_of_string
+       (String.concat "\n"
+          (match String.split_on_char '\n' (Marketplace.meta_to_string base) with
+          | magic :: kind :: n :: rest -> magic :: n :: kind :: rest
+          | l -> l))
+    = None)
 
 (* Each partition of a parent proves its own pi_t over its own outputs: a
    second partition of the same parent must not join the first one's. *)
@@ -435,18 +650,25 @@ let () =
         [ Alcotest.test_case "duplication" `Slow test_duplication;
           Alcotest.test_case "aggregation" `Slow test_aggregation;
           Alcotest.test_case "partition" `Slow test_partition;
-          Alcotest.test_case "processing" `Slow test_processing;
-          Alcotest.test_case "proof chain" `Slow test_proof_chain ] );
+          Alcotest.test_case "processing" `Slow test_processing ] );
       ( "exchange",
         [ Alcotest.test_case "honest two-phase exchange" `Slow test_exchange_honest;
           Alcotest.test_case "buyer fairness" `Slow test_exchange_buyer_fairness;
           Alcotest.test_case "seller fairness" `Quick test_exchange_seller_fairness;
           Alcotest.test_case "zkcp baseline + flaw" `Slow test_zkcp_baseline ] );
+      ( "manifest",
+        Alcotest.test_case "reader rejects hostile lines" `Quick
+          test_manifest_reader_rejects
+        :: manifest_props );
       ( "marketplace",
         [ Alcotest.test_case "publish/derive/audit/trade" `Slow test_marketplace_end_to_end;
           Alcotest.test_case "storage tamper detected" `Slow test_marketplace_tamper_detected;
           Alcotest.test_case "escrow fairness on-chain" `Slow test_escrow_fairness_onchain;
           Alcotest.test_case "hostile manifest audits as No_meta" `Slow
             test_marketplace_hostile_manifest;
+          Alcotest.test_case "lineage forgeries audit as No_meta" `Slow
+            test_marketplace_lineage_forgeries;
+          Alcotest.test_case "oversize ciphertext builds no circuit" `Slow
+            test_marketplace_oversize_ciphertext;
           Alcotest.test_case "second partition keeps sibling audits" `Slow
             test_marketplace_two_partitions ] ) ]

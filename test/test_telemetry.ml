@@ -11,6 +11,9 @@ module Pool = Zkdet_parallel.Pool
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
 module Backend = Zkdet_plonk.Backend
+module Preprocess = Zkdet_plonk.Preprocess
+module Prover = Zkdet_plonk.Prover
+module Srs = Zkdet_kzg.Srs
 
 let with_recording f =
   Telemetry.set_enabled true;
@@ -329,6 +332,30 @@ let proof_bytes_invariant () =
   Alcotest.(check bool) "identical at 4 domains with telemetry on" true
     (String.equal bytes_off bytes_par)
 
+(* Every commitment of the preprocessor and the prover goes through
+   [Kzg.commit_batch], so each MSM is timed under a [kzg.commit_batch]
+   span, not as self time of the step that asked for it. *)
+let commitments_under_kzg_spans () =
+  let cs = Cs.create () in
+  let x = Cs.fresh cs (Fr.of_int 3) in
+  let pub = Cs.public_input cs (Fr.of_int 9) in
+  Cs.assert_equal cs (Cs.mul cs x x) pub;
+  let compiled = Cs.compile cs in
+  let srs =
+    Srs.unsafe_generate ~st:(Random.State.make [| 5 |])
+      ~size:(Preprocess.padded_size compiled + 8) ()
+  in
+  with_recording @@ fun () ->
+  let pk = Preprocess.setup srs compiled in
+  ignore (Prover.prove ~st:(Random.State.make [| 6 |]) pk compiled);
+  let spans = (Telemetry.snapshot ()).Report.spans in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (String.concat " > " path) true
+        (Report.find_span spans path <> None))
+    [ [ "plonk.preprocess"; "kzg.commit_batch" ];
+      [ "plonk.prove"; "round2.permutation"; "kzg.commit_batch" ] ]
+
 let () =
   Alcotest.run "telemetry"
     [ ( "recording",
@@ -354,4 +381,7 @@ let () =
           Alcotest.test_case "off by default" `Quick windows_off_by_default ] );
       ( "determinism",
         [ Alcotest.test_case "proof bytes invariant under telemetry" `Quick
-            proof_bytes_invariant ] ) ]
+            proof_bytes_invariant ] );
+      ( "spans",
+        [ Alcotest.test_case "every commitment under a kzg span" `Quick
+            commitments_under_kzg_spans ] ) ]

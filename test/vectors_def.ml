@@ -122,10 +122,32 @@ let manifest_cids =
   [ Storage.Cid.of_bytes "chunk-0"; Storage.Cid.of_bytes "chunk-1";
     Storage.Cid.of_bytes "chunk-2" ]
 
+module Marketplace = Zkdet_core.Marketplace
+module Transform = Zkdet_core.Transform
+
+(* One zkdet-meta-v1 token manifest per origin, over fixed field values
+   and CIDs: a source, then one of each derivation kind. *)
+let token_manifests () =
+  let pi_t = Storage.Cid.of_bytes "pi_t" in
+  let meta n origin =
+    { Marketplace.n; nonce = Fr.of_int 7;
+      ct_cid = Storage.Cid.of_bytes "ciphertext";
+      c_d = Fr.neg (Fr.of_int 11); c_k = Fr.neg (Fr.of_int 13);
+      enc_proof_cid = Storage.Cid.of_bytes "pi_e"; origin }
+  in
+  [ meta 2 None;
+    meta 2 (Some (Transform.Duplication 2, pi_t));
+    meta 2 (Some (Transform.Aggregation [ 1; 1 ], pi_t));
+    meta 1 (Some (Transform.Partition (2, [ 1; 1 ]), pi_t));
+    meta 1 (Some (Transform.Processing ("sum", 2), pi_t)) ]
+
 (* (filename, raw bytes) for every committed vector. *)
 let all () : (string * string) list =
   plonk_vectors () @ groth16_vectors ()
   @ [ ("srs_header.hex", Srs.header_bytes ~size:16);
       srs_v2_vector ();
       ("chain_snapshot.hex", Chain.snapshot (demo_chain ()));
-      ("manifest.hex", C.encode Storage.manifest_codec manifest_cids) ]
+      ("manifest.hex", C.encode Storage.manifest_codec manifest_cids);
+      ( "token_manifest.hex",
+        C.encode (C.list C.str)
+          (List.map Marketplace.meta_to_string (token_manifests ())) ) ]
