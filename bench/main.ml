@@ -224,8 +224,8 @@ let fig7 ~scale () =
       let s = Transform.seal ~st:rng data in
       let compiled =
         Cs.compile
-          (Zkcp.circuit ~data ~key:s.Transform.key ~nonce:s.Transform.nonce
-             ~predicate:Circuits.Trivial)
+          (Circuits.zkcp_circuit ~data ~key:s.Transform.key
+             ~nonce:s.Transform.nonce ~predicate:Circuits.Trivial)
       in
       let g16_pk, setup_t =
         wall (fun () -> Zkdet_groth16.Groth16.setup ~st:rng compiled)

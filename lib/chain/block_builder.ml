@@ -30,22 +30,23 @@ module Key_set = struct
 
   let create () : t = Hashtbl.create 64
   let add (t : t) k = Hashtbl.replace t k ()
-  let add_list t ks = List.iter (add t) ks
-  let mem (t : t) k = Hashtbl.mem t k
-  let intersects t ks = List.exists (mem t) ks
-  let elements (t : t) = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t [])
+
+  (* Membership tests only: the answer does not depend on the order in
+     which [ks]'s keys are visited. *)
+  let intersects (t : t) (ks : t) = Seq.exists (Hashtbl.mem t) (Hashtbl.to_seq_keys ks)
+  let union_into t (ks : t) = Hashtbl.iter (fun k () -> add t k) ks
 end
 
 type decision = Commit | Reexec
 
 (** [merge ~count ~sets ~commit ~reexec] walks indices [0..count-1] in
-    order.  [sets i] returns the speculative (reads, writes) key lists
+    order.  [sets i] returns the speculative (reads, writes) key sets
     of candidate [i].  Non-conflicting candidates get [commit i] (apply
     the speculative buffer); conflicting ones get [reexec i], which must
     re-run the transaction against live state and return the keys it
     actually wrote.  Returns the per-candidate decisions. *)
-let merge ~count ~(sets : int -> string list * string list)
-    ~(commit : int -> unit) ~(reexec : int -> string list) : decision array =
+let merge ~count ~(sets : int -> Key_set.t * Key_set.t)
+    ~(commit : int -> unit) ~(reexec : int -> Key_set.t) : decision array =
   let dirtied = Key_set.create () in
   let decisions = Array.make count Commit in
   for i = 0 to count - 1 do
@@ -53,11 +54,11 @@ let merge ~count ~(sets : int -> string list * string list)
     if Key_set.intersects dirtied reads || Key_set.intersects dirtied writes
     then begin
       decisions.(i) <- Reexec;
-      Key_set.add_list dirtied (reexec i)
+      Key_set.union_into dirtied (reexec i)
     end
     else begin
       commit i;
-      Key_set.add_list dirtied writes
+      Key_set.union_into dirtied writes
     end
   done;
   decisions

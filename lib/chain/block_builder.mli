@@ -15,21 +15,21 @@ module Key_set : sig
 
   val create : unit -> t
   val add : t -> string -> unit
-  val add_list : t -> string list -> unit
-  val mem : t -> string -> bool
-  val intersects : t -> string list -> bool
 
-  val elements : t -> string list
-  (** Sorted. *)
+  val intersects : t -> t -> bool
+  (** Whether the two sets share a key. *)
+
+  val union_into : t -> t -> unit
+  (** [union_into t ks] adds every key of [ks] to [t]. *)
 end
 
 type decision = Commit | Reexec
 
 val merge :
   count:int ->
-  sets:(int -> string list * string list) ->
+  sets:(int -> Key_set.t * Key_set.t) ->
   commit:(int -> unit) ->
-  reexec:(int -> string list) ->
+  reexec:(int -> Key_set.t) ->
   decision array
 (** Walk candidates [0..count-1] in order with a running dirtied-key
     set.  [sets i] gives candidate [i]'s speculative (reads, writes);

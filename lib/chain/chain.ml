@@ -543,8 +543,7 @@ let produce_block ?max_txs (chain : t) : block =
   in
   let sets i =
     let spec, _, _, _ = specs.(i) in
-    ( Block_builder.Key_set.elements spec.sp_reads,
-      Block_builder.Key_set.elements spec.sp_writes )
+    (spec.sp_reads, spec.sp_writes)
   in
   let commit i =
     let spec, status, gas_used, events = specs.(i) in
@@ -560,7 +559,7 @@ let produce_block ?max_txs (chain : t) : block =
     in
     apply_spec spec;
     results.(i) <- Some (status, gas_used, events);
-    Block_builder.Key_set.elements spec.sp_writes
+    spec.sp_writes
   in
   let decisions = Block_builder.merge ~count ~sets ~commit ~reexec in
   let reexecuted = Block_builder.reexec_count decisions in

@@ -1,9 +1,12 @@
 (* The protocol circuits of ZKDET (paper §IV): proofs of encryption pi_e,
    proofs of transformation pi_t for the four fundamental formulae, the
-   data-validation proof pi_p, and the key-negotiation proof pi_k.
+   data-validation proof pi_p, the key-negotiation proof pi_k, and the
+   ZKCP baseline's proof (§III-C).
 
    Public-input layouts are fixed per circuit family and mirrored by the
-   [*_publics] helpers so prover and verifier agree byte-for-byte. *)
+   [*_publics] helpers so prover and verifier agree byte-for-byte.  A
+   [statement] names the circuit a proof is about: it keys the proving-key
+   cache ({!Env}) and builds the circuit that sets that key up. *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
@@ -33,13 +36,8 @@ type predicate =
   | Entries_bounded of int  (** every entry fits in [n] bits *)
   | Sum_equals of Fr.t  (** dataset entries sum to a public value *)
 
-let predicate_descriptor = function
-  | Trivial -> "trivial"
-  | Entries_bounded n -> Printf.sprintf "bounded:%d" n
-  | Sum_equals _ -> "sum"
-
 (** Public inputs contributed by the predicate (value parameters only;
-    structural parameters live in the descriptor). *)
+    structural parameters live in the statement's cache key). *)
 let predicate_publics = function
   | Trivial | Entries_bounded _ -> []
   | Sum_equals s -> [ s ]
@@ -63,11 +61,8 @@ let encryption_publics ~(nonce : Fr.t) ~(c_d : Fr.t) ~(c_k : Fr.t)
     ~(ciphertext : Fr.t array) : Fr.t array =
   Array.append [| nonce; c_d; c_k |] ciphertext
 
-let encryption_descriptor ~n = Printf.sprintf "pi_e:%d" n
-
 let encryption_circuit ~(data : Fr.t array) ~(key : Fr.t) ~(nonce : Fr.t)
     ~(o_d : Fr.t) ~(o_k : Fr.t) : Cs.t =
-  let n = Array.length data in
   let ciphertext = Mimc.Ctr.encrypt ~key ~nonce data in
   let c_d = commit_dataset data o_d in
   let c_k = commit_key key o_k in
@@ -84,12 +79,7 @@ let encryption_circuit ~(data : Fr.t array) ~(key : Fr.t) ~(nonce : Fr.t)
   assert_dataset_opens cs ~commitment:c_d_w data_ws ~opening:o_d_w;
   Poseidon_gadget.assert_commitment_opens cs ~commitment:c_k_w [ key_w ]
     ~opening:o_k_w;
-  ignore n;
   cs
-
-let encryption_dummy ~n () =
-  encryption_circuit ~data:(Array.make n Fr.one) ~key:Fr.one ~nonce:Fr.one
-    ~o_d:Fr.one ~o_k:Fr.one
 
 (* ---- pi_t: proofs of transformation (§IV-D) ----
    All transformation circuits relate source and derived datasets through
@@ -109,7 +99,6 @@ let open_many cs (publics : Cs.wire list) (datasets : (Fr.t array * Fr.t) list)
 
 (* Duplication: D = S (paper §IV-D.1). publics: [c_s; c_d] *)
 
-let duplication_descriptor ~n = Printf.sprintf "pi_t:dup:%d" n
 let duplication_publics ~c_s ~c_d = [| c_s; c_d |]
 
 let duplication_circuit ~(src : Fr.t array * Fr.t) ~(dst : Fr.t array * Fr.t) :
@@ -122,15 +111,8 @@ let duplication_circuit ~(src : Fr.t array * Fr.t) ~(dst : Fr.t array * Fr.t) :
   | _ -> assert false);
   cs
 
-let duplication_dummy ~n () =
-  let d = Array.make n Fr.one in
-  duplication_circuit ~src:(d, Fr.one) ~dst:(d, Fr.one)
-
 (* Aggregation: D = S_1 || ... || S_x in order (§IV-D.2).
    publics: [c_s1; ..; c_sx; c_d] *)
-
-let aggregation_descriptor ~sizes =
-  "pi_t:agg:" ^ String.concat "," (List.map string_of_int sizes)
 
 let aggregation_publics ~c_sources ~c_d = Array.of_list (c_sources @ [ c_d ])
 
@@ -154,27 +136,14 @@ let aggregation_circuit ~(sources : (Fr.t array * Fr.t) list)
   Gadgets.assert_vec_equal cs concatenated d_ws;
   cs
 
-let aggregation_dummy ~sizes () =
-  let sources = List.map (fun n -> (Array.make n Fr.one, Fr.one)) sizes in
-  let total = List.fold_left ( + ) 0 sizes in
-  aggregation_circuit ~sources ~dst:(Array.make total Fr.one, Fr.one)
-
 (* Partition: S = D_1 || ... || D_y, exhaustive and mutually exclusive by
    construction of the ordered split (§IV-D.3).
    publics: [c_s; c_d1; ..; c_dy] *)
-
-let partition_descriptor ~n ~sizes =
-  Printf.sprintf "pi_t:part:%d:" n ^ String.concat "," (List.map string_of_int sizes)
 
 let partition_publics ~c_s ~c_parts = Array.of_list (c_s :: c_parts)
 
 let partition_circuit ~(src : Fr.t array * Fr.t)
     ~(parts : (Fr.t array * Fr.t) list) : Cs.t =
-  List.iter
-    (fun (d, _) ->
-      if Array.length d = 0 then
-        invalid_arg "Circuits.partition_circuit: empty part (n_k <> 0 required)")
-    parts;
   let cs = Cs.create () in
   let c_s = Cs.public_input cs (commit_dataset (fst src) (snd src)) in
   let c_parts =
@@ -187,11 +156,6 @@ let partition_circuit ~(src : Fr.t array * Fr.t)
     Gadgets.assert_vec_equal cs s_ws concatenated
   | [] -> assert false);
   cs
-
-let partition_dummy ~n ~sizes () =
-  let src = (Array.make n Fr.one, Fr.one) in
-  let parts = List.map (fun k -> (Array.make k Fr.one, Fr.one)) sizes in
-  partition_circuit ~src ~parts
 
 (* Processing: D = f(S) for a registered predicate f (§IV-D.4, §IV-E).
    publics: [c_s; c_d] *)
@@ -223,7 +187,6 @@ let register_processing (spec : processing_spec) =
 
 let find_processing name = Hashtbl.find_opt processing_registry name
 
-let processing_descriptor ~name ~n = Printf.sprintf "pi_t:proc:%s:%d" name n
 let processing_publics ~c_s ~c_d = [| c_s; c_d |]
 
 let processing_circuit ~(spec : processing_spec) ~(src : Fr.t array * Fr.t)
@@ -235,11 +198,6 @@ let processing_circuit ~(spec : processing_spec) ~(src : Fr.t array * Fr.t)
   | [ s_ws; d_ws ] -> spec.check cs s_ws d_ws
   | _ -> assert false);
   cs
-
-let processing_dummy ~spec ~n () =
-  let src = Array.make n Fr.one in
-  let dst = spec.reference src in
-  processing_circuit ~spec ~src:(src, Fr.one) ~dst:(dst, Fr.one)
 
 (* Built-in processing specs (simple examples; the ML applications in
    Zkdet_apps register richer ones). *)
@@ -265,9 +223,6 @@ let () =
    publics: nonce :: c_d :: predicate params :: ct_0 .. ct_{n-1}
    witness: data, key, o_d *)
 
-let validation_descriptor ~n ~predicate =
-  Printf.sprintf "pi_p:%s:%d" (predicate_descriptor predicate) n
-
 let validation_publics ~(nonce : Fr.t) ~(c_d : Fr.t) ~(predicate : predicate)
     ~(ciphertext : Fr.t array) : Fr.t array =
   Array.concat
@@ -290,21 +245,8 @@ let validation_circuit ~(data : Fr.t array) ~(key : Fr.t) ~(nonce : Fr.t)
   assert_dataset_opens cs ~commitment:c_d_w data_ws ~opening:o_d_w;
   cs
 
-let validation_dummy ~n ~predicate () =
-  let data =
-    match predicate with
-    | Sum_equals s ->
-      let d = Array.make n Fr.zero in
-      if n > 0 then d.(0) <- s;
-      d
-    | Trivial | Entries_bounded _ -> Array.make n Fr.one
-  in
-  validation_circuit ~data ~key:Fr.one ~nonce:Fr.one ~o_d:Fr.one ~predicate
-
 (* ---- pi_k: key negotiation (§IV-F phase 2) ----
    publics: [k_c; c_k; h_v]; witness: key, o_k, k_v *)
-
-let key_descriptor = "pi_k"
 
 let key_publics ~(k_c : Fr.t) ~(c_k : Fr.t) ~(h_v : Fr.t) = [| k_c; c_k; h_v |]
 
@@ -330,4 +272,129 @@ let key_circuit ~(key : Fr.t) ~(o_k : Fr.t) ~(k_v : Fr.t) : Cs.t =
   Cs.assert_equal cs s k_c_w;
   cs
 
-let key_dummy () = key_circuit ~key:Fr.one ~o_k:Fr.one ~k_v:Fr.one
+(* ---- ZKCP's pi_p, the baseline (§III-C) ----
+   publics: nonce :: h :: predicate params :: ct_0 .. ct_{n-1}
+   witness: data, key.  No commitment: ZKCP binds the key by its hash,
+   which is what forces disclosure later. *)
+
+let zkcp_publics ~(nonce : Fr.t) ~(h : Fr.t) ~(predicate : predicate)
+    ~(ciphertext : Fr.t array) : Fr.t array =
+  Array.concat
+    [ [| nonce; h |]; Array.of_list (predicate_publics predicate); ciphertext ]
+
+let zkcp_circuit ~(data : Fr.t array) ~(key : Fr.t) ~(nonce : Fr.t)
+    ~(predicate : predicate) : Cs.t =
+  let ciphertext = Mimc.Ctr.encrypt ~key ~nonce data in
+  let h = Poseidon.hash [ key ] in
+  let cs = Cs.create () in
+  let nonce_w = Cs.public_input cs nonce in
+  let h_w = Cs.public_input cs h in
+  let pred_ws = List.map (Cs.public_input cs) (predicate_publics predicate) in
+  let ct_ws = Array.map (Cs.public_input cs) ciphertext in
+  let data_ws = Array.map (Cs.fresh cs) data in
+  let key_w = Cs.fresh cs key in
+  assert_predicate cs predicate pred_ws data_ws;
+  Mimc_gadget.assert_ctr_encryption cs ~key:key_w ~nonce:nonce_w data_ws ct_ws;
+  let h_computed = Poseidon_gadget.hash cs [ key_w ] in
+  Cs.assert_equal cs h_computed h_w;
+  cs
+
+(* ---- statements: which circuit a proof is about ---- *)
+
+type transform =
+  | Duplication of int (* source size *)
+  | Aggregation of int list (* source sizes in order *)
+  | Partition of int * int list (* source size, part sizes *)
+  | Processing of string * int (* registered spec name, source size *)
+
+type statement =
+  | Encryption of int
+  | Transform of transform
+  | Validation of int * predicate
+  | Zkcp of int * predicate
+  | Key
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+(* A Sum_equals value is a public input, not structure: every sum shares
+   one key. *)
+let predicate_key = function
+  | Trivial -> "trivial"
+  | Entries_bounded n -> Printf.sprintf "bounded:%d" n
+  | Sum_equals _ -> "sum"
+
+let cache_key = function
+  | Encryption n -> Printf.sprintf "pi_e:%d" n
+  | Transform (Duplication n) -> Printf.sprintf "pi_t:dup:%d" n
+  | Transform (Aggregation sizes) -> "pi_t:agg:" ^ ints sizes
+  | Transform (Partition (n, sizes)) -> Printf.sprintf "pi_t:part:%d:%s" n (ints sizes)
+  | Transform (Processing (name, n)) -> Printf.sprintf "pi_t:proc:%s:%d" name n
+  | Validation (n, p) -> Printf.sprintf "pi_p:%s:%d" (predicate_key p) n
+  | Zkcp (n, p) -> Printf.sprintf "zkcp:%s:%d" (predicate_key p) n
+  | Key -> "pi_k"
+
+let well_formed = function
+  | Encryption n -> n >= 0
+  | Transform (Duplication n | Processing (_, n)) -> n > 0
+  | Transform (Aggregation sizes) -> sizes <> [] && List.for_all (fun k -> k > 0) sizes
+  | Transform (Partition (n, parts)) ->
+    (* parts at most [n] each, so their sum cannot wrap round to it *)
+    n > 0
+    && List.for_all (fun k -> 0 < k && k <= n) parts
+    && List.fold_left ( + ) 0 parts = n
+  | Validation (n, p) | Zkcp (n, p) -> (
+    n >= 0
+    && match p with
+       | Entries_bounded nbits -> 0 <= nbits && nbits < Fr.num_bits
+       | Trivial | Sum_equals _ -> true)
+  | Key -> true
+
+let lineage_sizes = function
+  | Encryption n | Transform (Duplication n | Partition (n, _) | Processing (_, n)) -> [ n ]
+  | Transform (Aggregation sizes) -> List.fold_left ( + ) 0 sizes :: sizes
+  | Validation _ | Zkcp _ | Key -> []
+
+(* One satisfying witness per statement; the key depends only on the
+   circuit's structure. *)
+let setup_circuit (s : statement) : Cs.t option =
+  let ones n = Array.make n Fr.one in
+  let opened n = (ones n, Fr.one) in
+  (* entries that satisfy [p] *)
+  let satisfying n = function
+    | Sum_equals total -> Array.init n (fun i -> if i = 0 then total else Fr.zero)
+    | Trivial | Entries_bounded _ -> ones n
+  in
+  if not (well_formed s) then None
+  else
+    match s with
+    | Encryption n ->
+      Some
+        (encryption_circuit ~data:(ones n) ~key:Fr.one ~nonce:Fr.one ~o_d:Fr.one
+           ~o_k:Fr.one)
+    | Transform (Duplication n) ->
+      Some (duplication_circuit ~src:(opened n) ~dst:(opened n))
+    | Transform (Aggregation sizes) ->
+      Some
+        (aggregation_circuit ~sources:(List.map opened sizes)
+           ~dst:(opened (List.fold_left ( + ) 0 sizes)))
+    | Transform (Partition (n, parts)) ->
+      Some (partition_circuit ~src:(opened n) ~parts:(List.map opened parts))
+    | Transform (Processing (name, n)) -> (
+      match find_processing name with
+      | None -> None
+      | Some spec -> (
+        (* a registered function need not have a circuit at every size *)
+        match
+          processing_circuit ~spec ~src:(opened n) ~dst:(spec.reference (ones n), Fr.one)
+        with
+        | cs -> Some cs
+        | exception Invalid_argument _ -> None))
+    | Validation (n, predicate) ->
+      Some
+        (validation_circuit ~data:(satisfying n predicate) ~key:Fr.one
+           ~nonce:Fr.one ~o_d:Fr.one ~predicate)
+    | Zkcp (n, predicate) ->
+      Some
+        (zkcp_circuit ~data:(satisfying n predicate) ~key:Fr.one ~nonce:Fr.one
+           ~predicate)
+    | Key -> Some (key_circuit ~key:Fr.one ~o_k:Fr.one ~k_v:Fr.one)

@@ -1,12 +1,13 @@
 (** The protocol circuits of ZKDET (paper §IV): proofs of encryption
     pi_e, proofs of transformation pi_t for the four fundamental
-    formulae, the data-validation proof pi_p and the key-negotiation
-    proof pi_k.
+    formulae, the data-validation proof pi_p, the key-negotiation proof
+    pi_k, and the ZKCP baseline's proof (§III-C).
 
     Public-input layouts are fixed per circuit family and mirrored by the
-    [*_publics] helpers so prover and verifier agree byte-for-byte; the
-    [*_descriptor] strings key the proving-key cache ({!Env}); the
-    [*_dummy] builders synthesize representative circuits for setup. *)
+    [*_publics] helpers so prover and verifier agree byte-for-byte. A
+    {!statement} names the circuit a proof is about: its {!cache_key}
+    keys the proving-key cache ({!Env}) and {!setup_circuit} builds the
+    circuit that sets the key up. *)
 
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
@@ -26,7 +27,6 @@ type predicate =
   | Entries_bounded of int  (** every entry fits in [n] bits *)
   | Sum_equals of Fr.t  (** the entries sum to a public value *)
 
-val predicate_descriptor : predicate -> string
 val predicate_publics : predicate -> Fr.t list
 val assert_predicate : Cs.t -> predicate -> Cs.wire list -> Cs.wire array -> unit
 
@@ -36,35 +36,23 @@ val assert_predicate : Cs.t -> predicate -> Cs.wire list -> Cs.wire array -> uni
 val encryption_publics :
   nonce:Fr.t -> c_d:Fr.t -> c_k:Fr.t -> ciphertext:Fr.t array -> Fr.t array
 
-val encryption_descriptor : n:int -> string
-
 val encryption_circuit :
   data:Fr.t array -> key:Fr.t -> nonce:Fr.t -> o_d:Fr.t -> o_k:Fr.t -> Cs.t
 
-val encryption_dummy : n:int -> unit -> Cs.t
-
 (** {2 pi_t: proofs of transformation (§IV-D)} *)
 
-val duplication_descriptor : n:int -> string
 val duplication_publics : c_s:Fr.t -> c_d:Fr.t -> Fr.t array
 val duplication_circuit : src:Fr.t array * Fr.t -> dst:Fr.t array * Fr.t -> Cs.t
-val duplication_dummy : n:int -> unit -> Cs.t
 
-val aggregation_descriptor : sizes:int list -> string
 val aggregation_publics : c_sources:Fr.t list -> c_d:Fr.t -> Fr.t array
 
 val aggregation_circuit :
   sources:(Fr.t array * Fr.t) list -> dst:Fr.t array * Fr.t -> Cs.t
 
-val aggregation_dummy : sizes:int list -> unit -> Cs.t
-
-val partition_descriptor : n:int -> sizes:int list -> string
 val partition_publics : c_s:Fr.t -> c_parts:Fr.t list -> Fr.t array
 
 val partition_circuit :
   src:Fr.t array * Fr.t -> parts:(Fr.t array * Fr.t) list -> Cs.t
-
-val partition_dummy : n:int -> sizes:int list -> unit -> Cs.t
 
 (** {2 Processing (§IV-D.4, §IV-E)} *)
 
@@ -92,21 +80,16 @@ val register_processing : processing_spec -> unit
 
 val find_processing : string -> processing_spec option
 
-val processing_descriptor : name:string -> n:int -> string
 val processing_publics : c_s:Fr.t -> c_d:Fr.t -> Fr.t array
 
 val processing_circuit :
   spec:processing_spec -> src:Fr.t array * Fr.t -> dst:Fr.t array * Fr.t -> Cs.t
-
-val processing_dummy : spec:processing_spec -> n:int -> unit -> Cs.t
 
 val scale_spec : factor:int -> processing_spec
 val sum_spec : processing_spec
 
 (** {2 pi_p: data validation (§IV-F phase 1)}
     publics: [nonce :: c_d :: predicate params :: ct_0 .. ct_(n-1)] *)
-
-val validation_descriptor : n:int -> predicate:predicate -> string
 
 val validation_publics :
   nonce:Fr.t -> c_d:Fr.t -> predicate:predicate -> ciphertext:Fr.t array ->
@@ -116,12 +99,59 @@ val validation_circuit :
   data:Fr.t array -> key:Fr.t -> nonce:Fr.t -> o_d:Fr.t ->
   predicate:predicate -> Cs.t
 
-val validation_dummy : n:int -> predicate:predicate -> unit -> Cs.t
-
 (** {2 pi_k: key negotiation (§IV-F phase 2)}
     publics: [k_c; c_k; h_v] *)
 
-val key_descriptor : string
 val key_publics : k_c:Fr.t -> c_k:Fr.t -> h_v:Fr.t -> Fr.t array
 val key_circuit : key:Fr.t -> o_k:Fr.t -> k_v:Fr.t -> Cs.t
-val key_dummy : unit -> Cs.t
+
+(** {2 ZKCP's pi_p (§III-C), the baseline}
+    publics: [nonce :: h :: predicate params :: ct_0 .. ct_(n-1)], where
+    [h = H(k)] binds the key the seller later discloses. *)
+
+val zkcp_publics :
+  nonce:Fr.t -> h:Fr.t -> predicate:predicate -> ciphertext:Fr.t array ->
+  Fr.t array
+
+val zkcp_circuit :
+  data:Fr.t array -> key:Fr.t -> nonce:Fr.t -> predicate:predicate -> Cs.t
+
+(** {2 Statements} *)
+
+(** A derivation: which formula made a dataset, over which sizes. The
+    sizes key the pi_t circuit. *)
+type transform =
+  | Duplication of int  (** source size *)
+  | Aggregation of int list  (** source sizes, in order *)
+  | Partition of int * int list  (** source size, part sizes *)
+  | Processing of string * int  (** registered spec name, source size *)
+
+(** Which circuit a proof is about: everything that fixes its structure,
+    and nothing else. A [Sum_equals] value is a public input, so every
+    sum over [n] entries is one statement's circuit. *)
+type statement =
+  | Encryption of int  (** pi_e over [n] entries *)
+  | Transform of transform  (** pi_t *)
+  | Validation of int * predicate  (** pi_p over [n] entries *)
+  | Zkcp of int * predicate  (** ZKCP's pi_p over [n] entries *)
+  | Key  (** pi_k *)
+
+val cache_key : statement -> string
+(** The statement's key in the proving-key cache. Two statements share
+    it exactly when they differ only in a [Sum_equals] value. *)
+
+val well_formed : statement -> bool
+(** The statement's rule, in integer arithmetic: dataset sizes are
+    non-negative and lineage sizes positive, a partition's parts are at
+    most its source each and sum to it, and an [Entries_bounded] bit
+    width lies in [0 .. Fr.num_bits - 1]. *)
+
+val lineage_sizes : statement -> int list
+(** The dataset sizes a proof of the lineage names. Each of those
+    datasets carries a pi_e, so none is longer than {!Env.max_dataset}. *)
+
+val setup_circuit : statement -> Cs.t option
+(** The statement's circuit over a satisfying witness, for key setup.
+    [None] when the statement is not {!well_formed}, names an
+    unregistered processing function, or names one whose circuit raises
+    [Invalid_argument] at that size. *)

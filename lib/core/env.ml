@@ -1,11 +1,14 @@
 (* Shared proving environment: one universal SRS (from the simulated
    ceremony or a local trusted setup) plus a cache of circuit-specific
-   proving keys, keyed by a structural descriptor. Because Plonk's setup is
-   universal (§VI-B.1), the SRS is generated once and every circuit below
-   its size bound reuses it. *)
+   proving keys, keyed by the statement each proves. Because Plonk's setup
+   is universal (§VI-B.1), the SRS is generated once and every circuit
+   below its size bound reuses it. *)
 
+module Fr = Zkdet_field.Bn254.Fr
 module Srs = Zkdet_kzg.Srs
 module Preprocess = Zkdet_plonk.Preprocess
+module Verifier = Zkdet_plonk.Verifier
+module Proof = Zkdet_plonk.Proof
 module Cs = Zkdet_plonk.Cs
 
 type t = {
@@ -15,12 +18,18 @@ type t = {
   max_dataset : int Lazy.t;
 }
 
+(* [statement]'s setup circuit, compiled, if it fits [srs]. *)
+let fitting_circuit (srs : Srs.t) statement =
+  match Circuits.setup_circuit statement with
+  | Some cs ->
+    let compiled = Cs.compile cs in
+    if Preprocess.fits srs compiled then Some compiled else None
+  | None -> None
+
 (* The largest n whose pi_e circuit fits [srs]. Its gate count grows with
    n, so double until a circuit does not fit, then bisect. *)
 let largest_encryption (srs : Srs.t) : int =
-  let fits n =
-    Preprocess.fits srs (Cs.compile (Circuits.encryption_dummy ~n ()))
-  in
+  let fits n = Option.is_some (fitting_circuit srs (Circuits.Encryption n)) in
   (* [fits lo] and not [fits hi] *)
   let rec bisect lo hi =
     if hi - lo <= 1 then lo
@@ -45,25 +54,35 @@ let create ?(log2_max_gates = 12) ?(seed = [| 0xd47a |]) () =
 
 let max_dataset (env : t) = Lazy.force env.max_dataset
 
-let cache (env : t) descriptor compiled =
-  let pk = Preprocess.setup env.srs compiled in
-  Hashtbl.add env.pk_cache descriptor pk;
-  pk
-
-(** [proving_key env ~descriptor ~build] returns the cached proving key
-    for the circuit family identified by [descriptor], running [build]
-    (with representative dummy inputs) and preprocessing on a miss. *)
-let proving_key (env : t) ~(descriptor : string) ~(build : unit -> Cs.t) :
-    Preprocess.proving_key =
-  match Hashtbl.find_opt env.pk_cache descriptor with
-  | Some pk -> pk
-  | None -> cache env descriptor (Cs.compile (build ()))
-
-let verification_key (env : t) ~descriptor ~build =
-  match Hashtbl.find_opt env.pk_cache descriptor with
-  | Some pk -> Some pk.Preprocess.vk
+(* The cached key of [statement]; on a miss, its key set up and cached if
+   the statement is well formed and its circuit fits the SRS. *)
+let lookup (env : t) statement =
+  let key = Circuits.cache_key statement in
+  match Hashtbl.find_opt env.pk_cache key with
+  | Some pk -> Some pk
   | None ->
-    let compiled = Cs.compile (build ()) in
-    if Preprocess.fits env.srs compiled then
-      Some (cache env descriptor compiled).Preprocess.vk
-    else None
+    Option.map
+      (fun compiled ->
+        let pk = Preprocess.setup env.srs compiled in
+        Hashtbl.add env.pk_cache key pk;
+        pk)
+      (fitting_circuit env.srs statement)
+
+let proving_key (env : t) statement : Preprocess.proving_key =
+  match lookup env statement with
+  | Some pk -> pk
+  | None ->
+    invalid_arg
+      ("Env.proving_key: malformed or over the SRS: " ^ Circuits.cache_key statement)
+
+let verification_key (env : t) statement =
+  if
+    (not (Circuits.well_formed statement))
+    || List.exists (fun n -> n > max_dataset env) (Circuits.lineage_sizes statement)
+  then None
+  else Option.map (fun pk -> pk.Preprocess.vk) (lookup env statement)
+
+let verify (env : t) statement (publics : Fr.t array) (proof : Proof.t) : bool =
+  match verification_key env statement with
+  | Some vk -> Verifier.verify vk publics proof
+  | None -> false

@@ -1,11 +1,12 @@
 (** Shared proving environment: one universal SRS plus a cache of
-    circuit-specific proving keys keyed by structural descriptors.
-    Plonk's setup is universal (§VI-B.1): the SRS is generated once and
-    every circuit below its size bound reuses it. *)
+    circuit-specific proving keys, keyed by {!Circuits.cache_key} of the
+    statement each proves. Plonk's setup is universal (§VI-B.1): the SRS
+    is generated once and every circuit below its size bound reuses it. *)
 
+module Fr = Zkdet_field.Bn254.Fr
 module Srs = Zkdet_kzg.Srs
 module Preprocess = Zkdet_plonk.Preprocess
-module Cs = Zkdet_plonk.Cs
+module Proof = Zkdet_plonk.Proof
 
 type t = {
   srs : Srs.t;
@@ -23,15 +24,19 @@ val max_dataset : t -> int
     dataset of a lineage carries one, so no verifiable dataset is
     longer. Computed from the pi_e circuit on first use, once per env. *)
 
-val proving_key :
-  t -> descriptor:string -> build:(unit -> Cs.t) -> Preprocess.proving_key
-(** Cached proving key for the circuit family named by [descriptor];
-    [build] synthesizes the circuit with representative dummy inputs on a
-    cache miss. Raises [Invalid_argument] if the circuit does not fit the
-    SRS. *)
+val proving_key : t -> Circuits.statement -> Preprocess.proving_key
+(** The cached proving key of the statement's circuit, set up from
+    {!Circuits.setup_circuit} on a miss. Raises [Invalid_argument] if the
+    statement is malformed or its circuit does not fit the SRS. *)
 
-val verification_key :
-  t -> descriptor:string -> build:(unit -> Cs.t) ->
-  Preprocess.verification_key option
-(** As {!proving_key}, for a verifier: [None], and nothing cached, when
-    the circuit does not fit the SRS. *)
+val verification_key : t -> Circuits.statement -> Preprocess.verification_key option
+(** As {!proving_key}, for a verifier, and total: [None], with nothing
+    built or cached, for a malformed statement and for one naming a
+    lineage dataset longer than {!max_dataset} (integer checks on the
+    statement); [None], with nothing cached, when the circuit does not
+    fit the SRS. A cache hit builds nothing. *)
+
+val verify : t -> Circuits.statement -> Fr.t array -> Proof.t -> bool
+(** Verify a proof of the statement against its public inputs: false
+    wherever {!verification_key} is [None]. Every verifier of the
+    protocols goes through here. *)

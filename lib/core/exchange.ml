@@ -13,7 +13,6 @@
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
 module Prover = Zkdet_plonk.Prover
-module Verifier = Zkdet_plonk.Verifier
 module Proof = Zkdet_plonk.Proof
 module Preprocess = Zkdet_plonk.Preprocess
 module Poseidon = Zkdet_poseidon.Poseidon
@@ -42,17 +41,12 @@ let make_offer (s : Transform.sealed) ~(predicate : Circuits.predicate)
 
 (* ---- phase 1: data validation ---- *)
 
-let validation_pk env ~n ~predicate =
-  Env.proving_key env
-    ~descriptor:(Circuits.validation_descriptor ~n ~predicate)
-    ~build:(Circuits.validation_dummy ~n ~predicate)
-
 (** Seller: produce pi_p for an offer. Raises if the dataset does not
     actually satisfy the predicate (an honest seller checks first). *)
 let prove_validation (env : Env.t) (s : Transform.sealed)
     (predicate : Circuits.predicate) : Proof.t =
   Obs.with_span "exchange.prove_validation" @@ fun () ->
-  let pk = validation_pk env ~n:(Transform.size s) ~predicate in
+  let pk = Env.proving_key env (Circuits.Validation (Transform.size s, predicate)) in
   let cs =
     Circuits.validation_circuit ~data:s.Transform.data ~key:s.Transform.key
       ~nonce:s.Transform.nonce ~o_d:s.Transform.o_d ~predicate
@@ -62,8 +56,8 @@ let prove_validation (env : Env.t) (s : Transform.sealed)
 (** Buyer: verify pi_p against the public offer. *)
 let verify_validation (env : Env.t) (o : offer) (proof : Proof.t) : bool =
   Obs.with_span "exchange.verify_validation" @@ fun () ->
-  let pk = validation_pk env ~n:(Array.length o.ciphertext) ~predicate:o.predicate in
-  Verifier.verify pk.Preprocess.vk
+  Env.verify env
+    (Circuits.Validation (Array.length o.ciphertext, o.predicate))
     (Circuits.validation_publics ~nonce:o.nonce ~c_d:o.c_d
        ~predicate:o.predicate ~ciphertext:o.ciphertext)
     proof
@@ -76,20 +70,16 @@ let buyer_blinding ?(st = Random.State.make_self_init ()) () : Fr.t * Fr.t =
 
 (* ---- phase 2: key negotiation ---- *)
 
-let key_pk env =
-  Env.proving_key env ~descriptor:Circuits.key_descriptor
-    ~build:Circuits.key_dummy
-
 (** The verification key of the pi_k circuit — what the on-chain verifier
     contract is deployed with. *)
-let key_vk env = (key_pk env).Preprocess.vk
+let key_vk env = (Env.proving_key env Circuits.Key).Preprocess.vk
 
 (** Seller: given the buyer's k_v, derive k_c and prove pi_k. *)
 let prove_key (env : Env.t) (s : Transform.sealed) ~(k_v : Fr.t) :
     Fr.t * Proof.t =
   Obs.with_span "exchange.prove_key" @@ fun () ->
   let k_c = Fr.add s.Transform.key k_v in
-  let pk = key_pk env in
+  let pk = Env.proving_key env Circuits.Key in
   let cs = Circuits.key_circuit ~key:s.Transform.key ~o_k:s.Transform.o_k ~k_v in
   (k_c, Prover.prove ~st:env.Env.rng pk (Cs.compile cs))
 
@@ -97,7 +87,7 @@ let prove_key (env : Env.t) (s : Transform.sealed) ~(k_v : Fr.t) :
 let verify_key (env : Env.t) ~(k_c : Fr.t) ~(c_k : Fr.t) ~(h_v : Fr.t)
     (proof : Proof.t) : bool =
   Obs.with_span "exchange.verify_key" @@ fun () ->
-  Verifier.verify (key_vk env) (Circuits.key_publics ~k_c ~c_k ~h_v) proof
+  Env.verify env Circuits.Key (Circuits.key_publics ~k_c ~c_k ~h_v) proof
 
 (** Buyer: recover the key and decrypt after settlement. *)
 let recover (o : offer) ~(k_c : Fr.t) ~(k_v : Fr.t) : Fr.t array =

@@ -324,20 +324,11 @@ let fetch_ciphertext (m : t) (auditor : Storage.node) (ct_cid : string) :
         (fun e -> `Storage ("undecodable ciphertext: " ^ e))
         (Storage.Codec.decode_result ct_bytes))
 
-(* Today's rule for the sizes a derivation names: each must be its
-   parent's ciphertext length, which the parent's pi_e binds, and a
-   partition's parts must be positive and sum to it.  A parent count that
-   does not fit the kind fails too. *)
+(* The sizes a derivation names: its statement must be well formed, and
+   its source sizes must be its parents' ciphertext lengths, which their
+   pi_e bind, one per parent. *)
 let sizes_match (kind : Transform.kind) (lengths : int list) =
-  match (kind, lengths) with
-  | (Transform.Duplication n | Transform.Processing (_, n)), [ len ] -> n = len
-  | Transform.Aggregation sizes, _ -> sizes = lengths
-  | Transform.Partition (n, parts), [ len ] ->
-    n = len
-    && List.for_all (fun p -> p > 0) parts
-    && List.fold_left ( + ) 0 parts = n
-  | (Transform.Duplication _ | Transform.Partition _ | Transform.Processing _), _
-    -> false
+  fst (kind_sizes kind) = lengths && Circuits.well_formed (Circuits.Transform kind)
 
 (** Full provenance audit (Fig. 3): walk prevIds[] back to the sources and,
     for every token, check its manifest against the chain, its pi_e, and

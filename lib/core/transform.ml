@@ -7,7 +7,6 @@
 module Fr = Zkdet_field.Bn254.Fr
 module Cs = Zkdet_plonk.Cs
 module Prover = Zkdet_plonk.Prover
-module Verifier = Zkdet_plonk.Verifier
 module Proof = Zkdet_plonk.Proof
 module Mimc = Zkdet_mimc.Mimc
 module Erc721 = Zkdet_contracts.Erc721
@@ -52,41 +51,24 @@ let decrypt ~(key : Fr.t) ~(nonce : Fr.t) (ciphertext : Fr.t array) : Fr.t array
 
 (** Generate pi_e for a sealed dataset. *)
 let prove_encryption (env : Env.t) (s : sealed) : Proof.t =
-  let n = size s in
-  let pk =
-    Env.proving_key env ~descriptor:(Circuits.encryption_descriptor ~n)
-      ~build:(Circuits.encryption_dummy ~n)
-  in
+  let pk = Env.proving_key env (Circuits.Encryption (size s)) in
   let cs =
     Circuits.encryption_circuit ~data:s.data ~key:s.key ~nonce:s.nonce
       ~o_d:s.o_d ~o_k:s.o_k
   in
   Prover.prove ~st:env.Env.rng pk (Cs.compile cs)
 
-(* Verify [proof] of [publics] in the circuit family [descriptor], whose
-   datasets have [sizes].  Every dataset of a lineage carries a pi_e, so
-   one longer than the env's largest pi_e cannot verify: answer false
-   before building a circuit for it. *)
-let verify_sized (env : Env.t) ~sizes ~descriptor ~build publics proof =
-  List.for_all (fun n -> n <= Env.max_dataset env) sizes
-  &&
-  match Env.verification_key env ~descriptor ~build with
-  | Some vk -> Verifier.verify vk publics proof
-  | None -> false
-
 (** Verify pi_e from public data only. *)
 let verify_encryption (env : Env.t) ~(nonce : Fr.t) ~(c_d : Fr.t) ~(c_k : Fr.t)
     ~(ciphertext : Fr.t array) (proof : Proof.t) : bool =
-  let n = Array.length ciphertext in
-  verify_sized env ~sizes:[ n ]
-    ~descriptor:(Circuits.encryption_descriptor ~n)
-    ~build:(Circuits.encryption_dummy ~n)
+  Env.verify env
+    (Circuits.Encryption (Array.length ciphertext))
     (Circuits.encryption_publics ~nonce ~c_d ~c_k ~ciphertext)
     proof
 
 (* ---- transformations ---- *)
 
-type kind =
+type kind = Circuits.transform =
   | Duplication of int (* source size *)
   | Aggregation of int list (* source sizes in order *)
   | Partition of int * int list (* source size, part sizes *)
@@ -115,10 +97,7 @@ let duplicate (env : Env.t) (src : sealed) : sealed * link =
   let st = env.Env.rng in
   let dst = seal ~st (Array.copy src.data) in
   let n = size src in
-  let pk =
-    Env.proving_key env ~descriptor:(Circuits.duplication_descriptor ~n)
-      ~build:(Circuits.duplication_dummy ~n)
-  in
+  let pk = Env.proving_key env (Circuits.Transform (Duplication n)) in
   let cs =
     Circuits.duplication_circuit ~src:(src.data, src.o_d) ~dst:(dst.data, dst.o_d)
   in
@@ -133,10 +112,7 @@ let aggregate (env : Env.t) (sources : sealed list) : sealed * link =
   let data = Array.concat (List.map (fun s -> s.data) sources) in
   let dst = seal ~st data in
   let sizes = List.map size sources in
-  let pk =
-    Env.proving_key env ~descriptor:(Circuits.aggregation_descriptor ~sizes)
-      ~build:(Circuits.aggregation_dummy ~sizes)
-  in
+  let pk = Env.proving_key env (Circuits.Transform (Aggregation sizes)) in
   let cs =
     Circuits.aggregation_circuit
       ~sources:(List.map (fun s -> (s.data, s.o_d)) sources)
@@ -155,6 +131,8 @@ let partition (env : Env.t) (src : sealed) ~(sizes : int list) :
   let st = env.Env.rng in
   if List.fold_left ( + ) 0 sizes <> size src then
     invalid_arg "Transform.partition: sizes must sum to the source size";
+  let n = size src in
+  let pk = Env.proving_key env (Circuits.Transform (Partition (n, sizes))) in
   let parts =
     let off = ref 0 in
     List.map
@@ -163,11 +141,6 @@ let partition (env : Env.t) (src : sealed) ~(sizes : int list) :
         off := !off + k;
         seal ~st slice)
       sizes
-  in
-  let n = size src in
-  let pk =
-    Env.proving_key env ~descriptor:(Circuits.partition_descriptor ~n ~sizes)
-      ~build:(Circuits.partition_dummy ~n ~sizes)
   in
   let cs =
     Circuits.partition_circuit ~src:(src.data, src.o_d)
@@ -186,9 +159,7 @@ let process (env : Env.t) (src : sealed) ~(spec : Circuits.processing_spec) :
   let dst = seal ~st data in
   let n = size src in
   let pk =
-    Env.proving_key env
-      ~descriptor:(Circuits.processing_descriptor ~name:spec.Circuits.proc_name ~n)
-      ~build:(Circuits.processing_dummy ~spec ~n)
+    Env.proving_key env (Circuits.Transform (Processing (spec.Circuits.proc_name, n)))
   in
   let cs =
     Circuits.processing_circuit ~spec ~src:(src.data, src.o_d)
@@ -203,33 +174,15 @@ let process (env : Env.t) (src : sealed) ~(spec : Circuits.processing_spec) :
 
 (** Verify one pi_t link against its public commitments. *)
 let verify_link (env : Env.t) (l : link) : bool =
-  match (l.kind, l.src_commitments, l.dst_commitments) with
-  | Duplication n, [ c_s ], [ c_d ] ->
-    verify_sized env ~sizes:[ n ]
-      ~descriptor:(Circuits.duplication_descriptor ~n)
-      ~build:(Circuits.duplication_dummy ~n)
-      (Circuits.duplication_publics ~c_s ~c_d)
-      l.proof
-  | Aggregation sizes, c_sources, [ c_d ] ->
-    verify_sized env
-      ~sizes:(List.fold_left ( + ) 0 sizes :: sizes)
-      ~descriptor:(Circuits.aggregation_descriptor ~sizes)
-      ~build:(Circuits.aggregation_dummy ~sizes)
-      (Circuits.aggregation_publics ~c_sources ~c_d)
-      l.proof
-  | Partition (n, sizes), [ c_s ], c_parts ->
-    verify_sized env ~sizes:[ n ]
-      ~descriptor:(Circuits.partition_descriptor ~n ~sizes)
-      ~build:(Circuits.partition_dummy ~n ~sizes)
-      (Circuits.partition_publics ~c_s ~c_parts)
-      l.proof
-  | Processing (name, n), [ c_s ], [ c_d ] -> (
-    match Circuits.find_processing name with
-    | None -> false
-    | Some spec ->
-      verify_sized env ~sizes:[ n ]
-        ~descriptor:(Circuits.processing_descriptor ~name ~n)
-        ~build:(Circuits.processing_dummy ~spec ~n)
-        (Circuits.processing_publics ~c_s ~c_d)
-        l.proof)
-  | _ -> false
+  let publics =
+    match (l.kind, l.src_commitments, l.dst_commitments) with
+    | Duplication _, [ c_s ], [ c_d ] -> Some (Circuits.duplication_publics ~c_s ~c_d)
+    | Processing _, [ c_s ], [ c_d ] -> Some (Circuits.processing_publics ~c_s ~c_d)
+    | Aggregation _, c_sources, [ c_d ] ->
+      Some (Circuits.aggregation_publics ~c_sources ~c_d)
+    | Partition _, [ c_s ], c_parts -> Some (Circuits.partition_publics ~c_s ~c_parts)
+    | _ -> None
+  in
+  match publics with
+  | Some publics -> Env.verify env (Circuits.Transform l.kind) publics l.proof
+  | None -> false

@@ -35,14 +35,16 @@ val prove_encryption : Env.t -> sealed -> Proof.t
 val verify_encryption :
   Env.t -> nonce:Fr.t -> c_d:Fr.t -> c_k:Fr.t -> ciphertext:Fr.t array ->
   Proof.t -> bool
-(** Verification from public data only. False, with no circuit built,
-    for a ciphertext longer than {!Env.max_dataset}. *)
+(** Verification from public data only, through {!Env.verify}. False,
+    with no circuit built, for a ciphertext longer than
+    {!Env.max_dataset}. *)
 
 (** {2 Transformations (pi_t)} *)
 
 (** A derivation: which formula made a dataset, over which sizes. The
-    sizes key the pi_t circuit. *)
-type kind =
+    sizes key the pi_t circuit: [Circuits.Transform kind] is its
+    statement. *)
+type kind = Circuits.transform =
   | Duplication of int  (** source size *)
   | Aggregation of int list  (** source sizes, in order *)
   | Partition of int * int list  (** source size, part sizes *)
@@ -73,8 +75,8 @@ val aggregate : Env.t -> sealed list -> sealed * link
 
 val partition : Env.t -> sealed -> sizes:int list -> sealed list * link
 (** Split into consecutive non-empty slices — exhaustive and mutually
-    exclusive (§IV-D.3). Raises [Invalid_argument] unless the sizes sum
-    to the source size. *)
+    exclusive (§IV-D.3). Raises [Invalid_argument] unless the sizes are
+    positive and sum to the source size. *)
 
 val process : Env.t -> sealed -> spec:Circuits.processing_spec -> sealed * link
 (** Apply a registered processing function and prove D = f(S) or the
@@ -83,7 +85,6 @@ val process : Env.t -> sealed -> spec:Circuits.processing_spec -> sealed * link
 (** {2 Verification} *)
 
 val verify_link : Env.t -> link -> bool
-(** Verify one pi_t against its public commitments. False, with no
-    circuit built, when a dataset of the link is longer than
-    {!Env.max_dataset}, and false when its circuit does not fit the
-    SRS. *)
+(** Verify one pi_t against its public commitments through
+    {!Env.verify}: false, and nothing cached, for a malformed kind, a
+    dataset longer than {!Env.max_dataset} or a circuit over the SRS. *)

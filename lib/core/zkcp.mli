@@ -6,7 +6,6 @@
     {!third_party_decrypt} demonstrates the leak. *)
 
 module Fr = Zkdet_field.Bn254.Fr
-module Cs = Zkdet_plonk.Cs
 module Proof = Zkdet_plonk.Proof
 
 type offer = {
@@ -17,26 +16,14 @@ type offer = {
   price : int;
 }
 
-val descriptor : n:int -> predicate:Circuits.predicate -> string
-
-val publics :
-  nonce:Fr.t -> h:Fr.t -> predicate:Circuits.predicate ->
-  ciphertext:Fr.t array -> Fr.t array
-
-val circuit :
-  data:Fr.t array -> key:Fr.t -> nonce:Fr.t -> predicate:Circuits.predicate ->
-  Cs.t
-
-val dummy : n:int -> predicate:Circuits.predicate -> unit -> Cs.t
-
 val make_offer :
   Transform.sealed -> predicate:Circuits.predicate -> price:int -> offer
 
 val prove : Env.t -> Transform.sealed -> Circuits.predicate -> Proof.t
-(** The Deliver step. *)
+(** The Deliver step: a proof of [Circuits.Zkcp (n, predicate)]. *)
 
 val verify : Env.t -> offer -> Proof.t -> bool
-(** The buyer's Verify step. *)
+(** The buyer's Verify step, through {!Env.verify}. *)
 
 val third_party_decrypt : offer -> disclosed_key:Fr.t -> Fr.t array
 (** What anyone can do after the Open step put k on-chain. *)

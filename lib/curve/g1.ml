@@ -25,16 +25,6 @@ include Weierstrass.Make (struct
   let subgroup_check = false
 end)
 
-(* Compressed serialization: a parity tag plus the x coordinate; y is
-   recovered as sqrt(x^3 + 3) with the tagged parity. 33 bytes instead of
-   65. The byte format lives in Weierstrass (shared with G2); these
-   wrappers keep the historical raising API and error messages. *)
-
-let of_bytes_compressed (s : string) : t =
-  match of_bytes_compressed_result s with
-  | Ok p -> p
-  | Error reason -> invalid_arg ("G1.of_bytes_compressed: " ^ reason)
-
 (* Try-and-increment hash-to-curve: deterministic map from a label to a
    curve point of unknown discrete log (used for commitment bases). *)
 let hash_to_curve (label : string) : t =

@@ -9,7 +9,10 @@
    - dependency-free: plain [Unix] + [Thread], no HTTP framework;
    - single accept thread, one request per connection
      ([Connection: close]).  Scrape traffic (Prometheus, curl) is low
-     rate; simplicity beats throughput here.
+     rate; simplicity beats throughput here;
+   - a client that has not sent its request header [receive_deadline_s]
+     after it connected is answered 408 and dropped, and SIGPIPE is
+     ignored, so a client that resets mid-response is one that left.
 
    The accept loop polls with [Unix.select] at 200 ms so [stop] can
    flip an atomic and join the thread without platform-dependent
@@ -37,6 +40,7 @@ let status_reason = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
@@ -83,36 +87,46 @@ let parse_query q =
 
 type request = { meth : string; path : string; query : (string * string) list }
 
+let receive_deadline_s = 2.0
+
+let terminator = "\r\n\r\n"
+
 (* Read until the end of the header block (we ignore headers and any
-   body: every supported route is a bodyless GET). *)
+   body: every supported route is a bodyless GET), or until the receive
+   deadline.  [matched] counts the terminator's bytes that end what was
+   read so far, so each read scans only its new bytes. *)
 let read_request fd : (request, response) result =
+  let deadline = Unix.gettimeofday () +. receive_deadline_s in
   let buf = Bytes.create 4096 in
   let acc = Buffer.create 256 in
-  let rec fill () =
+  let rec fill matched =
     if Buffer.length acc > 65536 then Error (text 400 "request too large\n")
     else
-      let contents = Buffer.contents acc in
-      match
-        if String.length contents >= 4 then
-          (* enough to contain the terminator? *)
-          let rec find i =
-            if i + 3 >= String.length contents then None
-            else if String.sub contents i 4 = "\r\n\r\n" then Some i
-            else find (i + 1)
-          in
-          find 0
-        else None
-      with
-      | Some _ -> Ok contents
-      | None -> (
+      (* a negative timeout would make select wait for ever *)
+      match Unix.select [ fd ] [] [] (Float.max 0. (deadline -. Unix.gettimeofday ())) with
+      | [], _, _ -> Error (text 408 "request timeout\n")
+      | _ :: _, _, _ -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> if Buffer.length acc = 0 then Error (text 400 "empty request\n") else Ok contents
+        | 0 ->
+          if Buffer.length acc = 0 then Error (text 400 "empty request\n")
+          else Ok (Buffer.contents acc)
         | n ->
           Buffer.add_subbytes acc buf 0 n;
-          fill ()
+          let rec scan i matched =
+            if matched = 4 then Ok (Buffer.contents acc)
+            else if i = n then fill matched
+            else
+              let c = Bytes.get buf i in
+              scan (i + 1)
+                (if c = terminator.[matched] then matched + 1
+                 else if c = '\r' then 1
+                 else 0)
+          in
+          scan 0 matched
         | exception Unix.Unix_error _ -> Error (text 400 "read error\n"))
+      | exception Unix.Unix_error _ -> Error (text 408 "request timeout\n")
   in
-  match fill () with
+  match fill 0 with
   | Error e -> Error e
   | Ok raw -> (
     let first_line =
@@ -202,17 +216,17 @@ let routes ?(extra = fun () -> "") () : handler =
 (* ---- server lifecycle ---- *)
 
 let handle_connection handler fd =
+  (* A failed write (EPIPE, ECONNRESET) is a client that left. *)
+  let respond resp = try write_response fd resp with Unix.Unix_error _ -> () in
   (match read_request fd with
-  | Error resp -> ( try write_response fd resp with _ -> ())
-  | Ok req -> (
-    let resp =
-      if req.meth <> "GET" then text 405 "only GET is supported\n"
-      else
-        try handler ~path:req.path ~query:req.query
-        with exn ->
-          text 500 (Printf.sprintf "handler error: %s\n" (Printexc.to_string exn))
-    in
-    try write_response fd resp with _ -> ()));
+  | Error resp -> respond resp
+  | Ok req ->
+    respond
+      (if req.meth <> "GET" then text 405 "only GET is supported\n"
+       else
+         try handler ~path:req.path ~query:req.query
+         with exn ->
+           text 500 (Printf.sprintf "handler error: %s\n" (Printexc.to_string exn))));
   try Unix.close fd with _ -> ()
 
 let accept_loop t handler =
@@ -227,6 +241,7 @@ let accept_loop t handler =
   done
 
 let start ?(host = "127.0.0.1") ~port handler =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

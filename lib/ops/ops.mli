@@ -5,7 +5,10 @@
     telemetry and never mutate protocol state, so journals, proof bytes
     and state hashes are byte-identical whether the server runs or not.
     One accept thread serves one request per connection
-    ([Connection: close]); scrape traffic is low-rate by construction. *)
+    ([Connection: close]); scrape traffic is low-rate by construction.
+    A client that does not send its request holds that thread for at most
+    {!receive_deadline_s}, and one that resets mid-response is dropped:
+    the server ignores SIGPIPE. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -15,10 +18,15 @@ type handler = path:string -> query:(string * string) list -> response
 
 type t
 
+val receive_deadline_s : float
+(** Seconds a connection has to send its request header, after which it
+    is answered 408 and closed. *)
+
 val start : ?host:string -> port:int -> handler -> t
 (** Bind [host:port] (default host 127.0.0.1; port 0 picks a free port —
     read it back with {!port}), spawn the accept thread and return the
-    running server.  Raises [Unix.Unix_error] if the bind fails. *)
+    running server.  Sets SIGPIPE to ignored for the process.  Raises
+    [Unix.Unix_error] if the bind fails. *)
 
 val port : t -> int
 (** The actually-bound port. *)

@@ -37,36 +37,6 @@ let to_bytes p =
 
 let size_bytes p = String.length (to_bytes p)
 
-(* Compressed encoding: 9 * 33 + 6 * 32 = 489 bytes. *)
-let to_bytes_compressed p =
-  String.concat ""
-    (List.map G1.to_bytes_compressed (g1_points p)
-    @ List.map Fr.to_bytes_be (evaluations p))
-
-let of_bytes_compressed (s : string) : t =
-  let pw = G1.compressed_size and fw = Fr.num_bytes in
-  if String.length s <> (9 * pw) + (6 * fw) then
-    invalid_arg "Proof.of_bytes_compressed: bad length";
-  let pt i = G1.of_bytes_compressed (String.sub s (i * pw) pw) in
-  let ev i = Fr.of_bytes_be (String.sub s ((9 * pw) + (i * fw)) fw) in
-  {
-    cm_a = pt 0;
-    cm_b = pt 1;
-    cm_c = pt 2;
-    cm_z = pt 3;
-    cm_t_lo = pt 4;
-    cm_t_mid = pt 5;
-    cm_t_hi = pt 6;
-    cm_w_zeta = pt 7;
-    cm_w_zeta_omega = pt 8;
-    eval_a = ev 0;
-    eval_b = ev 1;
-    eval_c = ev 2;
-    eval_s1 = ev 3;
-    eval_s2 = ev 4;
-    eval_z_omega = ev 5;
-  }
-
 (* Canonical wire format: "ZKPF" envelope, compressed points, strict
    (range-checked, on-curve) decoding. 4 + 2 + 9*33 + 6*32 = 495 bytes. *)
 let codec : t Zkdet_codec.Codec.t =
@@ -89,27 +59,3 @@ let codec : t Zkdet_codec.Codec.t =
 let wire_encode (p : t) : string = Zkdet_codec.Codec.encode codec p
 let wire_decode (s : string) : (t, Zkdet_codec.Codec.error) result =
   Zkdet_codec.Codec.decode codec s
-
-let of_bytes (s : string) : t =
-  let pw = G1.encoded_size and fw = Fr.num_bytes in
-  if String.length s <> (9 * pw) + (6 * fw) then
-    invalid_arg "Proof.of_bytes: bad length";
-  let pt i = G1.of_bytes_fixed (String.sub s (i * pw) pw) in
-  let ev i = Fr.of_bytes_be (String.sub s ((9 * pw) + (i * fw)) fw) in
-  {
-    cm_a = pt 0;
-    cm_b = pt 1;
-    cm_c = pt 2;
-    cm_z = pt 3;
-    cm_t_lo = pt 4;
-    cm_t_mid = pt 5;
-    cm_t_hi = pt 6;
-    cm_w_zeta = pt 7;
-    cm_w_zeta_omega = pt 8;
-    eval_a = ev 0;
-    eval_b = ev 1;
-    eval_c = ev 2;
-    eval_s1 = ev 3;
-    eval_s2 = ev 4;
-    eval_z_omega = ev 5;
-  }

@@ -26,17 +26,9 @@ val g1_points : t -> G1.t list
 val evaluations : t -> Fr.t list
 
 val to_bytes : t -> string
-(** Fixed-width serialization (9 x 65 + 6 x 32 = 777 bytes), suitable for
-    storage in the content-addressed network. *)
-
-val of_bytes : string -> t
-(** Inverse of {!to_bytes}; validates point encodings. Raises
-    [Invalid_argument] on malformed input. *)
-
-val to_bytes_compressed : t -> string
-(** Compressed-point encoding (489 bytes): parity tag + x per G1 point. *)
-
-val of_bytes_compressed : string -> t
+(** Fixed-width uncompressed serialization (9 x 65 + 6 x 32 = 777
+    bytes): what escrow calldata is charged for and what proof-size
+    reports count. Proofs travel and are stored in the {!codec} form. *)
 
 val size_bytes : t -> int
 

@@ -15,4 +15,4 @@ let () =
       output_string oc (Vectors_def.to_hex bytes);
       close_out oc;
       Printf.printf "wrote %s (%d bytes)\n" path (String.length bytes))
-    (Vectors_def.all ())
+    (Vectors_def.all () @ [ Vectors_def.statement_vks () ])

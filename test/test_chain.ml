@@ -33,7 +33,7 @@ let failed_status (r : Chain.receipt) expected =
 
 let dummy_mint chain nft ~owner =
   let id, r =
-    Erc721.mint nft chain ~sender:owner ~recipient:owner ~uri:"zb_dummy"
+    Erc721.mint nft chain ~sender:owner ~recipient:owner ~uri:"zb_token"
       ~key_commitment:(Fr.random rng) ~data_commitment:(Fr.random rng)
       ~proof_refs:[ "zb_proof" ]
   in

@@ -493,7 +493,7 @@ let test_dataset_codec () =
 
 (* ---- golden vectors ---- *)
 
-let test_golden_vectors () =
+let check_vectors vectors () =
   (* `dune runtest` runs in test/; `dune exec test/test_codec.exe` in the
      repo root *)
   let dir =
@@ -510,7 +510,7 @@ let test_golden_vectors () =
            intentional, regenerate with `dune exec test/gen_vectors.exe` and \
            update FORMATS.md"
           name)
-    (Vectors_def.all ())
+    (vectors ())
 
 let () =
   Alcotest.run "zkdet_codec"
@@ -547,4 +547,6 @@ let () =
         [ Alcotest.test_case "manifest" `Quick test_manifest;
           Alcotest.test_case "dataset codec" `Quick test_dataset_codec ] );
       ( "golden",
-        [ Alcotest.test_case "no byte drift" `Quick test_golden_vectors ] ) ]
+        [ Alcotest.test_case "no byte drift" `Quick (check_vectors Vectors_def.all);
+          Alcotest.test_case "protocol circuit keys" `Slow
+            (check_vectors (fun () -> [ Vectors_def.statement_vks () ])) ] ) ]

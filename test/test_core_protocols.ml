@@ -216,6 +216,74 @@ let test_zkcp_baseline () =
   Alcotest.(check bool) "third party steals the data" true
     (Array.for_all2 Fr.equal data stolen)
 
+(* A Sum_equals value is a public input, not structure: validations of
+   the same size under different sums share one key, so trades after
+   set-up build none.  No other test validates a 3-entry dataset. *)
+let test_sum_predicates_share_a_key () =
+  let env = Lazy.force env in
+  let before = Hashtbl.length env.Env.pk_cache in
+  List.iter
+    (fun data ->
+      let s = Transform.seal ~st:rng data in
+      let predicate = Circuits.Sum_equals (Array.fold_left Fr.add Fr.zero data) in
+      let pi_p = Exchange.prove_validation env s predicate in
+      Alcotest.(check bool) "pi_p verifies" true
+        (Exchange.verify_validation env (Exchange.make_offer s ~predicate ~price:1) pi_p))
+    [ dataset 3; Array.map (Fr.add Fr.one) (dataset 3) ];
+  Alcotest.(check int) "one key for both sums" (before + 1)
+    (Hashtbl.length env.Env.pk_cache)
+
+(* ---- hostile statements ---- *)
+
+(* A verifier reads the sizes it checks from what it is handed: a link's
+   kind, an offer's ciphertext and predicate.  Each hostile one must
+   answer false, never raise, and set up no key. *)
+let test_hostile_statements () =
+  let env = Lazy.force env in
+  let s = Transform.seal ~st:rng (dataset 2) in
+  let _, link = Transform.duplicate env s in
+  let pi_p = Exchange.prove_validation env s Circuits.Trivial in
+  let zkcp = Zkcp.prove env s Circuits.Trivial in
+  (* a registered function with no circuit over one entry *)
+  Circuits.register_processing
+    (Circuits.pure_spec ~name:"test-second-entry" ~out_size:(fun _ -> 1)
+       ~apply:(fun _ s_ws -> [| s_ws.(1) |])
+       ~reference:(fun d -> [| d.(1) |]));
+  let pks_before = Hashtbl.length env.Env.pk_cache in
+  let refused name verdict =
+    match verdict () with
+    | ok -> Alcotest.(check bool) name false ok
+    | exception ex -> Alcotest.failf "%s raised %s" name (Printexc.to_string ex)
+  in
+  List.iter
+    (fun kind ->
+      refused
+        (Circuits.cache_key (Circuits.Transform kind))
+        (fun () -> Transform.verify_link env { link with Transform.kind }))
+    [ Transform.Duplication (-1);
+      Transform.Processing ("sum", -1);
+      Transform.Partition (2, [ 3; -1 ]);
+      Transform.Partition (1, [ 2 ]);
+      Transform.Partition (2, [ 1 ]);
+      Transform.Partition (2, [ 0; 2 ]);
+      Transform.Duplication 0;
+      Transform.Processing ("sum", 0);
+      Transform.Partition (2, [ max_int; max_int; 4 ]);
+      Transform.Processing ("unregistered", 2);
+      Transform.Processing ("test-second-entry", 1) ];
+  let big = Array.make 400 Fr.one in
+  let offer = Exchange.make_offer s ~predicate:Circuits.Trivial ~price:1 in
+  refused "pi_p of a 400-entry offer" (fun () ->
+      Exchange.verify_validation env { offer with Exchange.ciphertext = big } pi_p);
+  refused "pi_p of an offer bounding entries to -1 bits" (fun () ->
+      Exchange.verify_validation env
+        { offer with Exchange.predicate = Circuits.Entries_bounded (-1) }
+        pi_p);
+  let zkcp_offer = Zkcp.make_offer s ~predicate:Circuits.Trivial ~price:1 in
+  refused "zkcp pi_p of a 400-entry offer" (fun () ->
+      Zkcp.verify env { zkcp_offer with Zkcp.ciphertext = big } zkcp);
+  Alcotest.(check int) "no key set up" pks_before (Hashtbl.length env.Env.pk_cache)
+
 (* ---- full marketplace pipeline ---- *)
 
 let operator = Chain.Address.of_seed "operator"
@@ -655,7 +723,12 @@ let () =
         [ Alcotest.test_case "honest two-phase exchange" `Slow test_exchange_honest;
           Alcotest.test_case "buyer fairness" `Slow test_exchange_buyer_fairness;
           Alcotest.test_case "seller fairness" `Quick test_exchange_seller_fairness;
-          Alcotest.test_case "zkcp baseline + flaw" `Slow test_zkcp_baseline ] );
+          Alcotest.test_case "zkcp baseline + flaw" `Slow test_zkcp_baseline;
+          Alcotest.test_case "sum predicates share a key" `Slow
+            test_sum_predicates_share_a_key ] );
+      ( "hostile",
+        [ Alcotest.test_case "verifiers answer false on hostile sizes" `Slow
+            test_hostile_statements ] );
       ( "manifest",
         Alcotest.test_case "reader rejects hostile lines" `Quick
           test_manifest_reader_rejects

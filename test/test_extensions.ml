@@ -370,11 +370,7 @@ let test_batch_mixed_circuits () =
   let k_v, h_v = Exchange.buyer_blinding ~st:rng () in
   let k_c, pi_k = Exchange.prove_key env s ~k_v in
   let pi_e = Transform.prove_encryption env s in
-  let enc_pk =
-    Env.proving_key env
-      ~descriptor:(Circuits.encryption_descriptor ~n:2)
-      ~build:(Circuits.encryption_dummy ~n:2)
-  in
+  let enc_pk = Env.proving_key env (Circuits.Encryption 2) in
   let items =
     [ (Exchange.key_vk env,
        Circuits.key_publics ~k_c ~c_k:s.Transform.c_k ~h_v, pi_k);

@@ -232,6 +232,68 @@ let test_errors_and_extra () =
     | _ -> Alcotest.fail "extra gauge sample count")
   | None -> Alcotest.fail "extra () not appended to /metrics"
 
+(* ---- misbehaving clients ---- *)
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* Run [f] on a thread; whether it returned within [secs], and the
+   thread, which the caller joins once whatever blocks [f] is gone. *)
+let returns_within secs f =
+  let finished = Atomic.make false in
+  let th = Thread.create (fun () -> f (); Atomic.set finished true) () in
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < secs do
+    Thread.delay 0.05
+  done;
+  (Atomic.get finished, th)
+
+(* A connection that never sends its request holds the single accept
+   thread for at most the receive deadline: a concurrent scrape is
+   answered after it, and [Ops.stop] returns. *)
+let test_idle_client () =
+  let server = Ops.start ~port:0 (Ops.routes ()) in
+  let port = Ops.port server in
+  let bound = Ops.receive_deadline_s +. 1.5 in
+  let idle = connect port in
+  Thread.delay 0.3;
+  let status = ref 0 in
+  let answered, scrape =
+    returns_within bound (fun () -> status := fst (http_get port "/healthz"))
+  in
+  let idle' = connect port in
+  Thread.delay 0.3;
+  let stopped, stop = returns_within bound (fun () -> Ops.stop server) in
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ idle; idle' ];
+  Thread.join scrape;
+  Thread.join stop;
+  Alcotest.(check bool) "scrape answered within the deadline" true answered;
+  Alcotest.(check int) "scrape status" 200 !status;
+  Alcotest.(check bool) "stop returned within the deadline" true stopped
+
+(* A client that resets its connection, right after sending its
+   request or before sending anything, makes the server's read or write
+   fail: the client left, and the server goes on to answer the next one.
+   A write after the read saw the reset raises SIGPIPE, which must not
+   kill the process. *)
+let test_reset_client () =
+  with_server @@ fun port ->
+  let req = "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n" in
+  List.iter
+    (fun sent ->
+      let fd = connect port in
+      ignore (Unix.write_substring fd sent 0 (String.length sent));
+      (* linger 0: close sends a reset *)
+      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+      Unix.close fd;
+      Thread.delay 0.3)
+    [ req; ""; req; "" ];
+  let status, body = http_get port "/healthz" in
+  Alcotest.(check int) "next request answered" 200 status;
+  Alcotest.(check string) "body" "ok\n" body
+
 (* ---- journal tail reader ---- *)
 
 let hex16 i = Printf.sprintf "%016x" i
@@ -386,7 +448,11 @@ let () =
           Alcotest.test_case "spans and flame endpoints" `Quick
             test_spans_and_flame_endpoints;
           Alcotest.test_case "errors and extra gauges" `Quick
-            test_errors_and_extra ] );
+            test_errors_and_extra;
+          Alcotest.test_case "idle client blocks no scrape or stop" `Quick
+            test_idle_client;
+          Alcotest.test_case "reset client leaves the server up" `Quick
+            test_reset_client ] );
       ( "tail",
         [ Alcotest.test_case "progressive consumption" `Quick
             test_tail_progressive;

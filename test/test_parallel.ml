@@ -196,12 +196,14 @@ let prop_prove_transcript_deterministic =
       let prove () =
         (* identical blinding randomness on both runs *)
         let st = Random.State.make [| x; y; 0x9e |] in
-        Proof.to_bytes (Prover.prove ~st pk compiled)
+        Proof.wire_encode (Prover.prove ~st pk compiled)
       in
       let p1, p4 = both prove in
       String.equal p1 p4
-      && Verifier.verify pk.Preprocess.vk compiled.Cs.public_values
-           (Proof.of_bytes p1))
+      &&
+      match Proof.wire_decode p1 with
+      | Ok proof -> Verifier.verify pk.Preprocess.vk compiled.Cs.public_values proof
+      | Error _ -> false)
 
 let () =
   Alcotest.run "zkdet_parallel"

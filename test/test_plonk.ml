@@ -132,20 +132,18 @@ let test_proof_serialization () =
   let compiled = Cs.compile cs in
   let pk = Preprocess.setup srs compiled in
   let proof = Prover.prove ~st:rng pk compiled in
-  let bytes = Proof.to_bytes proof in
-  let back = Proof.of_bytes bytes in
-  Alcotest.(check string) "roundtrip stable" bytes (Proof.to_bytes back);
+  let bytes = Proof.wire_encode proof in
+  Alcotest.(check int) "495 bytes" (4 + 2 + (9 * 33) + (6 * 32)) (String.length bytes);
+  let back =
+    match Proof.wire_decode bytes with
+    | Ok p -> p
+    | Error _ -> Alcotest.fail "the encoded proof does not decode"
+  in
+  Alcotest.(check string) "roundtrip stable" bytes (Proof.wire_encode back);
   Alcotest.(check bool) "deserialized proof verifies" true
     (Verifier.verify pk.Preprocess.vk compiled.Cs.public_values back);
-  Alcotest.check_raises "truncated rejected"
-    (Invalid_argument "Proof.of_bytes: bad length") (fun () ->
-      ignore (Proof.of_bytes (String.sub bytes 0 100)));
-  (* compressed encoding: smaller, still verifies after roundtrip *)
-  let compressed = Proof.to_bytes_compressed proof in
-  Alcotest.(check int) "489 bytes" ((9 * 33) + (6 * 32)) (String.length compressed);
-  Alcotest.(check bool) "compressed roundtrip verifies" true
-    (Verifier.verify pk.Preprocess.vk compiled.Cs.public_values
-       (Proof.of_bytes_compressed compressed))
+  Alcotest.(check bool) "truncated rejected" true
+    (Result.is_error (Proof.wire_decode (String.sub bytes 0 100)))
 
 let test_transcript_binding () =
   let module T = Zkdet_plonk.Transcript in

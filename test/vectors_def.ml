@@ -141,7 +141,36 @@ let token_manifests () =
     meta 1 (Some (Transform.Partition (2, [ 1; 1 ]), pi_t));
     meta 1 (Some (Transform.Processing ("sum", 2), pi_t)) ]
 
-(* (filename, raw bytes) for every committed vector. *)
+module Env = Zkdet_core.Env
+module Circuits = Zkdet_core.Circuits
+
+(* (cache key, verification key) of one statement per protocol circuit,
+   set up in a 2^12 env: a change to a circuit or to its setup witness
+   shows here even when its prover and verifier change together. *)
+let statement_vks () =
+  let env = Env.create ~log2_max_gates:12 ~seed:[| 0xC0DEC; 6 |] () in
+  let vk statement =
+    ( Circuits.cache_key statement,
+      Preprocess.vk_to_bytes (Env.proving_key env statement).Preprocess.vk )
+  in
+  let validation p = Circuits.Validation (2, p) in
+  ( "statement_vks.hex",
+    C.encode
+      (C.list (C.pair C.str C.bytes))
+      (List.map vk
+         [ Circuits.Encryption 2;
+           Circuits.Transform (Circuits.Duplication 2);
+           Circuits.Transform (Circuits.Aggregation [ 1; 1 ]);
+           Circuits.Transform (Circuits.Partition (2, [ 1; 1 ]));
+           Circuits.Transform (Circuits.Processing ("sum", 2));
+           validation Circuits.Trivial;
+           validation (Circuits.Entries_bounded 8);
+           validation (Circuits.Sum_equals (Fr.of_int 5));
+           Circuits.Zkcp (2, Circuits.Trivial);
+           Circuits.Key ]) )
+
+(* (filename, raw bytes) for every committed vector but
+   [statement_vks], whose keys take seconds to set up. *)
 let all () : (string * string) list =
   plonk_vectors () @ groth16_vectors ()
   @ [ ("srs_header.hex", Srs.header_bytes ~size:16);
