@@ -16,6 +16,8 @@ type t = {
   pk_cache : (string, Preprocess.proving_key) Hashtbl.t;
   rng : Random.State.t;
   max_dataset : int Lazy.t;
+  max_validation : int Lazy.t;
+  max_zkcp : int Lazy.t;
 }
 
 (* [statement]'s setup circuit, compiled, if it fits [srs]. *)
@@ -26,10 +28,10 @@ let fitting_circuit (srs : Srs.t) statement =
     if Preprocess.fits srs compiled then Some compiled else None
   | None -> None
 
-(* The largest n whose pi_e circuit fits [srs]. Its gate count grows with
-   n, so double until a circuit does not fit, then bisect. *)
-let largest_encryption (srs : Srs.t) : int =
-  let fits n = Option.is_some (fitting_circuit srs (Circuits.Encryption n)) in
+(* The largest n whose [family n] circuit fits [srs]. Its gate count
+   grows with n, so double until a circuit does not fit, then bisect. *)
+let largest_fitting (srs : Srs.t) family : int =
+  let fits n = Option.is_some (fitting_circuit srs (family n)) in
   (* [fits lo] and not [fits hi] *)
   let rec bisect lo hi =
     if hi - lo <= 1 then lo
@@ -45,14 +47,21 @@ let largest_encryption (srs : Srs.t) : int =
 let create ?(log2_max_gates = 12) ?(seed = [| 0xd47a |]) () =
   let rng = Random.State.make seed in
   let srs = Srs.unsafe_generate ~st:rng ~size:((1 lsl log2_max_gates) + 8) () in
+  (* A predicate only adds rows to its offer's circuit, so the trivial
+     one bounds every predicate's. *)
+  let largest family = lazy (largest_fitting srs family) in
   {
     srs;
     pk_cache = Hashtbl.create 16;
     rng;
-    max_dataset = lazy (largest_encryption srs);
+    max_dataset = largest (fun n -> Circuits.Encryption n);
+    max_validation = largest (fun n -> Circuits.Validation (n, Circuits.Trivial));
+    max_zkcp = largest (fun n -> Circuits.Zkcp (n, Circuits.Trivial));
   }
 
 let max_dataset (env : t) = Lazy.force env.max_dataset
+let max_validation (env : t) = Lazy.force env.max_validation
+let max_zkcp (env : t) = Lazy.force env.max_zkcp
 
 (* The cached key of [statement]; on a miss, its key set up and cached if
    the statement is well formed and its circuit fits the SRS. *)
@@ -75,14 +84,26 @@ let proving_key (env : t) statement : Preprocess.proving_key =
     invalid_arg
       ("Env.proving_key: malformed or over the SRS: " ^ Circuits.cache_key statement)
 
+(* Whether [statement] names a size over its family's bound. *)
+let oversize (env : t) = function
+  | Circuits.Validation (n, _) -> n > max_validation env
+  | Circuits.Zkcp (n, _) -> n > max_zkcp env
+  | statement ->
+    List.exists (fun n -> n > max_dataset env) (Circuits.lineage_sizes statement)
+
 let verification_key (env : t) statement =
-  if
-    (not (Circuits.well_formed statement))
-    || List.exists (fun n -> n > max_dataset env) (Circuits.lineage_sizes statement)
-  then None
+  if (not (Circuits.well_formed statement)) || oversize env statement then None
   else Option.map (fun pk -> pk.Preprocess.vk) (lookup env statement)
 
+let verify_all (env : t) items =
+  let rec keyed acc = function
+    | [] -> Verifier.verify_batch (List.rev acc)
+    | (statement, publics, proof) :: rest -> (
+      match verification_key env statement with
+      | Some vk -> keyed ((vk, publics, proof) :: acc) rest
+      | None -> false)
+  in
+  keyed [] items
+
 let verify (env : t) statement (publics : Fr.t array) (proof : Proof.t) : bool =
-  match verification_key env statement with
-  | Some vk -> Verifier.verify vk publics proof
-  | None -> false
+  verify_all env [ (statement, publics, proof) ]

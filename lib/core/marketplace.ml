@@ -332,7 +332,14 @@ let sizes_match (kind : Transform.kind) (lengths : int list) =
 
 (** Full provenance audit (Fig. 3): walk prevIds[] back to the sources and,
     for every token, check its manifest against the chain, its pi_e, and
-    the pi_t that made it. *)
+    the pi_t that made it.
+
+    The walk checks everything but the proofs, and stops at its first
+    failure. Each pi_e and pi_t it finds is deferred, in walk order, with
+    the failure that names it; one {!Env.verify_all} then checks them
+    all in one pairing check. Only when that rejects are they checked
+    one by one, so the verdict is the first failure in walk order,
+    whether a proof or the walk's own. *)
 let audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
     (int, audit_failure) result =
   Obs.with_span "marketplace.audit_provenance" @@ fun () ->
@@ -379,47 +386,60 @@ let audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
            | Ok pm when pm.origin = origin -> Some pm.c_d
            | _ -> None)
   in
+  (* (statement, publics, proof, the failure it names), last found first *)
+  let deferred = ref [] in
+  let defer statement publics proof failure =
+    deferred := (statement, publics, proof, failure) :: !deferred
+  in
   let check (tok : Erc721.token) =
     let id = tok.Erc721.token_id in
     let* me = meta id in
     let* ct = ciphertext me.ct_cid in
     let* pi_e = fetch_proof m auditor me.enc_proof_cid in
-    if
-      not
-        (Transform.verify_encryption m.env ~nonce:me.nonce ~c_d:me.c_d
-           ~c_k:me.c_k ~ciphertext:ct pi_e)
-    then Error (`Bad_encryption_proof id)
-    else
-      match (me.origin, tok.Erc721.transform) with
-      | None, None -> Ok ()
-      | Some (kind, pi_t_cid), Some on_chain
-        when Transform.chain_kind kind = on_chain -> (
-        let* parents =
-          all (fun pid -> Result.map_error (fun _ -> `No_meta) (meta pid))
-            tok.Erc721.prev_ids
+    defer
+      (Circuits.Encryption (Array.length ct))
+      (Circuits.encryption_publics ~nonce:me.nonce ~c_d:me.c_d ~c_k:me.c_k
+         ~ciphertext:ct)
+      pi_e (`Bad_encryption_proof id);
+    match (me.origin, tok.Erc721.transform) with
+    | None, None -> Ok ()
+    | Some (kind, pi_t_cid), Some on_chain
+      when Transform.chain_kind kind = on_chain -> (
+      let* parents =
+        all (fun pid -> Result.map_error (fun _ -> `No_meta) (meta pid))
+          tok.Erc721.prev_ids
+      in
+      let* lengths =
+        all (fun pm -> Result.map Array.length (ciphertext pm.ct_cid)) parents
+      in
+      if not (sizes_match kind lengths) then Error `No_meta
+      else
+        let* proof = fetch_proof m auditor pi_t_cid in
+        let dst_commitments =
+          match (kind, tok.Erc721.prev_ids) with
+          | Transform.Partition _, [ parent ] -> siblings parent me.origin
+          | _ -> [ me.c_d ]
         in
-        let* lengths =
-          all (fun pm -> Result.map Array.length (ciphertext pm.ct_cid)) parents
+        let link =
+          { Transform.kind;
+            src_commitments = List.map (fun pm -> pm.c_d) parents;
+            dst_commitments; proof }
         in
-        if not (sizes_match kind lengths) then Error `No_meta
-        else
-          let* proof = fetch_proof m auditor pi_t_cid in
-          let dst_commitments =
-            match (kind, tok.Erc721.prev_ids) with
-            | Transform.Partition _, [ parent ] -> siblings parent me.origin
-            | _ -> [ me.c_d ]
-          in
-          let link =
-            { Transform.kind;
-              src_commitments = List.map (fun pm -> pm.c_d) parents;
-              dst_commitments; proof }
-          in
-          if Transform.verify_link m.env link then Ok ()
-          else Error (`Bad_transform_proof id))
-      | _ -> Error `No_meta
+        match Transform.link_publics link with
+        | Some publics ->
+          defer (Circuits.Transform kind) publics proof (`Bad_transform_proof id);
+          Ok ()
+        | None -> Error (`Bad_transform_proof id))
+    | _ -> Error `No_meta
   in
-  let* checked = all check (Erc721.provenance m.nft token_id) in
-  Ok (List.length checked)
+  let walked = Result.map List.length (all check (Erc721.provenance m.nft token_id)) in
+  let deferred = List.rev !deferred in
+  let item (statement, publics, proof, _) = (statement, publics, proof) in
+  if Env.verify_all m.env (List.map item deferred) then walked
+  else
+    match List.find_opt (fun d -> not (Env.verify_all m.env [ item d ])) deferred with
+    | Some (_, _, _, failure) -> Error failure
+    | None -> walked
 
 (* ---- trading via the key-secure exchange ---- *)
 

@@ -89,7 +89,9 @@ val audit_provenance :
     origin to be the chain's [transform] (a source exactly when the chain
     records none, else the same kind), check its sizes against the
     parents' ciphertext lengths and verify its pi_t. Returns the number
-    of tokens verified. *)
+    of tokens verified, or the first failure in that order. Every pi_e
+    and pi_t is checked in one {!Env.verify_all} after the walk, and one
+    by one only when that rejects. *)
 
 type trade_failure =
   [ `Offer_rejected

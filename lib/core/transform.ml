@@ -172,17 +172,19 @@ let process (env : Env.t) (src : sealed) ~(spec : Circuits.processing_spec) :
 
 (* ---- verification ---- *)
 
+(** A link's public inputs: its commitments in the layout of its kind's
+    circuit, or [None] when their counts do not fit the kind. *)
+let link_publics (l : link) : Fr.t array option =
+  match (l.kind, l.src_commitments, l.dst_commitments) with
+  | Duplication _, [ c_s ], [ c_d ] -> Some (Circuits.duplication_publics ~c_s ~c_d)
+  | Processing _, [ c_s ], [ c_d ] -> Some (Circuits.processing_publics ~c_s ~c_d)
+  | Aggregation _, c_sources, [ c_d ] ->
+    Some (Circuits.aggregation_publics ~c_sources ~c_d)
+  | Partition _, [ c_s ], c_parts -> Some (Circuits.partition_publics ~c_s ~c_parts)
+  | _ -> None
+
 (** Verify one pi_t link against its public commitments. *)
 let verify_link (env : Env.t) (l : link) : bool =
-  let publics =
-    match (l.kind, l.src_commitments, l.dst_commitments) with
-    | Duplication _, [ c_s ], [ c_d ] -> Some (Circuits.duplication_publics ~c_s ~c_d)
-    | Processing _, [ c_s ], [ c_d ] -> Some (Circuits.processing_publics ~c_s ~c_d)
-    | Aggregation _, c_sources, [ c_d ] ->
-      Some (Circuits.aggregation_publics ~c_sources ~c_d)
-    | Partition _, [ c_s ], c_parts -> Some (Circuits.partition_publics ~c_s ~c_parts)
-    | _ -> None
-  in
-  match publics with
+  match link_publics l with
   | Some publics -> Env.verify env (Circuits.Transform l.kind) publics l.proof
   | None -> false

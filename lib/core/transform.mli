@@ -84,6 +84,12 @@ val process : Env.t -> sealed -> spec:Circuits.processing_spec -> sealed * link
 
 (** {2 Verification} *)
 
+val link_publics : link -> Fr.t array option
+(** The link's commitments as its pi_t's public inputs, sources first;
+    [None] when their counts do not fit its kind (one source and one
+    destination for a duplication or a processing, one destination for
+    an aggregation, one source for a partition). *)
+
 val verify_link : Env.t -> link -> bool
 (** Verify one pi_t against its public commitments through
     {!Env.verify}: false, and nothing cached, for a malformed kind, a

@@ -120,8 +120,11 @@ module Make (P : PARAMS) = struct
 
   let of_affine_unchecked (x, y) = { x; y; z = F.one }
 
+  (* A point with z = 1 is its own affine form: decoded points and the
+     stored keys are, so encoding them costs no inversion. *)
   let to_affine p =
     if is_zero p then None
+    else if F.equal p.z F.one then Some (p.x, p.y)
     else begin
       let zinv = F.inv p.z in
       let zinv2 = F.sqr zinv in
@@ -232,6 +235,13 @@ module Make (P : PARAMS) = struct
       end
     done;
     out
+
+  (** The same points with z = 1 (infinity unchanged), for one shared
+      inversion: a point kept this way encodes for free. *)
+  let batch_normalize (points : t array) : t array =
+    Array.map2
+      (fun p a -> match a with Some xy -> of_affine_unchecked xy | None -> p)
+      points (batch_to_affine points)
 
   let mul_nat p (e : Nat.t) =
     let nbits = Nat.num_bits e in

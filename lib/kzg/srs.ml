@@ -28,8 +28,12 @@ type t = {
   fb_lock : Mutex.t;
 }
 
+(* [g2] and [g2_tau] are kept with z = 1: every key copies them, and
+   every pairing check and encoded key reads them. *)
 let make ~g1_powers ~g2 ~g2_tau =
-  { g1_powers; g2; g2_tau; fb = None; fb_lock = Mutex.create () }
+  let g2s = G2.batch_normalize [| g2; g2_tau |] in
+  { g1_powers; g2 = g2s.(0); g2_tau = g2s.(1); fb = None;
+    fb_lock = Mutex.create () }
 
 let size t = Array.length t.g1_powers
 

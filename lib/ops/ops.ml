@@ -11,8 +11,10 @@
      ([Connection: close]).  Scrape traffic (Prometheus, curl) is low
      rate; simplicity beats throughput here;
    - a client that has not sent its request header [receive_deadline_s]
-     after it connected is answered 408 and dropped, and SIGPIPE is
-     ignored, so a client that resets mid-response is one that left.
+     after it connected is answered 408 and dropped; one that has not
+     taken its whole response [send_deadline_s] after the write began,
+     or that resets mid-response (SIGPIPE is ignored), is one that
+     left.
 
    The accept loop polls with [Unix.select] at 200 ms so [stop] can
    flip an atomic and join the thread without platform-dependent
@@ -147,23 +149,40 @@ let read_request fd : (request, response) result =
       Ok { meth; path = percent_decode path; query }
     | _ -> Error (text 400 "malformed request line\n"))
 
+let send_deadline_s = 2.0
+
+(* Write on a non-blocking fd, waiting in [select] on what remains of the
+   send deadline: a client that stops reading a response larger than the
+   socket buffers holds the accept thread for at most the deadline. Its
+   passing raises as a failed write does, so the client is one that
+   left. *)
 let write_response fd (r : response) =
+  let deadline = Unix.gettimeofday () +. send_deadline_s in
   let head =
     Printf.sprintf
       "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
       r.status (status_reason r.status) r.content_type
       (String.length r.body)
   in
-  let write_all s =
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done
+  Unix.set_nonblock fd;
+  let writable () =
+    let wait = deadline -. Unix.gettimeofday () in
+    (* a negative timeout would make select wait for ever *)
+    wait > 0. && match Unix.select [] [ fd ] [] wait with _, [], _ -> false | _ -> true
   in
-  write_all head;
-  write_all r.body
+  let rec write_all s off =
+    let left = String.length s - off in
+    if left > 0 then begin
+      if not (writable ()) then raise (Unix.Unix_error (Unix.ETIMEDOUT, "write", ""));
+      let n =
+        try Unix.single_write_substring fd s off left
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+      in
+      write_all s (off + n)
+    end
+  in
+  write_all head 0;
+  write_all r.body 0
 
 (* ---- built-in routes ---- *)
 
@@ -216,7 +235,8 @@ let routes ?(extra = fun () -> "") () : handler =
 (* ---- server lifecycle ---- *)
 
 let handle_connection handler fd =
-  (* A failed write (EPIPE, ECONNRESET) is a client that left. *)
+  (* A failed write (EPIPE, ECONNRESET, the send deadline) is a client
+     that left. *)
   let respond resp = try write_response fd resp with Unix.Unix_error _ -> () in
   (match read_request fd with
   | Error resp -> respond resp

@@ -7,7 +7,8 @@
     One accept thread serves one request per connection
     ([Connection: close]); scrape traffic is low-rate by construction.
     A client that does not send its request holds that thread for at most
-    {!receive_deadline_s}, and one that resets mid-response is dropped:
+    {!receive_deadline_s}, one that does not read its response for at
+    most {!send_deadline_s}, and one that resets mid-response is dropped:
     the server ignores SIGPIPE. *)
 
 type response = { status : int; content_type : string; body : string }
@@ -21,6 +22,10 @@ type t
 val receive_deadline_s : float
 (** Seconds a connection has to send its request header, after which it
     is answered 408 and closed. *)
+
+val send_deadline_s : float
+(** Seconds a response may take to send, from its first byte; a client
+    that has not taken it all by then is dropped. *)
 
 val start : ?host:string -> port:int -> handler -> t
 (** Bind [host:port] (default host 127.0.0.1; port 0 picks a free port —

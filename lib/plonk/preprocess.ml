@@ -218,8 +218,10 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
   let sigma3_c = interpolate sigma_evals.(2) in
   let sigma1 = poly sigma1_c and sigma2 = poly sigma2_c
   and sigma3 = poly sigma3_c in
+  (* Stored with z = 1: every verify's transcript encodes them. *)
   let cms =
-    Kzg.commit_batch srs [| ql; qr; qo; qm; qc; sigma1; sigma2; sigma3 |]
+    G1.batch_normalize
+      (Kzg.commit_batch srs [| ql; qr; qo; qm; qc; sigma1; sigma2; sigma3 |])
   in
   let vk =
     {

@@ -188,21 +188,6 @@ let check_fold ~(g2_tau : G2.t) ~(g2 : G2.t)
   in
   Pairing.pairing_check [ (l, g2_tau); (G1.neg r, g2) ]
 
-let verify (vk : Preprocess.verification_key) (publics : Fr.t array)
-    (proof : Proof.t) : bool =
-  Telemetry.with_span "plonk.verify" @@ fun () ->
-  Telemetry.count "plonk.verifies" 1;
-  let ok =
-    match equation vk publics proof with
-    | None -> false
-    | Some eq ->
-      check_fold ~g2_tau:vk.Preprocess.vk_g2_tau ~g2:vk.Preprocess.vk_g2
-        [ (vk, eq, Fr.one) ]
-  in
-  if Obs.is_enabled () then
-    Obs.emit (Zkdet_obs.Event.Proof_verified { system = "plonk"; ok });
-  ok
-
 (** The Fiat–Shamir RLC scalars {!verify_batch} folds with: one per item,
     derived from a transcript over every (vk, publics, proof) in the
     batch.  A pure hash chain over canonical bytes, so the scalars — and
@@ -228,6 +213,46 @@ let batch_scalars
          (vk_bytes vk, publics, Proof.wire_encode proof))
        items)
 
+(* The one body of {!verify} and {!verify_batch}: each item's
+   {!equation} scaled by its rho, folded per SRS (vk_g2_tau, vk_g2), in
+   first-use order, into one two-pair check.  Circuits preprocessed over
+   one SRS fold together; a batch spanning several ceremonies costs one
+   check per SRS. *)
+let verify_folded
+    (items : (Preprocess.verification_key * Fr.t array * Proof.t) list)
+    (rhos : Fr.t list) : bool =
+  Telemetry.with_span "plonk.verify" @@ fun () ->
+  Telemetry.count "plonk.verifies" (List.length items);
+  let groups : ((G2.t * G2.t) * (_ * equation * Fr.t) list ref) list ref =
+    ref []
+  in
+  let structural_ok =
+    List.for_all2
+      (fun (vk, publics, proof) rho ->
+        match equation vk publics proof with
+        | None -> false
+        | Some eq ->
+          let tau = vk.Preprocess.vk_g2_tau and g2 = vk.Preprocess.vk_g2 in
+          (match
+             List.find_opt
+               (fun ((t, g), _) -> G2.equal t tau && G2.equal g g2)
+               !groups
+           with
+          | Some (_, cell) -> cell := (vk, eq, rho) :: !cell
+          | None -> groups := ((tau, g2), ref [ (vk, eq, rho) ]) :: !groups);
+          true)
+      items rhos
+  in
+  let ok =
+    structural_ok
+    && List.for_all
+         (fun ((g2_tau, g2), cell) -> check_fold ~g2_tau ~g2 (List.rev !cell))
+         (List.rev !groups)
+  in
+  if Obs.is_enabled () then
+    Obs.emit (Zkdet_obs.Event.Proof_verified { system = "plonk"; ok });
+  ok
+
 (** Verify many proofs — possibly for different circuits — with one folded
     check per distinct SRS: each item's {!equation} is scaled by its
     {!batch_scalars} rho_i, and per SRS one MSM sums rho_i L_i, one sums
@@ -239,45 +264,12 @@ let verify_batch
     (items : (Preprocess.verification_key * Fr.t array * Proof.t) list) : bool =
   match items with
   | [] -> true
-  | [ (vk, publics, proof) ] ->
-    Telemetry.count "verify.batch_size" 1;
-    Telemetry.observe "verify.batch_size" 1.0;
-    verify vk publics proof
   | _ ->
-    Telemetry.with_span "plonk.verify_batch" @@ fun () ->
     let n = List.length items in
     Telemetry.count "verify.batch_size" n;
     Telemetry.observe "verify.batch_size" (float_of_int n);
-    let rhos = batch_scalars items in
-    (* Group the equations by SRS (vk_g2_tau, vk_g2), in first-use order:
-       circuits preprocessed over one SRS fold together; a batch spanning
-       several ceremonies costs one check per SRS. *)
-    let groups : ((G2.t * G2.t) * (_ * equation * Fr.t) list ref) list ref =
-      ref []
-    in
-    let structural_ok =
-      List.for_all2
-        (fun (vk, publics, proof) rho ->
-          match equation vk publics proof with
-          | None -> false
-          | Some eq ->
-            let tau = vk.Preprocess.vk_g2_tau and g2 = vk.Preprocess.vk_g2 in
-            (match
-               List.find_opt
-                 (fun ((t, g), _) -> G2.equal t tau && G2.equal g g2)
-                 !groups
-             with
-            | Some (_, cell) -> cell := (vk, eq, rho) :: !cell
-            | None -> groups := ((tau, g2), ref [ (vk, eq, rho) ]) :: !groups);
-            true)
-        items rhos
-    in
-    let ok =
-      structural_ok
-      && List.for_all
-           (fun ((g2_tau, g2), cell) -> check_fold ~g2_tau ~g2 (List.rev !cell))
-           !groups
-    in
-    if Obs.is_enabled () then
-      Obs.emit (Zkdet_obs.Event.Proof_verified { system = "plonk"; ok });
-    ok
+    verify_folded items (if n = 1 then [ Fr.one ] else batch_scalars items)
+
+let verify (vk : Preprocess.verification_key) (publics : Fr.t array)
+    (proof : Proof.t) : bool =
+  verify_batch [ (vk, publics, proof) ]

@@ -4,6 +4,7 @@
 module Fr = Zkdet_field.Bn254.Fr
 
 val verify : Preprocess.verification_key -> Fr.t array -> Proof.t -> bool
+(** {!verify_batch} of one proof, which folds with rho = 1. *)
 
 val batch_scalars :
   (Preprocess.verification_key * Fr.t array * Proof.t) list -> Fr.t list
@@ -17,5 +18,6 @@ val verify_batch :
     check per distinct SRS under {!batch_scalars}: one MSM per side of
     the verification equation and one two-pair pairing check.  Accepts
     exactly when every proof verifies individually; soundness error
-    1/|Fr| per batch.  Empty batches accept; singletons delegate to
-    {!verify}. *)
+    1/|Fr| per batch.  Empty batches accept.  Every non-empty check, a
+    single {!verify} included, runs under one [plonk.verify] span, counts
+    its proofs in [plonk.verifies] and emits one [Proof_verified]. *)

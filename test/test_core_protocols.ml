@@ -18,6 +18,9 @@ module Poseidon = Zkdet_poseidon.Poseidon
 module Gen = Zkdet_proptest.Gen
 module Cs = Zkdet_plonk.Cs
 module Gen_zk = Zkdet_proptest.Gen_zk
+module Preprocess = Zkdet_plonk.Preprocess
+module Telemetry = Zkdet_telemetry.Telemetry
+module Report = Zkdet_telemetry.Telemetry.Report
 
 (* One shared proving environment (universal setup) for the whole suite. *)
 let env = lazy (Env.create ~log2_max_gates:13 ())
@@ -244,6 +247,11 @@ let test_hostile_statements () =
   let _, link = Transform.duplicate env s in
   let pi_p = Exchange.prove_validation env s Circuits.Trivial in
   let zkcp = Zkcp.prove env s Circuits.Trivial in
+  let offer = Exchange.make_offer s ~predicate:Circuits.Trivial ~price:1 in
+  let zkcp_offer = Zkcp.make_offer s ~predicate:Circuits.Trivial ~price:1 in
+  (* the honest offers verify, which computes both offer bounds *)
+  Alcotest.(check bool) "honest pi_p" true (Exchange.verify_validation env offer pi_p);
+  Alcotest.(check bool) "honest zkcp pi_p" true (Zkcp.verify env zkcp_offer zkcp);
   (* a registered function with no circuit over one entry *)
   Circuits.register_processing
     (Circuits.pure_spec ~name:"test-second-entry" ~out_size:(fun _ -> 1)
@@ -271,18 +279,52 @@ let test_hostile_statements () =
       Transform.Partition (2, [ max_int; max_int; 4 ]);
       Transform.Processing ("unregistered", 2);
       Transform.Processing ("test-second-entry", 1) ];
-  let big = Array.make 400 Fr.one in
-  let offer = Exchange.make_offer s ~predicate:Circuits.Trivial ~price:1 in
-  refused "pi_p of a 400-entry offer" (fun () ->
-      Exchange.verify_validation env { offer with Exchange.ciphertext = big } pi_p);
   refused "pi_p of an offer bounding entries to -1 bits" (fun () ->
       Exchange.verify_validation env
         { offer with Exchange.predicate = Circuits.Entries_bounded (-1) }
         pi_p);
-  let zkcp_offer = Zkcp.make_offer s ~predicate:Circuits.Trivial ~price:1 in
-  refused "zkcp pi_p of a 400-entry offer" (fun () ->
-      Zkcp.verify env { zkcp_offer with Zkcp.ciphertext = big } zkcp);
+  (* An offer's length is the seller's choice: one over its family's
+     bound is refused by an integer comparison, not a circuit build. *)
+  let refused_cheaply name verdict =
+    let before = Gc.allocated_bytes () in
+    refused name verdict;
+    let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+    if mb >= 8. then Alcotest.failf "%s: allocated %.1f MB" name mb
+  in
+  List.iter
+    (fun n ->
+      let big = Array.make n Fr.one in
+      refused_cheaply (Printf.sprintf "pi_p of a %d-entry offer" n) (fun () ->
+          Exchange.verify_validation env { offer with Exchange.ciphertext = big } pi_p);
+      refused_cheaply (Printf.sprintf "zkcp pi_p of a %d-entry offer" n) (fun () ->
+          Zkcp.verify env { zkcp_offer with Zkcp.ciphertext = big } zkcp))
+    [ 400; 2_000 ];
   Alcotest.(check int) "no key set up" pks_before (Hashtbl.length env.Env.pk_cache)
+
+(* Each family's bound is the largest n whose circuit fits the SRS under
+   [Trivial]. Every other predicate only adds rows, so at bound + 1 no
+   predicate's circuit fits: the bound refuses nothing that could
+   verify. *)
+let test_offer_bounds () =
+  let env = Lazy.force env in
+  let fits statement =
+    match Circuits.setup_circuit statement with
+    | Some cs -> Preprocess.fits env.Env.srs (Cs.compile cs)
+    | None -> Alcotest.failf "no circuit for %s" (Circuits.cache_key statement)
+  in
+  List.iter
+    (fun (bound, family) ->
+      let at_bound = family bound Circuits.Trivial in
+      Alcotest.(check bool) (Circuits.cache_key at_bound ^ " fits") true (fits at_bound);
+      List.iter
+        (fun predicate ->
+          let over = family (bound + 1) predicate in
+          Alcotest.(check bool) (Circuits.cache_key over ^ " does not fit") false
+            (fits over))
+        [ Circuits.Trivial; Circuits.Sum_equals Fr.one; Circuits.Entries_bounded 8 ])
+    [ (Env.max_validation env, fun n p -> Circuits.Validation (n, p));
+      (Env.max_zkcp env, fun n p -> Circuits.Zkcp (n, p));
+      (Env.max_dataset env, fun n _ -> Circuits.Encryption n) ]
 
 (* ---- full marketplace pipeline ---- *)
 
@@ -666,6 +708,166 @@ let test_marketplace_two_partitions () =
       | Error _ -> Alcotest.failf "%s: audit failed" name)
     [ ("child of the first partition", first); ("child of the second partition", second) ]
 
+(* ---- batched lineage audits ---- *)
+
+(* One market holding an honest lineage of every kind: [a] published,
+   [b], [c] and [d] duplicated down a chain from it (depth 3), [proc]
+   its sum, [part] the first half of its partition, [agg] its
+   aggregation with another source [x]. *)
+type lineages = {
+  lm : Marketplace.t;
+  a : int;
+  b : int;
+  c : int;
+  d : int;
+  proc : int;
+  part : int;
+  x : int;
+  agg : int;
+}
+
+let lineages =
+  lazy
+    (let env = Lazy.force env in
+     let lm = Marketplace.bootstrap env ~operator in
+     let publish data =
+       match Marketplace.publish lm ~owner:alice data with
+       | Ok r -> r
+       | Error e -> Alcotest.failf "publish failed: %s" e
+     in
+     let derive parents op =
+       match Marketplace.derive lm ~owner:alice ~parents op with
+       | Ok (r :: _) -> r
+       | Ok [] | Error _ -> Alcotest.fail "derive failed"
+     in
+     let a = publish (dataset 2) in
+     let b = derive [ a ] `Duplicate in
+     let c = derive [ b ] `Duplicate in
+     let d = derive [ c ] `Duplicate in
+     let proc = derive [ a ] (`Process Circuits.sum_spec) in
+     let part = derive [ a ] (`Partition [ 1; 1 ]) in
+     let x = publish (dataset 2) in
+     let agg = derive [ a; x ] `Aggregate in
+     { lm; a = fst a; b = fst b; c = fst c; d = fst d; proc = fst proc;
+       part = fst part; x = fst x; agg = fst agg })
+
+let lineage_meta (l : lineages) id =
+  match Marketplace.token_meta l.lm (Marketplace.node l.lm ~id:"auditor") id with
+  | Ok meta -> meta
+  | Error _ -> Alcotest.fail "no manifest for a minted token"
+
+(* A copy of the depth-2 lineage c <- b <- a minted from their manifests,
+   each passed through [edit] with its walk position (c 0, b 1, a 2).
+   Returns the copies' ids in walk order. *)
+let copy_lineage (l : lineages) edit =
+  let mint i id ~prev_ids ~transform =
+    let meta = edit i (lineage_meta l id) in
+    mint_lines l.lm meta ~prev_ids ~transform (Marketplace.meta_to_string meta)
+  in
+  let a = mint 2 l.a ~prev_ids:[] ~transform:None in
+  let b = mint 1 l.b ~prev_ids:[ a ] ~transform:(Some Erc721.Duplication) in
+  let c = mint 0 l.c ~prev_ids:[ b ] ~transform:(Some Erc721.Duplication) in
+  [ c; b; a ]
+
+(* The audit checks every proof of a lineage in one fold and names a
+   failure only when the fold rejects: each wrong proof, alone or with
+   others, must still be the first failure in walk order (each token's
+   pi_e, then its pi_t; c, b, then a), and a structural failure is named
+   only when no proof before it fails.  The wrong proofs are other
+   tokens' (x's pi_e, d's pi_t): they decode, and their statements are
+   the right ones. *)
+let test_batched_audit_names () =
+  let l = Lazy.force lineages in
+  let other_pi_e = (lineage_meta l l.x).Marketplace.enc_proof_cid in
+  let other_pi_t =
+    match (lineage_meta l l.d).Marketplace.origin with
+    | Some (_, cid) -> cid
+    | None -> Alcotest.fail "a duplicate without a pi_t"
+  in
+  let missing = Storage.Cid.to_string (Storage.Cid.of_bytes "never stored") in
+  let wrong_pi_e (mt : Marketplace.meta) =
+    { mt with Marketplace.enc_proof_cid = other_pi_e }
+  in
+  let wrong_pi_t (mt : Marketplace.meta) =
+    let origin = Option.map (fun (k, _) -> (k, other_pi_t)) mt.Marketplace.origin in
+    { mt with Marketplace.origin }
+  in
+  let source (mt : Marketplace.meta) = { mt with Marketplace.origin = None } in
+  let no_ct (mt : Marketplace.meta) = { mt with Marketplace.ct_cid = missing } in
+  (* [edits] are (walk position, edit); the verdict names a position *)
+  let case name edits expected =
+    let ids =
+      copy_lineage l (fun i mt ->
+          List.fold_left (fun mt (j, f) -> if i = j then f mt else mt) mt edits)
+    in
+    check_audit l.lm name (expected ids) (List.hd ids)
+  in
+  let names failure i ids = Printf.sprintf "%s %d" failure (List.nth ids i) in
+  case "an honest copy" [] (fun _ -> "Ok 3");
+  List.iter
+    (fun i ->
+      case (Printf.sprintf "wrong pi_e at %d" i) [ (i, wrong_pi_e) ]
+        (names "Bad_encryption_proof" i))
+    [ 0; 1; 2 ];
+  List.iter
+    (fun i ->
+      case (Printf.sprintf "wrong pi_t at %d" i) [ (i, wrong_pi_t) ]
+        (names "Bad_transform_proof" i))
+    [ 0; 1 ];
+  case "wrong pi_t at 1 before wrong pi_e at 2"
+    [ (2, wrong_pi_e); (1, wrong_pi_t) ]
+    (names "Bad_transform_proof" 1);
+  case "wrong pi_e at 1 before wrong pi_t at 1"
+    [ (1, wrong_pi_t); (1, wrong_pi_e) ]
+    (names "Bad_encryption_proof" 1);
+  case "wrong pi_t at 0 before wrong pi_e at 1"
+    [ (1, wrong_pi_e); (0, wrong_pi_t) ]
+    (names "Bad_transform_proof" 0);
+  case "wrong pi_e at 0 before No_meta at 1"
+    [ (0, wrong_pi_e); (1, source) ]
+    (names "Bad_encryption_proof" 0);
+  case "wrong pi_t at 0 before No_meta at 1"
+    [ (0, wrong_pi_t); (1, source) ]
+    (names "Bad_transform_proof" 0);
+  case "wrong pi_e at 0 before a missing ciphertext at 1"
+    [ (0, wrong_pi_e); (1, no_ct) ]
+    (names "Bad_encryption_proof" 0);
+  case "No_meta at 0 before wrong pi_e at 1" [ (0, source); (1, wrong_pi_e) ]
+    (fun _ -> "No_meta");
+  case "a missing ciphertext at 1 before wrong pi_e at 2"
+    [ (1, no_ct); (2, wrong_pi_e) ]
+    (fun _ -> "Storage")
+
+(* An honest audit verifies its whole lineage in one folded check: one
+   [plonk.verify] span, counting every pi_e and pi_t. *)
+let test_batched_audit_one_check () =
+  let l = Lazy.force lineages in
+  let rec verify_spans (spans : Report.span list) =
+    List.fold_left
+      (fun acc (s : Report.span) ->
+        acc
+        + (if s.Report.span_name = "plonk.verify" then s.Report.calls else 0)
+        + verify_spans s.Report.children)
+      0 spans
+  in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (name, token, tokens, proofs) ->
+      Telemetry.reset ();
+      check_audit l.lm name (Printf.sprintf "Ok %d" tokens) token;
+      let r = Telemetry.snapshot () in
+      Alcotest.(check int) (name ^ ": one plonk.verify span") 1
+        (verify_spans r.Report.spans);
+      Alcotest.(check (option int)) (name ^ ": plonk.verifies") (Some proofs)
+        (Report.find_counter r "plonk.verifies"))
+    [ ("duplication", l.b, 2, 3);
+      ("aggregation", l.agg, 3, 4);
+      ("partition", l.part, 2, 3);
+      ("processing", l.proc, 2, 3);
+      ("depth 3", l.d, 4, 7) ]
+
 let test_escrow_fairness_onchain () =
   (* The malicious-seller path through the real contracts: settlement with
      a wrong k_c reverts inside the escrow, and the buyer can refund. *)
@@ -728,7 +930,9 @@ let () =
             test_sum_predicates_share_a_key ] );
       ( "hostile",
         [ Alcotest.test_case "verifiers answer false on hostile sizes" `Slow
-            test_hostile_statements ] );
+            test_hostile_statements;
+          Alcotest.test_case "offer bounds refuse nothing that fits" `Slow
+            test_offer_bounds ] );
       ( "manifest",
         Alcotest.test_case "reader rejects hostile lines" `Quick
           test_manifest_reader_rejects
@@ -744,4 +948,8 @@ let () =
           Alcotest.test_case "oversize ciphertext builds no circuit" `Slow
             test_marketplace_oversize_ciphertext;
           Alcotest.test_case "second partition keeps sibling audits" `Slow
-            test_marketplace_two_partitions ] ) ]
+            test_marketplace_two_partitions;
+          Alcotest.test_case "batched audit names the first failure" `Slow
+            test_batched_audit_names;
+          Alcotest.test_case "honest audit folds into one check" `Slow
+            test_batched_audit_one_check ] ) ]

@@ -273,6 +273,40 @@ let test_idle_client () =
   Alcotest.(check int) "scrape status" 200 !status;
   Alcotest.(check bool) "stop returned within the deadline" true stopped
 
+(* A client that sends its request and never reads a response larger
+   than the socket buffers holds the single accept thread for at most the
+   send deadline: a concurrent scrape is answered after it, and
+   [Ops.stop] returns.  Closing the clients at the end frees a server
+   that has no deadline, so the checks fail there instead of hanging. *)
+let test_unread_response () =
+  let big = String.make (64 lsl 20) 'x' in
+  let handler ~path ~query =
+    if path = "/big" then Ops.text 200 big else Ops.routes () ~path ~query
+  in
+  let server = Ops.start ~port:0 handler in
+  let port = Ops.port server in
+  let bound = Ops.send_deadline_s +. 1.0 in
+  let unread () =
+    let fd = connect port in
+    let req = "GET /big HTTP/1.1\r\nHost: localhost\r\n\r\n" in
+    ignore (Unix.write_substring fd req 0 (String.length req));
+    Thread.delay 0.3;
+    fd
+  in
+  let first = unread () in
+  let status = ref 0 in
+  let answered, scrape =
+    returns_within bound (fun () -> status := fst (http_get port "/healthz"))
+  in
+  let second = unread () in
+  let stopped, stop = returns_within bound (fun () -> Ops.stop server) in
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ first; second ];
+  Thread.join scrape;
+  Thread.join stop;
+  Alcotest.(check bool) "scrape answered within the deadline" true answered;
+  Alcotest.(check int) "scrape status" 200 !status;
+  Alcotest.(check bool) "stop returned within the deadline" true stopped
+
 (* A client that resets its connection, right after sending its
    request or before sending anything, makes the server's read or write
    fail: the client left, and the server goes on to answer the next one.
@@ -452,7 +486,9 @@ let () =
           Alcotest.test_case "idle client blocks no scrape or stop" `Quick
             test_idle_client;
           Alcotest.test_case "reset client leaves the server up" `Quick
-            test_reset_client ] );
+            test_reset_client;
+          Alcotest.test_case "unread reply blocks no scrape or stop" `Quick
+            test_unread_response ] );
       ( "tail",
         [ Alcotest.test_case "progressive consumption" `Quick
             test_tail_progressive;
