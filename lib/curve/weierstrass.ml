@@ -289,10 +289,13 @@ module Make (P : PARAMS) = struct
   let nwindows_for c = ((scalar_bits + c - 1) / c) + 1
 
   (* Window width by input size for the generic (per-window bucket sets)
-     path; tuned by the `msm` bench sweep — see EXPERIMENTS.md. *)
+     path; tuned by the `msm` bench sweep — see EXPERIMENTS.md.  Below 128
+     terms (the verifier's sizes) a window's running sum costs more than
+     its share of the doublings saved, so narrow windows win. *)
   let pick_window n =
-    if n < 32 then 3
-    else if n < 128 then 5
+    if n < 20 then 2
+    else if n < 64 then 3
+    else if n < 128 then 4
     else if n < 512 then 6
     else if n < 2048 then 7
     else if n < 8192 then 8
@@ -621,13 +624,6 @@ module Make (P : PARAMS) = struct
     Telemetry.count "curve.msm.points" n;
     Telemetry.observe "curve.msm.size" (float_of_int n);
     if n = 0 then zero
-    else if n < 8 then begin
-      let acc = ref zero in
-      for i = 0 to n - 1 do
-        acc := add !acc (mul points.(i) scalars.(i))
-      done;
-      !acc
-    end
     else begin
       let c = pick_window n in
       Telemetry.observe "curve.msm.window_bits" (float_of_int c);

@@ -128,8 +128,16 @@ module Make (C : Field_intf.CORE) = struct
     in
     find 2
 
+  (* p = 3 (mod 4), i.e. s = 1 (Fp): r = a^((p+1)/4) is a root iff a is a
+     square, and it is the root Tonelli-Shanks returns at s = 1. *)
+  let p_plus_1_quarter = Nat.shift_right (Nat.add modulus Nat.one) 2
+
   let sqrt a =
     if is_zero a then Some zero
+    else if ts_s = 1 then begin
+      let r = pow_nat a p_plus_1_quarter in
+      if equal (sqr r) a then Some r else None
+    end
     else if not (is_square a) then None
     else begin
       let m = ref ts_s in

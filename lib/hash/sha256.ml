@@ -1,9 +1,16 @@
-(* SHA-256 (FIPS 180-4) on native ints masked to 32 bits. *)
+(* SHA-256 (FIPS 180-4): an allocation-free streaming context around one C
+   block kernel (sha256_stubs.c).
+
+   The context holds the chaining state, one 64-byte block buffer, its fill
+   count and the message length.  [feed] compresses every whole block
+   straight from its argument and keeps only a partial block; [finalize]
+   pads in the block buffer.  Nothing is allocated per block, so hashing
+   costs the compression and little else. *)
 
 let mask32 = 0xFFFFFFFF
 
 (* Round constants: fractional parts of cube roots of the first 64 primes.
-   Derived here rather than transcribed. *)
+   Derived here rather than transcribed, and handed to the C kernel. *)
 let k =
   let primes =
     let sieve = Array.make 400 true in
@@ -24,96 +31,89 @@ let k =
       let c = Float.cbrt (float_of_int primes.(i)) in
       int_of_float (Float.rem c 1.0 *. 4294967296.0) land mask32)
 
+(* The initial state, big-endian: fractional parts of square roots of the
+   first 8 primes. *)
 let h0 =
-  (* Fractional parts of square roots of the first 8 primes. *)
   let primes = [| 2; 3; 5; 7; 11; 13; 17; 19 |] in
-  Array.map
-    (fun p ->
+  let b = Bytes.create 32 in
+  Array.iteri
+    (fun i p ->
       let c = sqrt (float_of_int p) in
-      int_of_float (Float.rem c 1.0 *. 4294967296.0) land mask32)
-    primes
+      Bytes.set_int32_be b (4 * i)
+        (Int32.of_int (int_of_float (Float.rem c 1.0 *. 4294967296.0) land mask32)))
+    primes;
+  Bytes.to_string b
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+(* [compress k h src off n] compresses the [n] blocks of [src] at byte
+   [off] into the state [h] (eight words, big-endian).  Every caller below
+   keeps [off + 64 * n] within [src]. *)
+external compress : int array -> Bytes.t -> string -> int -> int -> unit
+  = "zkdet_sha256_blocks"
+[@@noalloc]
 
-type ctx = { h : int array; buf : Buffer.t; mutable total : int }
+type ctx = {
+  h : Bytes.t;  (* chaining state, big-endian: the digest once finalized *)
+  block : Bytes.t;  (* the pending partial block *)
+  mutable fill : int;  (* bytes of [block] in use, < 64 between calls *)
+  mutable total : int;  (* message bytes fed so far *)
+}
 
-let init () = { h = Array.copy h0; buf = Buffer.create 64; total = 0 }
+let init () =
+  { h = Bytes.of_string h0; block = Bytes.create 64; fill = 0; total = 0 }
 
-let process_block h block off =
-  let w = Array.make 64 0 in
-  for t = 0 to 15 do
-    w.(t) <-
-      (Char.code block.[off + (4 * t)] lsl 24)
-      lor (Char.code block.[off + (4 * t) + 1] lsl 16)
-      lor (Char.code block.[off + (4 * t) + 2] lsl 8)
-      lor Char.code block.[off + (4 * t) + 3]
-  done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
-  done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+let compress_block ctx = compress k ctx.h (Bytes.unsafe_to_string ctx.block) 0 1
 
 let feed ctx s =
-  ctx.total <- ctx.total + String.length s;
-  Buffer.add_string ctx.buf s;
-  let data = Buffer.contents ctx.buf in
-  let nblocks = String.length data / 64 in
-  for i = 0 to nblocks - 1 do
-    process_block ctx.h data (i * 64)
-  done;
-  Buffer.clear ctx.buf;
-  Buffer.add_string ctx.buf
-    (String.sub data (nblocks * 64) (String.length data - (nblocks * 64)))
+  let len = String.length s in
+  ctx.total <- ctx.total + len;
+  (* Top up a pending partial block first. *)
+  let pos =
+    if ctx.fill = 0 then 0
+    else begin
+      let take = min len (64 - ctx.fill) in
+      Bytes.blit_string s 0 ctx.block ctx.fill take;
+      ctx.fill <- ctx.fill + take;
+      if ctx.fill = 64 then begin
+        compress_block ctx;
+        ctx.fill <- 0
+      end;
+      take
+    end
+  in
+  let nblocks = (len - pos) / 64 in
+  if nblocks > 0 then compress k ctx.h s pos nblocks;
+  let rest = pos + (64 * nblocks) in
+  Bytes.blit_string s rest ctx.block ctx.fill (len - rest);
+  ctx.fill <- ctx.fill + (len - rest)
 
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
-  let padlen =
-    let r = (ctx.total + 1 + 8) mod 64 in
-    if r = 0 then 0 else 64 - r
-  in
-  let pad = Bytes.make (1 + padlen + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (1 + padlen + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
-  done;
-  feed ctx (Bytes.to_string pad);
-  assert (Buffer.length ctx.buf = 0);
-  String.init 32 (fun i ->
-      Char.chr ((ctx.h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+  (* 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length;
+     a block with no room for the length spills into one more block. *)
+  Bytes.set ctx.block ctx.fill '\x80';
+  if ctx.fill >= 56 then begin
+    Bytes.fill ctx.block (ctx.fill + 1) (63 - ctx.fill) '\x00';
+    compress_block ctx;
+    Bytes.fill ctx.block 0 56 '\x00'
+  end
+  else Bytes.fill ctx.block (ctx.fill + 1) (55 - ctx.fill) '\x00';
+  Bytes.set_int64_be ctx.block 56 (Int64.of_int (ctx.total * 8));
+  compress_block ctx;
+  Bytes.sub_string ctx.h 0 32
 
 let digest s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_string s =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
+  let out = Bytes.create (2 * String.length s) in
+  for i = 0 to String.length s - 1 do
+    let b = Char.code s.[i] in
+    Bytes.set out (2 * i) hex_digits.[b lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[b land 15]
+  done;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex_of_string (digest s)

@@ -32,6 +32,34 @@ let test_sha256_streaming () =
   Sha256.feed ctx "streaming test!";
   check_hex "streaming = one-shot" whole (Sha256.hex_of_string (Sha256.finalize ctx))
 
+(* A [len]-byte message; 131 is odd, so any 256 consecutive bytes take
+   every value. *)
+let message len = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xFF))
+
+let test_sha256_oracle_lengths () =
+  (* 0-300 bytes covers one to six blocks and every padding edge: 55
+     (the length fits), 56 and 63 (it spills into a second block), 64. *)
+  for len = 0 to 300 do
+    let m = message len in
+    check_hex (Printf.sprintf "length %d" len)
+      (Sha256.hex_of_string (Sha256_oracle.digest m))
+      (Sha256.digest_hex m)
+  done
+
+let test_sha256_oracle_1mb () =
+  let m = message (1 lsl 20) in
+  check_hex "1 MiB" (Sha256.hex_of_string (Sha256_oracle.digest m)) (Sha256.digest_hex m)
+
+let test_hex_table () =
+  for b = 0 to 255 do
+    check_hex (string_of_int b) (Printf.sprintf "%02x" b)
+      (Sha256.hex_of_string (String.make 1 (Char.chr b)))
+  done;
+  let all = String.init 256 Char.chr in
+  check_hex "all bytes"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    (Sha256.hex_of_string all)
+
 let test_keccak_vectors () =
   check_hex "empty"
     "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
@@ -68,13 +96,37 @@ let props =
       (fun n ->
         let s = String.make n 'z' in
         String.length (Sha256.digest s) = 32
-        && String.length (Keccak256.digest s) = 32) ]
+        && String.length (Keccak256.digest s) = 32);
+    (* A message fed in pieces of the drawn lengths (0 included; the rest
+       of the message once the lengths run out) hashes as the whole. *)
+    prop ~count:200 "streaming = one-shot = oracle"
+      (Test_util.pp2 (Printf.sprintf "%S") (Test_util.pp_list string_of_int))
+      (Gen.pair Gen.string
+         (Gen.list (Gen.frequency [ (1, Gen.return 0); (3, Gen.int_range 1 200) ])))
+      (fun (m, cuts) ->
+        let ctx = Sha256.init () in
+        let pos =
+          List.fold_left
+            (fun pos cut ->
+              let cut = min cut (String.length m - pos) in
+              Sha256.feed ctx (String.sub m pos cut);
+              pos + cut)
+            0 cuts
+        in
+        Sha256.feed ctx (String.sub m pos (String.length m - pos));
+        let streamed = Sha256.finalize ctx in
+        String.equal streamed (Sha256.digest m)
+        && String.equal streamed (Sha256_oracle.digest m)) ]
 
 let () =
   Alcotest.run "zkdet_hash"
     [ ( "vectors",
         [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
+          Alcotest.test_case "sha256 = oracle, lengths 0-300" `Quick
+            test_sha256_oracle_lengths;
+          Alcotest.test_case "sha256 = oracle, 1 MiB" `Quick test_sha256_oracle_1mb;
+          Alcotest.test_case "hex table" `Quick test_hex_table;
           Alcotest.test_case "keccak vectors" `Quick test_keccak_vectors;
           Alcotest.test_case "lengths" `Quick test_lengths ] );
       ("properties", props) ]
