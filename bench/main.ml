@@ -1303,7 +1303,6 @@ let () =
   if run || List.mem "field" which then run_experiment "field" field_exp;
   if run || List.mem "load" which then run_experiment "load" (load_exp ~scale);
   if run || List.mem "micro" which then run_experiment "micro" micro;
-  Telemetry.maybe_write_trace ();
   Printf.printf "\ntotal bench wall time: %.1f s\n" (Unix.gettimeofday () -. t0);
   if !regression_failures > 0 then begin
     Printf.printf "REGRESSION GATE FAILED: %d issue(s)\n" !regression_failures;

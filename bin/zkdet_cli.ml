@@ -106,7 +106,6 @@ let selftest_cmd =
     in
     Printf.printf "self-test %s\n" (if ok then "PASSED" else "FAILED");
     if profile then Telemetry.print_summary ();
-    Telemetry.maybe_write_trace ();
     if not ok then exit 1
   in
   Cmd.v (Cmd.info "selftest" ~doc:"Generate and verify one proof of encryption")
@@ -255,8 +254,7 @@ let prove_cmd =
       write_file out bundle;
       Printf.printf "wrote %s: backend=%s publics=%d proof=%d bytes bundle=%d bytes\n"
         out B.name (List.length publics)
-        (B.proof_size_bytes proof) (String.length bundle);
-      Telemetry.maybe_write_trace ()
+        (B.proof_size_bytes proof) (String.length bundle)
   in
   Cmd.v
     (Cmd.info "prove"
@@ -368,7 +366,6 @@ let verify_batch_cmd =
             ok)
         backends
     in
-    Telemetry.maybe_write_trace ();
     if not all_ok then exit 1
   in
   Cmd.v
@@ -747,9 +744,8 @@ let serve_cmd =
       let s = !stats in
       let b = Buffer.create 512 in
       let gauge name help v =
-        Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-        Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
-        Buffer.add_string b (Printf.sprintf "%s %d\n" name v)
+        Telemetry.Report.prom_family b name ~typ:`Gauge ~help
+          [ ("", [], string_of_int v) ]
       in
       let flag name help v = gauge name help (if v then 1 else 0) in
       gauge "zkdet_journal_entries" "Journal records consumed by the tail."

@@ -5,24 +5,27 @@
    consistency of the ledger (§IV-A), which this substrate provides for
    the protocols and whose gas metering reproduces Table II.
 
-   Two execution paths share one transaction core:
+   Every transaction body runs against a write buffer over the live
+   state, and there are two ways to schedule one:
 
-   - the legacy direct path ([execute]): run the closure immediately
-     against live state, auto-assigning the sender's next account nonce;
-   - the throughput path ([submit] + [produce_block]): typed [Tx.t]
+   - immediately ([execute]): auto-assign the sender's next account
+     nonce, run the body, and apply its buffer to live state;
+   - through a block ([submit] + [produce_block]): typed [Tx.t]
      descriptors flow through a [Mempool] (per-sender nonce ordering,
      replacement, gap holdback) and are executed optimistically in
      parallel over [Zkdet_parallel.Pool] against the frozen pre-block
      state, recording per-transaction read/write key sets; a sequential
      canonical-order merge ([Block_builder.merge]) commits
-     non-conflicting speculations and re-executes the rest, so
-     [state_hash] is byte-identical at any [ZKDET_DOMAINS].
+     non-conflicting speculations and re-executes the rest exactly as
+     [execute] runs a body, so [state_hash] is byte-identical at any
+     [ZKDET_DOMAINS].
 
    All state reached from transaction bodies must go through the
-   [env_*] accessors: they route reads and writes through the
-   speculative buffer when one is active and record the touched keys for
-   conflict detection.  Contract code that keeps private OCaml state
-   outside chain storage is only safe on the direct path. *)
+   [env_*] accessors: they read through the buffer, buffer the writes,
+   and record the touched keys for conflict detection.  Contract code
+   that keeps private OCaml state outside chain storage is only safe
+   when run by [execute].  Receipts and journal records are produced on
+   the initial domain only ([finalize] checks). *)
 
 module Sha256 = Zkdet_hash.Sha256
 module Keccak256 = Zkdet_hash.Keccak256
@@ -119,14 +122,11 @@ and env = {
   sender : Address.t;
   meter : Gas.meter;
   mutable tx_events : event list; (* reversed *)
-  view : view;
+  spec : spec;
 }
 
-(* How [env_*] accessors reach state: [Direct] hits the live tables;
-   [Speculative] buffers writes and records read/write keys against the
-   chain as it was when the speculation started. *)
-and view = Direct | Speculative of spec
-
+(* A body's write buffer over the chain, and the keys it read and
+   wrote. *)
 and spec = {
   sp_balances : (Address.t, int) Hashtbl.t; (* write buffer *)
   sp_storage : (string * string, string) Hashtbl.t; (* (contract, key) *)
@@ -191,25 +191,13 @@ let balance (chain : t) (a : Address.t) =
 let faucet (chain : t) (a : Address.t) (amount : int) =
   Hashtbl.replace chain.balances a (balance chain a + amount)
 
-let debit (chain : t) (a : Address.t) (amount : int) : (unit, error) result =
-  let b = balance chain a in
-  if b < amount then
-    Error (Insufficient_funds { account = a; needed = amount; available = b })
-  else begin
-    Hashtbl.replace chain.balances a (b - amount);
-    Ok ()
-  end
-
-let credit (chain : t) (a : Address.t) (amount : int) =
-  Hashtbl.replace chain.balances a (balance chain a + amount)
-
 let account_nonce (chain : t) (a : Address.t) =
   Option.value ~default:0 (Hashtbl.find_opt chain.account_nonces a)
 
 exception Revert of string
 
 (* ------------------------------------------------------------------ *)
-(* View-routed state access for transaction bodies.
+(* Buffered state access for transaction bodies.
 
    Conflict keys use a NUL separator so no contract or slot name can
    alias another key; they never leave the runtime. *)
@@ -220,50 +208,37 @@ let slot_key ~contract ~key = "s\x00" ^ contract ^ "\x00" ^ key
 let env_meter (env : env) = env.meter
 
 let env_balance (env : env) (a : Address.t) : int =
-  match env.view with
-  | Direct -> balance env.chain a
-  | Speculative s -> (
-    Block_builder.Key_set.add s.sp_reads (balance_key a);
-    match Hashtbl.find_opt s.sp_balances a with
-    | Some v -> v
-    | None -> balance env.chain a)
+  let s = env.spec in
+  Block_builder.Key_set.add s.sp_reads (balance_key a);
+  match Hashtbl.find_opt s.sp_balances a with
+  | Some v -> v
+  | None -> balance env.chain a
 
 let env_credit (env : env) (a : Address.t) (amount : int) =
-  match env.view with
-  | Direct -> credit env.chain a amount
-  | Speculative s ->
-    let b = env_balance env a in
-    Block_builder.Key_set.add s.sp_writes (balance_key a);
-    Hashtbl.replace s.sp_balances a (b + amount)
+  let b = env_balance env a in
+  Block_builder.Key_set.add env.spec.sp_writes (balance_key a);
+  Hashtbl.replace env.spec.sp_balances a (b + amount)
 
 let env_debit (env : env) (a : Address.t) (amount : int) : (unit, error) result =
-  match env.view with
-  | Direct -> debit env.chain a amount
-  | Speculative s ->
-    let b = env_balance env a in
-    if b < amount then
-      Error (Insufficient_funds { account = a; needed = amount; available = b })
-    else begin
-      Block_builder.Key_set.add s.sp_writes (balance_key a);
-      Hashtbl.replace s.sp_balances a (b - amount);
-      Ok ()
-    end
+  let b = env_balance env a in
+  if b < amount then
+    Error (Insufficient_funds { account = a; needed = amount; available = b })
+  else begin
+    Block_builder.Key_set.add env.spec.sp_writes (balance_key a);
+    Hashtbl.replace env.spec.sp_balances a (b - amount);
+    Ok ()
+  end
 
 let env_storage_get (env : env) ~contract ~key : string option =
-  match env.view with
-  | Direct -> storage_get env.chain ~contract ~key
-  | Speculative s -> (
-    Block_builder.Key_set.add s.sp_reads (slot_key ~contract ~key);
-    match Hashtbl.find_opt s.sp_storage (contract, key) with
-    | Some v -> Some v
-    | None -> storage_get env.chain ~contract ~key)
+  let s = env.spec in
+  Block_builder.Key_set.add s.sp_reads (slot_key ~contract ~key);
+  match Hashtbl.find_opt s.sp_storage (contract, key) with
+  | Some v -> Some v
+  | None -> storage_get env.chain ~contract ~key
 
 let env_storage_set (env : env) ~contract ~key ~value =
-  match env.view with
-  | Direct -> storage_set env.chain ~contract ~key ~value
-  | Speculative s ->
-    Block_builder.Key_set.add s.sp_writes (slot_key ~contract ~key);
-    Hashtbl.replace s.sp_storage (contract, key) value
+  Block_builder.Key_set.add env.spec.sp_writes (slot_key ~contract ~key);
+  Hashtbl.replace env.spec.sp_storage (contract, key) value
 
 let emit (env : env) ~contract ~name ~data =
   Gas.log env.meter ~topics:(1 + List.length data)
@@ -275,15 +250,22 @@ let emit (env : env) ~contract ~name ~data =
 (* ------------------------------------------------------------------ *)
 (* The shared transaction core. *)
 
+let fresh_spec () =
+  {
+    sp_balances = Hashtbl.create 8;
+    sp_storage = Hashtbl.create 8;
+    sp_reads = Block_builder.Key_set.create ();
+    sp_writes = Block_builder.Key_set.create ();
+  }
+
 (* Charge base + calldata, run the body under the meter, settle the fee
-   through the same view the body used (so a speculative execution also
-   records the sender-balance write the fee causes).  Returns the final
-   status, gas and the surviving events; mutates nothing beyond what the
-   view allows. *)
-let run_tx (chain : t) ~view ~(sender : Address.t) ~calldata
+   through the same buffer the body used (so the buffer also records
+   the sender-balance write the fee causes).  Returns the final status,
+   gas and the surviving events; writes nothing but [spec]. *)
+let run_tx (chain : t) (spec : spec) ~(sender : Address.t) ~calldata
     (f : env -> unit) : (unit, error) result * int * event list =
   let meter = Gas.create ~limit:chain.gas_limit () in
-  let env = { chain; sender; meter; tx_events = []; view } in
+  let env = { chain; sender; meter; tx_events = []; spec } in
   let status : (unit, error) result =
     try
       Gas.tx_base meter;
@@ -315,12 +297,32 @@ let run_tx (chain : t) ~view ~(sender : Address.t) ~calldata
   in
   (status, gas_used, events)
 
+(* Write a buffer through to live state. *)
+let apply (chain : t) (spec : spec) =
+  Hashtbl.iter (fun a v -> Hashtbl.replace chain.balances a v) spec.sp_balances;
+  Hashtbl.iter
+    (fun (c, k) v -> storage_set chain ~contract:c ~key:k ~value:v)
+    spec.sp_storage
+
+(* Run a body against a fresh buffer and apply the buffer, whatever the
+   status (a failed transaction still pays its fee).  This is how
+   [execute] runs every transaction and how [produce_block] re-executes
+   a conflicting one. *)
+let run_applied (chain : t) ~sender ~calldata f =
+  let spec = fresh_spec () in
+  let result = run_tx chain spec ~sender ~calldata f in
+  apply chain spec;
+  (spec, result)
+
 (* Count, record and journal one applied transaction, in canonical
-   order.  Both execution paths funnel through here, so telemetry and
-   the journal see identical streams regardless of how the transaction
-   was scheduled. *)
+   order.  Both ways of scheduling a transaction funnel through here, so
+   telemetry and the journal see identical streams regardless of how it
+   was scheduled.  Only the initial domain may: receipts and journal
+   records follow its program order. *)
 let finalize (chain : t) ~tx_hash ~label ~(sender : Address.t) ~contract
     ~(status : (unit, error) result) ~gas_used ~events : receipt =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Chain: transactions are finalized on the initial domain only";
   Telemetry.count "chain.txs" 1;
   Telemetry.count "chain.gas.total" gas_used;
   Telemetry.observe "chain.gas_per_tx" (float_of_int gas_used);
@@ -375,16 +377,14 @@ let finalize (chain : t) ~tx_hash ~label ~(sender : Address.t) ~contract
   end;
   receipt
 
-(** Execute a transaction on the direct path: auto-assigns the sender's
-    next account nonce, runs [f env] immediately against live state,
-    deducts the fee, records the receipt. *)
+(** Execute a transaction now: auto-assigns the sender's next account
+    nonce, runs [f env], applies its writes and the fee, records the
+    receipt. *)
 let execute (chain : t) ~(sender : Address.t) ~(label : string)
     ?(calldata = "") ?contract (f : env -> unit) : receipt =
   Telemetry.with_span "chain.tx" @@ fun () ->
   let nonce = account_nonce chain sender in
-  let status, gas_used, events =
-    run_tx chain ~view:Direct ~sender ~calldata f
-  in
+  let _, (status, gas_used, events) = run_applied chain ~sender ~calldata f in
   Hashtbl.replace chain.account_nonces sender (nonce + 1);
   let tx_hash = Tx.hash_parts ~sender ~nonce ~label ~calldata in
   finalize chain ~tx_hash ~label ~sender ~contract ~status ~gas_used ~events
@@ -489,14 +489,6 @@ let submit (chain : t) (tx : env Tx.t) : Mempool.admit =
   end;
   res
 
-let fresh_spec () =
-  {
-    sp_balances = Hashtbl.create 8;
-    sp_storage = Hashtbl.create 8;
-    sp_reads = Block_builder.Key_set.create ();
-    sp_writes = Block_builder.Key_set.create ();
-  }
-
 (** Drain the mempool's ready transactions and seal them into a block.
 
     Phase A executes every candidate speculatively, in parallel across
@@ -524,41 +516,27 @@ let produce_block ?max_txs (chain : t) : block =
     Pool.parallel_map_array
       (fun (tx : env Tx.t) ->
         let spec = fresh_spec () in
-        let status, gas_used, events =
-          run_tx chain ~view:(Speculative spec) ~sender:tx.Tx.sender
-            ~calldata:tx.Tx.calldata tx.Tx.body
-        in
-        (spec, status, gas_used, events))
+        (spec,
+         run_tx chain spec ~sender:tx.Tx.sender ~calldata:tx.Tx.calldata tx.Tx.body))
       txs
   in
   (* Phase B: deterministic canonical-order merge. *)
   let results = Array.make count None in
-  let apply_spec (spec : spec) =
-    Hashtbl.iter
-      (fun a v -> Hashtbl.replace chain.balances a v)
-      spec.sp_balances;
-    Hashtbl.iter
-      (fun (c, k) v -> storage_set chain ~contract:c ~key:k ~value:v)
-      spec.sp_storage
-  in
   let sets i =
-    let spec, _, _, _ = specs.(i) in
+    let spec, _ = specs.(i) in
     (spec.sp_reads, spec.sp_writes)
   in
   let commit i =
-    let spec, status, gas_used, events = specs.(i) in
-    apply_spec spec;
-    results.(i) <- Some (status, gas_used, events)
+    let spec, result = specs.(i) in
+    apply chain spec;
+    results.(i) <- Some result
   in
   let reexec i =
     let tx = txs.(i) in
-    let spec = fresh_spec () in
-    let status, gas_used, events =
-      run_tx chain ~view:(Speculative spec) ~sender:tx.Tx.sender
-        ~calldata:tx.Tx.calldata tx.Tx.body
+    let spec, result =
+      run_applied chain ~sender:tx.Tx.sender ~calldata:tx.Tx.calldata tx.Tx.body
     in
-    apply_spec spec;
-    results.(i) <- Some (status, gas_used, events);
+    results.(i) <- Some result;
     spec.sp_writes
   in
   let decisions = Block_builder.merge ~count ~sets ~commit ~reexec in

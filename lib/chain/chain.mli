@@ -4,13 +4,16 @@
     roots. Provides the tamper-resistance/consistency the paper's threat
     model assumes (§IV-A) and the gas measurements of Table II.
 
-    Two execution paths share one transaction core: the legacy direct
-    path ({!execute} + {!mine}), and the throughput path where typed
-    {!Tx.t} descriptors are {!submit}ted into a per-sender-nonce-ordered
-    {!Mempool} and sealed by {!produce_block}, which executes
-    non-conflicting transactions in parallel across [Zkdet_parallel]
-    domains and merges deterministically — {!state_hash} is
-    byte-identical at any [ZKDET_DOMAINS]. *)
+    Every transaction body runs against a write buffer that is applied
+    to live state afterwards.  A transaction is either run at once
+    ({!execute}, sealed later by {!mine}), or typed {!Tx.t} descriptors
+    are {!submit}ted into a per-sender-nonce-ordered {!Mempool} and
+    sealed by {!produce_block}, which executes non-conflicting
+    transactions in parallel across [Zkdet_parallel] domains and merges
+    deterministically — {!state_hash} is byte-identical at any
+    [ZKDET_DOMAINS].  Receipts and journal records are produced on the
+    initial domain only: finalizing a transaction on any other domain
+    raises [Invalid_argument]. *)
 
 (** 20-byte hex account/contract addresses (Keccak-derived). *)
 module Address : sig
@@ -80,8 +83,6 @@ val balance : t -> Address.t -> int
 val faucet : t -> Address.t -> int -> unit
 (** Credit an account out of thin air (tests / block rewards). *)
 
-val debit : t -> Address.t -> int -> (unit, error) result
-val credit : t -> Address.t -> int -> unit
 
 val account_nonce : t -> Address.t -> int
 (** The sender's next unused account nonce: the number of its applied
@@ -90,11 +91,12 @@ val account_nonce : t -> Address.t -> int
 
 (** Execution environment passed to contract code.  Abstract: all state
     reached from a transaction body must go through the [env_*]
-    accessors below, which route through the speculative buffer during
-    parallel block building and record read/write keys for conflict
-    detection.  Bodies that bypass them (e.g. by closing over the chain
-    and calling {!debit} directly, or by mutating private OCaml state)
-    are only safe on the direct {!execute} path. *)
+    accessors below, which read through the transaction's write buffer,
+    buffer its writes and record read/write keys for conflict
+    detection.  A body that bypasses them (e.g. by closing over the
+    chain and calling {!faucet} directly) races its own buffer, whose
+    writes land after it; one that mutates private OCaml state is only
+    safe under {!execute}. *)
 type env
 
 val env_meter : env -> Gas.meter
@@ -105,8 +107,9 @@ val env_credit : env -> Address.t -> int -> unit
 val env_storage_get : env -> contract:string -> key:string -> string option
 val env_storage_set :
   env -> contract:string -> key:string -> value:string -> unit
-(** View-routed counterparts of {!balance}/{!debit}/{!credit}/
-    {!storage_get}/{!storage_set} for use inside transaction bodies.
+(** For use inside transaction bodies: {!balance}, {!storage_get} and
+    {!storage_set} through the transaction's buffer, plus a debit (which
+    fails on an insufficient balance) and a credit.
     Gas for storage access is charged by the caller (via {!env_meter}),
     matching the existing contract idiom. *)
 
@@ -119,10 +122,11 @@ val emit : env -> contract:string -> name:string -> data:string list -> unit
 val execute :
   t -> sender:Address.t -> label:string -> ?calldata:string ->
   ?contract:string -> (env -> unit) -> receipt
-(** Run a transaction on the direct path: auto-assigns the sender's next
-    account nonce, charges base + calldata gas, executes the closure
-    under the meter, deducts the fee from the sender, records the
-    receipt. Reverts and out-of-gas become [Error] statuses (the failed
+(** Run a transaction now: auto-assigns the sender's next account
+    nonce, charges base + calldata gas, executes the closure under the
+    meter against a fresh write buffer, applies the buffer and deducts
+    the fee from the sender, records the receipt.  Raises
+    [Invalid_argument] off the initial domain. Reverts and out-of-gas become [Error] statuses (the failed
     transaction still pays for gas), and any events the closure emitted
     before failing are discarded. [contract] attributes the gas to a
     contract in telemetry ("chain.gas.by_contract.<name>"); omitting it

@@ -10,8 +10,8 @@
    execution order: (sender, nonce, label, calldata).  Per-sender
    account nonces are consumed exactly once per applied transaction, so
    the pair (sender, nonce) is unique among applied transactions and the
-   hash is stable whether the transaction runs through the legacy direct
-   path or through a mempool and a parallel block build. *)
+   hash is stable whether the transaction runs at once through
+   [Chain.execute] or through a mempool and a parallel block build. *)
 
 module Sha256 = Zkdet_hash.Sha256
 

@@ -14,10 +14,12 @@
    several scenarios per process and want each journal to start from
    trace 0).
 
-   Events are only emitted from orchestration code, which runs on the
-   initial domain; the state mutex exists so stray emissions from worker
-   domains are safe rather than corrupting, not to make cross-domain
-   interleavings deterministic. *)
+   Events are emitted from the initial domain only: journal order is its
+   program order, which is what makes journals deterministic.  Every
+   entry that takes the state lock (all of them, while journaling is
+   on) raises [Invalid_argument] on any other domain, so a stray
+   emission from a worker fails loudly instead of interleaving.  The
+   lock itself guards against threads of the initial domain. *)
 
 module Sha256 = Zkdet_hash.Sha256
 
@@ -41,6 +43,8 @@ let state =
 let lock = Mutex.create ()
 
 let with_lock f =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Obs: journal events are emitted from the initial domain only";
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
@@ -159,7 +163,6 @@ let set_journal_path (path : string option) : unit =
           state.writer <- Some (Journal.create_writer p);
           Atomic.set enabled true)
 
-let set_enabled (b : bool) : unit = Atomic.set enabled b
 let is_enabled () : bool = Atomic.get enabled
 
 (* Rewind counters and restart the journal file (if any): the next trace

@@ -190,9 +190,7 @@ let process_gc_prometheus () =
   let g = Gc.quick_stat () in
   let b = Buffer.create 512 in
   let gauge name help v =
-    Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
-    Buffer.add_string b (Printf.sprintf "%s %s\n" name v)
+    Telemetry.Report.prom_family b name ~typ:`Gauge ~help [ ("", [], v) ]
   in
   gauge "zkdet_process_minor_words"
     "Process-lifetime minor-heap words allocated."

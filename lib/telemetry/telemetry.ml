@@ -19,6 +19,15 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
+(* The binding of [key] in [tbl], adding [make key] on a miss. *)
+let find_or_add tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = make key in
+    Hashtbl.add tbl key v;
+    v
+
 (* ---- per-domain state ---- *)
 
 type node = {
@@ -60,6 +69,8 @@ let bucket_upper i =
   if i >= num_buckets - 1 then Float.infinity
   else Float.ldexp 1.0 (i - 20)
 
+(* The one mutable histogram: the per-domain recorder, every window slot
+   and both merges (snapshot, window snapshot) use it. *)
 type hist = {
   mutable h_count : int;
   mutable h_sum : float;
@@ -68,25 +79,36 @@ type hist = {
   h_buckets : int array; (* length [num_buckets] *)
 }
 
-(* Upper bound of the bucket holding the sample of rank ceil(q*n),
-   clamped to the observed [min, max] so tiny sample counts still give
-   sane numbers. *)
-let hist_quantile (h : hist) (q : float) : float =
-  if h.h_count = 0 then 0.
-  else begin
-    let rank =
-      let r = int_of_float (Float.ceil (q *. float_of_int h.h_count)) in
-      if r < 1 then 1 else if r > h.h_count then h.h_count else r
-    in
-    let rec go i acc =
-      if i >= num_buckets then h.h_max
-      else
-        let acc = acc + h.h_buckets.(i) in
-        if acc >= rank then Float.min h.h_max (Float.max h.h_min (bucket_upper i))
-        else go (i + 1) acc
-    in
-    go 0 0
-  end
+let hist_create () =
+  {
+    h_count = 0;
+    h_sum = 0.;
+    h_min = Float.infinity;
+    h_max = Float.neg_infinity;
+    h_buckets = Array.make num_buckets 0;
+  }
+
+let hist_reset h =
+  h.h_count <- 0;
+  h.h_sum <- 0.;
+  h.h_min <- Float.infinity;
+  h.h_max <- Float.neg_infinity;
+  Array.fill h.h_buckets 0 num_buckets 0
+
+let hist_add h v =
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
+  let i = bucket_of_sample v in
+  h.h_buckets.(i) <- h.h_buckets.(i) + 1
+
+let hist_merge ~into h =
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum +. h.h_sum;
+  if h.h_min < into.h_min then into.h_min <- h.h_min;
+  if h.h_max > into.h_max then into.h_max <- h.h_max;
+  Array.iteri (fun i n -> into.h_buckets.(i) <- into.h_buckets.(i) + n) h.h_buckets
 
 (* ---- rolling time windows ----
 
@@ -104,11 +126,7 @@ let window_slot_ns = 1_000_000_000
 type wslot = {
   mutable s_epoch : int; (* absolute slot index; -1 = never used *)
   mutable s_count : int; (* counter increments landing in this slot *)
-  mutable s_samples : int; (* histogram samples landing in this slot *)
-  mutable s_sum : float;
-  mutable s_min : float;
-  mutable s_max : float;
-  s_buckets : int array; (* length [num_buckets] *)
+  s_hist : hist; (* histogram samples landing in this slot *)
 }
 
 type window = {
@@ -119,20 +137,12 @@ type window = {
 let window_flag = Atomic.make false
 let set_window_enabled b = Atomic.set window_flag b
 
-let fresh_window () =
+let fresh_window _ =
   {
     w_first_epoch = -1;
     w_ring =
       Array.init window_slots (fun _ ->
-          {
-            s_epoch = -1;
-            s_count = 0;
-            s_samples = 0;
-            s_sum = 0.;
-            s_min = Float.infinity;
-            s_max = Float.neg_infinity;
-            s_buckets = Array.make num_buckets 0;
-          });
+          { s_epoch = -1; s_count = 0; s_hist = hist_create () });
   }
 
 type dstate = {
@@ -176,25 +186,23 @@ let dls_key =
 
 let dstate () = Domain.DLS.get dls_key
 
-let reset () =
+let all_dstates () =
   Mutex.lock registry_mutex;
   let all = !registry in
   Mutex.unlock registry_mutex;
+  all
+
+(* The root itself never records (it is not a span), so clearing its
+   children clears the tree. *)
+let reset () =
   List.iter
     (fun ds ->
-      let root = ds.root in
-      root.calls <- 0;
-      root.total_ns <- 0;
-      root.minor_words <- 0.;
-      root.major_words <- 0.;
-      root.minor_gcs <- 0;
-      root.major_gcs <- 0;
-      Hashtbl.reset root.children;
+      Hashtbl.reset ds.root.children;
       ds.stack <- [];
       Hashtbl.reset ds.counters;
       Hashtbl.reset ds.hists;
       Hashtbl.reset ds.windows)
-    all
+    (all_dstates ())
 
 (* ---- recording ---- *)
 
@@ -205,15 +213,7 @@ let with_span name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let ds = dstate () in
-    let parent = current_parent ds in
-    let node =
-      match Hashtbl.find_opt parent.children name with
-      | Some n -> n
-      | None ->
-        let n = fresh_node name in
-        Hashtbl.add parent.children name n;
-        n
-    in
+    let node = find_or_add (current_parent ds).children name fresh_node in
     ds.stack <- node :: ds.stack;
     (* [Gc.minor_words ()] reads the live allocation pointer; the
        [quick_stat] minor figure only refreshes at collection
@@ -240,34 +240,22 @@ let with_span name f =
 
 (* Find/rotate the slot for [name] covering the current second. *)
 let window_slot ds name =
-  let w =
-    match Hashtbl.find_opt ds.windows name with
-    | Some w -> w
-    | None ->
-      let w = fresh_window () in
-      Hashtbl.add ds.windows name w;
-      w
-  in
+  let w = find_or_add ds.windows name fresh_window in
   let epoch = monotonic_ns () / window_slot_ns in
   if w.w_first_epoch < 0 then w.w_first_epoch <- epoch;
   let s = w.w_ring.(epoch mod window_slots) in
   if s.s_epoch <> epoch then begin
     s.s_epoch <- epoch;
     s.s_count <- 0;
-    s.s_samples <- 0;
-    s.s_sum <- 0.;
-    s.s_min <- Float.infinity;
-    s.s_max <- Float.neg_infinity;
-    Array.fill s.s_buckets 0 num_buckets 0
+    hist_reset s.s_hist
   end;
   s
 
 let count name n =
   if Atomic.get enabled_flag then begin
     let ds = dstate () in
-    (match Hashtbl.find_opt ds.counters name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add ds.counters name (ref n));
+    let r = find_or_add ds.counters name (fun _ -> ref 0) in
+    r := !r + n;
     if Atomic.get window_flag then begin
       let s = window_slot ds name in
       s.s_count <- s.s_count + n
@@ -277,35 +265,8 @@ let count name n =
 let observe name v =
   if Atomic.get enabled_flag then begin
     let ds = dstate () in
-    (match Hashtbl.find_opt ds.hists name with
-    | Some h ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      let i = bucket_of_sample v in
-      h.h_buckets.(i) <- h.h_buckets.(i) + 1
-    | None ->
-      let h =
-        {
-          h_count = 1;
-          h_sum = v;
-          h_min = v;
-          h_max = v;
-          h_buckets = Array.make num_buckets 0;
-        }
-      in
-      h.h_buckets.(bucket_of_sample v) <- 1;
-      Hashtbl.add ds.hists name h);
-    if Atomic.get window_flag then begin
-      let s = window_slot ds name in
-      s.s_samples <- s.s_samples + 1;
-      s.s_sum <- s.s_sum +. v;
-      if v < s.s_min then s.s_min <- v;
-      if v > s.s_max then s.s_max <- v;
-      let i = bucket_of_sample v in
-      s.s_buckets.(i) <- s.s_buckets.(i) + 1
-    end
+    hist_add (find_or_add ds.hists name (fun _ -> hist_create ())) v;
+    if Atomic.get window_flag then hist_add (window_slot ds name).s_hist v
   end
 
 (* ---- merged reports ---- *)
@@ -330,10 +291,6 @@ module Report = struct
     sum : float;
     min : float;
     max : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-    p999 : float;
     buckets : int array; (* per-bucket counts, length [num_buckets] *)
   }
 
@@ -353,6 +310,80 @@ module Report = struct
   let find_counter (t : t) name =
     List.find_opt (fun c -> c.counter_name = name) t.counters
     |> Option.map (fun c -> c.total)
+
+  (* Upper bound of the bucket holding the sample of rank ceil(q*n),
+     clamped to the observed [min, max] so tiny sample counts still give
+     sane numbers. *)
+  let quantile (h : histogram) (q : float) : float =
+    if h.samples = 0 then 0.
+    else begin
+      let rank =
+        let r = int_of_float (Float.ceil (q *. float_of_int h.samples)) in
+        if r < 1 then 1 else if r > h.samples then h.samples else r
+      in
+      let rec go i acc =
+        if i >= num_buckets then h.max
+        else
+          let acc = acc + h.buckets.(i) in
+          if acc >= rank then Float.min h.max (Float.max h.min (bucket_upper i))
+          else go (i + 1) acc
+      in
+      go 0 0
+    end
+
+  (* The quantiles every encoder writes: JSON key, Prometheus label, q. *)
+  let quantiles =
+    [ ("p50", "0.5", 0.50); ("p95", "0.95", 0.95); ("p99", "0.99", 0.99);
+      ("p999", "0.999", 0.999) ]
+
+  (* Freeze a merged [hist]; an empty one reports min = max = 0. *)
+  let of_hist name (h : hist) : histogram =
+    let none = h.h_count = 0 in
+    {
+      hist_name = name;
+      samples = h.h_count;
+      sum = h.h_sum;
+      min = (if none then 0. else h.h_min);
+      max = (if none then 0. else h.h_max);
+      buckets = h.h_buckets;
+    }
+
+  (* Merge the children of [nodes] by name into one sorted span list.
+     [snapshot] passes every domain's root; [of_jsonl] the one tree it
+     rebuilt. *)
+  let rec merge_nodes (nodes : node list) : span list =
+    let groups = Hashtbl.create 16 in
+    List.iter
+      (fun (node : node) ->
+        Hashtbl.iter
+          (fun name child ->
+            let g = find_or_add groups name (fun _ -> ref []) in
+            g := child :: !g)
+          node.children)
+      nodes;
+    Hashtbl.fold (fun name g acc -> (name, !g) :: acc) groups []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun (name, group) ->
+           let sum f = List.fold_left (fun acc n -> acc + f n) 0 group in
+           let sumf f = List.fold_left (fun acc n -> acc +. f n) 0. group in
+           {
+             span_name = name;
+             calls = sum (fun (n : node) -> n.calls);
+             total_ns = sum (fun (n : node) -> n.total_ns);
+             minor_words = sumf (fun (n : node) -> n.minor_words);
+             major_words = sumf (fun (n : node) -> n.major_words);
+             minor_gcs = sum (fun (n : node) -> n.minor_gcs);
+             major_gcs = sum (fun (n : node) -> n.major_gcs);
+             children = merge_nodes group;
+           })
+
+  (* Every span with its root-to-node name path, in preorder. *)
+  let preorder (spans : span list) : (string list * span) list =
+    let rec walk rev_path (s : span) =
+      let rev_path = s.span_name :: rev_path in
+      (List.rev rev_path, s) :: List.concat_map (walk rev_path) s.children
+    in
+    List.concat_map (walk []) spans
 
   let ns_to_ms ns = float_of_int ns /. 1e6
 
@@ -398,52 +429,50 @@ module Report = struct
             fprintf fmt "    %-44s %8d %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f@."
               h.hist_name h.samples
               (h.sum /. float_of_int (max 1 h.samples))
-              h.min h.p50 h.p95 h.p99 h.max)
+              h.min (quantile h 0.50) (quantile h 0.95) (quantile h 0.99) h.max)
           t.histograms
       end
     end
 
-  (* -- JSON forms -- *)
+  (* -- JSON forms: one field list per record feeds both -- *)
+
+  let span_fields (s : span) =
+    [
+      ("calls", Json.Int s.calls);
+      ("total_ns", Json.Int s.total_ns);
+      ("minor_words", Json.Float s.minor_words);
+      ("major_words", Json.Float s.major_words);
+      ("minor_gcs", Json.Int s.minor_gcs);
+      ("major_gcs", Json.Int s.major_gcs);
+    ]
+
+  let counter_fields (c : counter) =
+    [ ("name", Json.String c.counter_name); ("total", Json.Int c.total) ]
+
+  let histogram_fields (h : histogram) =
+    [
+      ("name", Json.String h.hist_name);
+      ("samples", Json.Int h.samples);
+      ("sum", Json.Float h.sum);
+      ("min", Json.Float h.min);
+      ("max", Json.Float h.max);
+    ]
+    @ List.map (fun (key, _, q) -> (key, Json.Float (quantile h q))) quantiles
+    @ [ ("buckets", Json.List (List.map (fun n -> Json.Int n) (Array.to_list h.buckets))) ]
 
   let rec span_to_json (s : span) : Json.t =
     Json.Obj
-      [
-        ("name", Json.String s.span_name);
-        ("calls", Json.Int s.calls);
-        ("total_ns", Json.Int s.total_ns);
-        ("minor_words", Json.Float s.minor_words);
-        ("major_words", Json.Float s.major_words);
-        ("minor_gcs", Json.Int s.minor_gcs);
-        ("major_gcs", Json.Int s.major_gcs);
-        ("children", Json.List (List.map span_to_json s.children));
-      ]
-
-  let counter_to_json (c : counter) : Json.t =
-    Json.Obj [ ("name", Json.String c.counter_name); ("total", Json.Int c.total) ]
-
-  let histogram_to_json (h : histogram) : Json.t =
-    Json.Obj
-      [
-        ("name", Json.String h.hist_name);
-        ("samples", Json.Int h.samples);
-        ("sum", Json.Float h.sum);
-        ("min", Json.Float h.min);
-        ("max", Json.Float h.max);
-        ("p50", Json.Float h.p50);
-        ("p95", Json.Float h.p95);
-        ("p99", Json.Float h.p99);
-        ("p999", Json.Float h.p999);
-        ( "buckets",
-          Json.List (Array.to_list (Array.map (fun n -> Json.Int n) h.buckets))
-        );
-      ]
+      ((("name", Json.String s.span_name) :: span_fields s)
+      @ [ ("children", Json.List (List.map span_to_json s.children)) ])
 
   let to_json (t : t) : Json.t =
     Json.Obj
       [
         ("spans", Json.List (List.map span_to_json t.spans));
-        ("counters", Json.List (List.map counter_to_json t.counters));
-        ("histograms", Json.List (List.map histogram_to_json t.histograms));
+        ( "counters",
+          Json.List (List.map (fun c -> Json.Obj (counter_fields c)) t.counters) );
+        ( "histograms",
+          Json.List (List.map (fun h -> Json.Obj (histogram_fields h)) t.histograms) );
       ]
 
   (* -- JSONL trace sink --
@@ -457,239 +486,123 @@ module Report = struct
        {"type":"histogram","name":"fft.points","samples":...,...}  *)
 
   let to_jsonl (t : t) : string list =
-    let lines = ref [] in
-    let emit j = lines := Json.to_string j :: !lines in
-    emit
-      (Json.Obj
-         [
-           ("type", Json.String "meta");
-           ("format", Json.String "zkdet-trace");
-           ("version", Json.Int 1);
-         ]);
-    let rec walk rev_path (s : span) =
-      let path = List.rev (s.span_name :: rev_path) in
-      emit
-        (Json.Obj
-           [
-             ("type", Json.String "span");
-             ("path", Json.List (List.map (fun p -> Json.String p) path));
-             ("calls", Json.Int s.calls);
-             ("total_ns", Json.Int s.total_ns);
-             ("minor_words", Json.Float s.minor_words);
-             ("major_words", Json.Float s.major_words);
-             ("minor_gcs", Json.Int s.minor_gcs);
-             ("major_gcs", Json.Int s.major_gcs);
-           ]);
-      List.iter (walk (s.span_name :: rev_path)) s.children
+    let record kind fields =
+      Json.to_string (Json.Obj (("type", Json.String kind) :: fields))
     in
-    List.iter (walk []) t.spans;
-    List.iter
-      (fun (c : counter) ->
-        emit
-          (Json.Obj
-             [
-               ("type", Json.String "counter");
-               ("name", Json.String c.counter_name);
-               ("total", Json.Int c.total);
-             ]))
-      t.counters;
-    List.iter
-      (fun (h : histogram) ->
-        emit
-          (Json.Obj
-             [
-               ("type", Json.String "histogram");
-               ("name", Json.String h.hist_name);
-               ("samples", Json.Int h.samples);
-               ("sum", Json.Float h.sum);
-               ("min", Json.Float h.min);
-               ("max", Json.Float h.max);
-               ("p50", Json.Float h.p50);
-               ("p95", Json.Float h.p95);
-               ("p99", Json.Float h.p99);
-               ("p999", Json.Float h.p999);
-               ( "buckets",
-                 Json.List
-                   (Array.to_list (Array.map (fun n -> Json.Int n) h.buckets))
-               );
-             ]))
-      t.histograms;
-    List.rev !lines
+    (record "meta" [ ("format", Json.String "zkdet-trace"); ("version", Json.Int 1) ]
+    :: List.map
+         (fun (path, s) ->
+           record "span"
+             (("path", Json.List (List.map (fun p -> Json.String p) path))
+             :: span_fields s))
+         (preorder t.spans))
+    @ List.map (fun c -> record "counter" (counter_fields c)) t.counters
+    @ List.map (fun h -> record "histogram" (histogram_fields h)) t.histograms
 
-  (* Rebuild a report from JSONL lines (inverse of [to_jsonl]). *)
+  (* Rebuild a report from JSONL lines.  Accepts exactly what [to_jsonl]
+     writes: every field is required, a histogram's 64 buckets must sum
+     to its samples, and its written quantiles are recomputed from them,
+     not read. *)
   let of_jsonl (lines : string list) : (t, string) result =
     let ( let* ) = Result.bind in
-    let field j name =
+    let field conv what j name =
       match Json.member name j with
-      | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing field %S" name)
+      | Some v -> (
+        match conv v with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "field %S is not %s" name what))
     in
-    let int_field j name =
-      let* v = field j name in
-      match Json.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S is not an int" name)
+    let int j = field Json.to_int_opt "an int" j in
+    let float j = field Json.to_float_opt "a number" j in
+    let string j = field Json.to_string_opt "a string" j in
+    let items conv what j name =
+      let* l = field Json.to_list_opt "a list" j name in
+      List.fold_right
+        (fun item acc ->
+          let* acc = acc in
+          match conv item with
+          | Some x -> Ok (x :: acc)
+          | None -> Error (Printf.sprintf "field %S holds a non-%s" name what))
+        l (Ok [])
     in
-    let float_field j name =
-      let* v = field j name in
-      match Json.to_float_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S is not a number" name)
-    in
-    let string_field j name =
-      let* v = field j name in
-      match Json.to_string_opt v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S is not a string" name)
-    in
-    (* Mutable span-tree builder mirroring the recording structures. *)
     let root = fresh_node "" in
     let counters = ref [] and hists = ref [] in
-    let insert_span path calls total_ns (mw, jw, mg, jg) =
-      let rec go (node : node) = function
-        | [] -> Error "span record with empty path"
-        | [ name ] ->
+    let record j =
+      let* kind = string j "type" in
+      match kind with
+      | "meta" ->
+        let* format = string j "format" in
+        let* version = int j "version" in
+        if format <> "zkdet-trace" then
+          Error (Printf.sprintf "unknown trace format %S" format)
+        else if version <> 1 then Error (Printf.sprintf "unknown trace version %d" version)
+        else Ok ()
+      | "span" ->
+        let* path = items Json.to_string_opt "string" j "path" in
+        let* calls = int j "calls" in
+        let* total_ns = int j "total_ns" in
+        let* minor_words = float j "minor_words" in
+        let* major_words = float j "major_words" in
+        let* minor_gcs = int j "minor_gcs" in
+        let* major_gcs = int j "major_gcs" in
+        if path = [] then Error "span record with an empty path"
+        else begin
           let n =
-            match Hashtbl.find_opt node.children name with
-            | Some n -> n
-            | None ->
-              let n = fresh_node name in
-              Hashtbl.add node.children name n;
-              n
+            List.fold_left (fun (n : node) name -> find_or_add n.children name fresh_node)
+              root path
           in
           n.calls <- calls;
           n.total_ns <- total_ns;
-          n.minor_words <- mw;
-          n.major_words <- jw;
-          n.minor_gcs <- mg;
-          n.major_gcs <- jg;
+          n.minor_words <- minor_words;
+          n.major_words <- major_words;
+          n.minor_gcs <- minor_gcs;
+          n.major_gcs <- major_gcs;
           Ok ()
-        | name :: rest -> (
-          match Hashtbl.find_opt node.children name with
-          | Some n -> go n rest
-          | None ->
-            (* parent not seen yet: create a placeholder *)
-            let n = fresh_node name in
-            Hashtbl.add node.children name n;
-            go n rest)
-      in
-      go root path
-    in
-    let parse_line i line =
-      if String.trim line = "" then Ok ()
-      else
-        let* j =
-          match Json.parse line with
-          | Ok j -> Ok j
-          | Error e -> Error (Printf.sprintf "line %d: %s" (i + 1) e)
+        end
+      | "counter" ->
+        let* counter_name = string j "name" in
+        let* total = int j "total" in
+        counters := { counter_name; total } :: !counters;
+        Ok ()
+      | "histogram" ->
+        let* hist_name = string j "name" in
+        let* samples = int j "samples" in
+        let* sum = float j "sum" in
+        let* min = float j "min" in
+        let* max = float j "max" in
+        let* () =
+          List.fold_left
+            (fun acc (key, _, _) ->
+              let* () = acc in
+              Result.map ignore (float j key))
+            (Ok ()) quantiles
         in
-        let* kind = string_field j "type" in
-        match kind with
-        | "meta" ->
-          let* fmt = string_field j "format" in
-          if fmt = "zkdet-trace" then Ok ()
-          else Error (Printf.sprintf "line %d: unknown trace format %S" (i + 1) fmt)
-        | "span" ->
-          let* path_json = field j "path" in
-          let* path =
-            match Json.to_list_opt path_json with
-            | Some items ->
-              List.fold_right
-                (fun item acc ->
-                  let* acc = acc in
-                  match Json.to_string_opt item with
-                  | Some s -> Ok (s :: acc)
-                  | None -> Error "non-string span path element")
-                items (Ok [])
-            | None -> Error "span path is not a list"
-          in
-          let* calls = int_field j "calls" in
-          let* total_ns = int_field j "total_ns" in
-          (* GC attribution appeared in trace format revision 3; older
-             traces parse with zeroed deltas. *)
-          let opt_float name default =
-            match Json.member name j with
-            | Some v -> Option.value (Json.to_float_opt v) ~default
-            | None -> default
-          in
-          let opt_int name default =
-            match Json.member name j with
-            | Some v -> Option.value (Json.to_int_opt v) ~default
-            | None -> default
-          in
-          insert_span path calls total_ns
-            ( opt_float "minor_words" 0.,
-              opt_float "major_words" 0.,
-              opt_int "minor_gcs" 0,
-              opt_int "major_gcs" 0 )
-        | "counter" ->
-          let* name = string_field j "name" in
-          let* total = int_field j "total" in
-          counters := { counter_name = name; total } :: !counters;
-          Ok ()
-        | "histogram" ->
-          let* name = string_field j "name" in
-          let* samples = int_field j "samples" in
-          let* sum = float_field j "sum" in
-          let* min = float_field j "min" in
-          let* max = float_field j "max" in
-          (* Quantiles appeared in trace format revision 2 (p99.9 and raw
-             buckets in revision 3); older traces fall back to the max /
-             zeroed buckets so they still round-trip. *)
-          let opt_float name default =
-            match Json.member name j with
-            | Some v -> Option.value (Json.to_float_opt v) ~default
-            | None -> default
-          in
-          let p50 = opt_float "p50" max in
-          let p95 = opt_float "p95" max in
-          let p99 = opt_float "p99" max in
-          let p999 = opt_float "p999" max in
-          let buckets =
-            match Json.member "buckets" j with
-            | Some v -> (
-              match Json.to_list_opt v with
-              | Some items ->
-                let a = Array.make num_buckets 0 in
-                List.iteri
-                  (fun i item ->
-                    if i < num_buckets then
-                      a.(i) <- Option.value (Json.to_int_opt item) ~default:0)
-                  items;
-                a
-              | None -> Array.make num_buckets 0)
-            | None -> Array.make num_buckets 0
-          in
+        let* buckets = items Json.to_int_opt "int" j "buckets" in
+        if List.length buckets <> num_buckets then
+          Error (Printf.sprintf "histogram %S has %d buckets, not %d" hist_name
+                   (List.length buckets) num_buckets)
+        else if List.fold_left ( + ) 0 buckets <> samples then
+          Error (Printf.sprintf "histogram %S: buckets do not sum to samples" hist_name)
+        else begin
           hists :=
-            { hist_name = name; samples; sum; min; max; p50; p95; p99; p999; buckets }
+            { hist_name; samples; sum; min; max; buckets = Array.of_list buckets }
             :: !hists;
           Ok ()
-        | other -> Error (Printf.sprintf "line %d: unknown record type %S" (i + 1) other)
+        end
+      | other -> Error (Printf.sprintf "unknown record type %S" other)
     in
-    let rec all i = function
-      | [] -> Ok ()
-      | line :: rest ->
-        let* () = parse_line i line in
-        all (i + 1) rest
+    let* () =
+      List.fold_left
+        (fun acc (i, line) ->
+          let* () = acc in
+          Result.map_error (Printf.sprintf "line %d: %s" (i + 1))
+            (Result.bind (Json.parse line) record))
+        (Ok ())
+        (List.mapi (fun i line -> (i, line)) lines)
     in
-    let* () = all 0 lines in
-    let rec freeze (node : node) : span =
-      Hashtbl.fold (fun _ child acc -> freeze child :: acc) node.children []
-      |> List.sort (fun (a : span) (b : span) -> compare a.span_name b.span_name)
-      |> fun children ->
-      {
-        span_name = node.node_name;
-        calls = node.calls;
-        total_ns = node.total_ns;
-        minor_words = node.minor_words;
-        major_words = node.major_words;
-        minor_gcs = node.minor_gcs;
-        major_gcs = node.major_gcs;
-        children;
-      }
-    in
-    let top = freeze root in
-    Ok { spans = top.children; counters = List.rev !counters; histograms = List.rev !hists }
+    Ok { spans = merge_nodes [ root ]; counters = List.rev !counters;
+         histograms = List.rev !hists }
 
   (* -- Prometheus text exposition --
 
@@ -726,86 +639,99 @@ module Report = struct
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%.17g" f
 
+  let prom_family b name ~typ ~help samples =
+    let name = prom_name name in
+    let typ =
+      match typ with
+      | `Counter -> "counter"
+      | `Gauge -> "gauge"
+      | `Summary -> "summary"
+      | `Histogram -> "histogram"
+    in
+    Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" name (prom_label_value help) name typ;
+    List.iter
+      (fun (suffix, labels, value) ->
+        let labels =
+          if labels = [] then ""
+          else
+            "{"
+            ^ String.concat ","
+                (List.map (fun (k, v) -> k ^ "=\"" ^ prom_label_value v ^ "\"") labels)
+            ^ "}"
+        in
+        Printf.bprintf b "%s%s%s %s\n" name suffix labels value)
+      samples
+
   let to_prometheus (t : t) : string =
     let b = Buffer.create 4096 in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-    if t.spans <> [] then begin
-      (* One family per per-span quantity; the tree position is the
-         {path="a/b"} label. *)
-      let span_family name mtype help value =
-        line "# HELP %s %s" name help;
-        line "# TYPE %s %s" name mtype;
-        let rec walk rev_path (s : span) =
-          let path = String.concat "/" (List.rev (s.span_name :: rev_path)) in
-          line "%s{path=\"%s\"} %s" name (prom_label_value path) (value s);
-          List.iter (walk (s.span_name :: rev_path)) s.children
-        in
-        List.iter (walk []) t.spans
-      in
-      span_family "zkdet_span_total_ns" "counter"
-        "Cumulative wall time per span path." (fun s ->
-          string_of_int s.total_ns);
-      span_family "zkdet_span_calls" "counter"
-        "Number of times each span path was entered." (fun s ->
-          string_of_int s.calls);
-      span_family "zkdet_span_minor_words" "counter"
-        "Minor-heap words allocated inside each span path (children included)."
-        (fun s -> prom_float s.minor_words);
-      span_family "zkdet_span_major_words" "counter"
-        "Major-heap words allocated or promoted inside each span path."
-        (fun s -> prom_float s.major_words);
-      span_family "zkdet_span_minor_collections" "counter"
-        "Minor collections triggered inside each span path." (fun s ->
-          string_of_int s.minor_gcs);
-      span_family "zkdet_span_major_collections" "counter"
-        "Major collection slices triggered inside each span path." (fun s ->
-          string_of_int s.major_gcs)
-    end;
+    (* One family per per-span quantity; the tree position is the
+       {path="a/b"} label. *)
+    let spans = preorder t.spans in
+    let span_family name help value =
+      if spans <> [] then
+        prom_family b name ~typ:`Counter ~help
+          (List.map
+             (fun (path, s) -> ("", [ ("path", String.concat "/" path) ], value s))
+             spans)
+    in
+    span_family "zkdet_span_total_ns" "Cumulative wall time per span path." (fun s ->
+        string_of_int s.total_ns);
+    span_family "zkdet_span_calls" "Number of times each span path was entered." (fun s ->
+        string_of_int s.calls);
+    span_family "zkdet_span_minor_words"
+      "Minor-heap words allocated inside each span path (children included)." (fun s ->
+        prom_float s.minor_words);
+    span_family "zkdet_span_major_words"
+      "Major-heap words allocated or promoted inside each span path." (fun s ->
+        prom_float s.major_words);
+    span_family "zkdet_span_minor_collections"
+      "Minor collections triggered inside each span path." (fun s ->
+        string_of_int s.minor_gcs);
+    span_family "zkdet_span_major_collections"
+      "Major collection slices triggered inside each span path." (fun s ->
+        string_of_int s.major_gcs);
     List.iter
       (fun (c : counter) ->
-        let n = prom_name ("zkdet_" ^ c.counter_name) in
-        line "# HELP %s Monotonic total of the %s counter." n
-          (prom_label_value c.counter_name);
-        line "# TYPE %s counter" n;
-        line "%s %d" n c.total)
+        prom_family b ("zkdet_" ^ c.counter_name) ~typ:`Counter
+          ~help:(Printf.sprintf "Monotonic total of the %s counter." c.counter_name)
+          [ ("", [], string_of_int c.total) ])
       t.counters;
     List.iter
       (fun (h : histogram) ->
-        let n = prom_name ("zkdet_" ^ h.hist_name) in
+        let n = "zkdet_" ^ h.hist_name in
+        let sum_count =
+          [ ("_sum", [], prom_float h.sum); ("_count", [], string_of_int h.samples) ]
+        in
         (* Summary family: quantile estimates from the fixed buckets. *)
-        line "# HELP %s Quantile summary of the %s histogram." n
-          (prom_label_value h.hist_name);
-        line "# TYPE %s summary" n;
-        line "%s{quantile=\"0.5\"} %s" n (prom_float h.p50);
-        line "%s{quantile=\"0.95\"} %s" n (prom_float h.p95);
-        line "%s{quantile=\"0.99\"} %s" n (prom_float h.p99);
-        line "%s{quantile=\"0.999\"} %s" n (prom_float h.p999);
-        line "%s_sum %s" n (prom_float h.sum);
-        line "%s_count %d" n h.samples;
+        prom_family b n ~typ:`Summary
+          ~help:(Printf.sprintf "Quantile summary of the %s histogram." h.hist_name)
+          (List.map
+             (fun (_, label, q) ->
+               ("", [ ("quantile", label) ], prom_float (quantile h q)))
+             quantiles
+          @ sum_count);
         (* Histogram family: cumulative power-of-two buckets.  A sibling
            name (_buckets) because one exposition family cannot be both a
            summary and a histogram. *)
-        let bn = n ^ "_buckets" in
-        line "# HELP %s Cumulative power-of-two buckets of the %s histogram."
-          bn (prom_label_value h.hist_name);
-        line "# TYPE %s histogram" bn;
-        let cum = ref 0 in
+        let cum = ref 0 and le = ref [] in
         Array.iteri
           (fun i c ->
             cum := !cum + c;
             if c > 0 && i < num_buckets - 1 then
-              line "%s_bucket{le=\"%s\"} %d" bn (prom_float (bucket_upper i))
-                !cum)
+              le :=
+                ("_bucket", [ ("le", prom_float (bucket_upper i)) ], string_of_int !cum)
+                :: !le)
           h.buckets;
-        line "%s_bucket{le=\"+Inf\"} %d" bn h.samples;
-        line "%s_sum %s" bn (prom_float h.sum);
-        line "%s_count %d" bn h.samples;
-        line "# HELP %s_min Smallest sample observed." n;
-        line "# TYPE %s_min gauge" n;
-        line "%s_min %s" n (prom_float h.min);
-        line "# HELP %s_max Largest sample observed." n;
-        line "# TYPE %s_max gauge" n;
-        line "%s_max %s" n (prom_float h.max))
+        prom_family b (n ^ "_buckets") ~typ:`Histogram
+          ~help:
+            (Printf.sprintf "Cumulative power-of-two buckets of the %s histogram."
+               h.hist_name)
+          (List.rev_append !le
+             (("_bucket", [ ("le", "+Inf") ], string_of_int h.samples) :: sum_count));
+        prom_family b (n ^ "_min") ~typ:`Gauge ~help:"Smallest sample observed."
+          [ ("", [], prom_float h.min) ];
+        prom_family b (n ^ "_max") ~typ:`Gauge ~help:"Largest sample observed."
+          [ ("", [], prom_float h.max) ])
       t.histograms;
     Buffer.contents b
 end
@@ -814,109 +740,32 @@ end
    are sorted by name so the result does not depend on domain count or
    scheduling; callers invoke this from quiesced code. *)
 let snapshot () : Report.t =
-  Mutex.lock registry_mutex;
-  let all = !registry in
-  Mutex.unlock registry_mutex;
-  let rec merge_nodes (nodes : node list) : Report.span list =
-    (* group children of all [nodes] by name *)
-    let names = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun node ->
-        Hashtbl.iter
-          (fun name child ->
-            match Hashtbl.find_opt names name with
-            | Some group -> Hashtbl.replace names name (child :: group)
-            | None ->
-              order := name :: !order;
-              Hashtbl.add names name [ child ])
-          node.children)
-      nodes;
-    List.sort compare !order
-    |> List.map (fun name ->
-           let group = Hashtbl.find names name in
-           let calls = List.fold_left (fun acc n -> acc + n.calls) 0 group in
-           let total_ns = List.fold_left (fun acc n -> acc + n.total_ns) 0 group in
-           let minor_words =
-             List.fold_left (fun acc n -> acc +. n.minor_words) 0. group
-           in
-           let major_words =
-             List.fold_left (fun acc n -> acc +. n.major_words) 0. group
-           in
-           let minor_gcs = List.fold_left (fun acc n -> acc + n.minor_gcs) 0 group in
-           let major_gcs = List.fold_left (fun acc n -> acc + n.major_gcs) 0 group in
-           {
-             Report.span_name = name;
-             calls;
-             total_ns;
-             minor_words;
-             major_words;
-             minor_gcs;
-             major_gcs;
-             children = merge_nodes group;
-           })
-  in
-  let spans = merge_nodes (List.map (fun ds -> ds.root) all) in
-  let counter_tbl = Hashtbl.create 16 in
+  let all = all_dstates () in
+  let spans = Report.merge_nodes (List.map (fun ds -> ds.root) all) in
+  let counter_tbl = Hashtbl.create 16 and hist_tbl = Hashtbl.create 8 in
   List.iter
     (fun ds ->
       Hashtbl.iter
         (fun name r ->
-          let prev = Option.value ~default:0 (Hashtbl.find_opt counter_tbl name) in
-          Hashtbl.replace counter_tbl name (prev + !r))
-        ds.counters)
-    all;
-  let counters =
-    Hashtbl.fold
-      (fun name total acc -> { Report.counter_name = name; total } :: acc)
-      counter_tbl []
-    |> List.sort (fun a b -> compare a.Report.counter_name b.Report.counter_name)
-  in
-  let hist_tbl : (string, hist) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ds ->
+          let acc = find_or_add counter_tbl name (fun _ -> ref 0) in
+          acc := !acc + !r)
+        ds.counters;
       Hashtbl.iter
-        (fun name (h : hist) ->
-          match Hashtbl.find_opt hist_tbl name with
-          | Some acc ->
-            acc.h_count <- acc.h_count + h.h_count;
-            acc.h_sum <- acc.h_sum +. h.h_sum;
-            if h.h_min < acc.h_min then acc.h_min <- h.h_min;
-            if h.h_max > acc.h_max then acc.h_max <- h.h_max;
-            Array.iteri
-              (fun i n -> acc.h_buckets.(i) <- acc.h_buckets.(i) + n)
-              h.h_buckets
-          | None ->
-            Hashtbl.add hist_tbl name
-              {
-                h_count = h.h_count;
-                h_sum = h.h_sum;
-                h_min = h.h_min;
-                h_max = h.h_max;
-                h_buckets = Array.copy h.h_buckets;
-              })
+        (fun name h ->
+          hist_merge ~into:(find_or_add hist_tbl name (fun _ -> hist_create ())) h)
         ds.hists)
     all;
-  let histograms =
-    Hashtbl.fold
-      (fun name (h : hist) acc ->
-        {
-          Report.hist_name = name;
-          samples = h.h_count;
-          sum = h.h_sum;
-          min = h.h_min;
-          max = h.h_max;
-          p50 = hist_quantile h 0.50;
-          p95 = hist_quantile h 0.95;
-          p99 = hist_quantile h 0.99;
-          p999 = hist_quantile h 0.999;
-          buckets = Array.copy h.h_buckets;
-        }
-        :: acc)
-      hist_tbl []
-    |> List.sort (fun a b -> compare a.Report.hist_name b.Report.hist_name)
+  let sorted tbl f =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map f
   in
-  { Report.spans; counters; histograms }
+  {
+    Report.spans;
+    counters =
+      sorted counter_tbl (fun (name, r) -> { Report.counter_name = name; total = !r });
+    histograms = sorted hist_tbl (fun (name, h) -> Report.of_hist name h);
+  }
 
 (* ---- rolling-window snapshot ---- *)
 
@@ -924,15 +773,8 @@ type window_stat = {
   w_name : string;
   w_seconds : float; (* seconds of the horizon actually covered *)
   w_count : int; (* counter increments inside the window *)
-  w_samples : int; (* histogram samples inside the window *)
   w_rate : float; (* (count + samples) per covered second *)
-  w_sum : float;
-  w_min : float; (* 0 when no samples *)
-  w_max : float;
-  w_p50 : float;
-  w_p95 : float;
-  w_p99 : float;
-  w_p999 : float;
+  w_hist : Report.histogram; (* histogram samples inside the window *)
 }
 
 (* Merge the live slots of every domain's ring for each metric name.
@@ -941,36 +783,15 @@ type window_stat = {
    the metric ever recorded so a freshly started run is not diluted by
    empty history. *)
 let window_snapshot () : window_stat list =
-  Mutex.lock registry_mutex;
-  let all = !registry in
-  Mutex.unlock registry_mutex;
   let now_epoch = monotonic_ns () / window_slot_ns in
   let oldest = now_epoch - window_slots + 1 in
-  let acc :
-      (string, hist * int ref * int ref (* count, first_epoch *)) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let acc = Hashtbl.create 16 in
   List.iter
     (fun ds ->
       Hashtbl.iter
         (fun name (w : window) ->
           let h, count, first =
-            match Hashtbl.find_opt acc name with
-            | Some entry -> entry
-            | None ->
-              let entry =
-                ( {
-                    h_count = 0;
-                    h_sum = 0.;
-                    h_min = Float.infinity;
-                    h_max = Float.neg_infinity;
-                    h_buckets = Array.make num_buckets 0;
-                  },
-                  ref 0,
-                  ref max_int )
-              in
-              Hashtbl.add acc name entry;
-              entry
+            find_or_add acc name (fun _ -> (hist_create (), ref 0, ref max_int))
           in
           if w.w_first_epoch >= 0 && w.w_first_epoch < !first then
             first := w.w_first_epoch;
@@ -978,17 +799,11 @@ let window_snapshot () : window_stat list =
             (fun (s : wslot) ->
               if s.s_epoch >= oldest && s.s_epoch <= now_epoch then begin
                 count := !count + s.s_count;
-                h.h_count <- h.h_count + s.s_samples;
-                h.h_sum <- h.h_sum +. s.s_sum;
-                if s.s_min < h.h_min then h.h_min <- s.s_min;
-                if s.s_max > h.h_max then h.h_max <- s.s_max;
-                Array.iteri
-                  (fun i n -> h.h_buckets.(i) <- h.h_buckets.(i) + n)
-                  s.s_buckets
+                hist_merge ~into:h s.s_hist
               end)
             w.w_ring)
         ds.windows)
-    all;
+    (all_dstates ());
   Hashtbl.fold
     (fun name (h, count, first) stats ->
       let covered =
@@ -996,20 +811,12 @@ let window_snapshot () : window_stat list =
         else min window_slots (now_epoch - max !first oldest + 1)
       in
       let seconds = float_of_int (max 1 covered) in
-      let events = !count + h.h_count in
       {
         w_name = name;
         w_seconds = seconds;
         w_count = !count;
-        w_samples = h.h_count;
-        w_rate = float_of_int events /. seconds;
-        w_sum = h.h_sum;
-        w_min = (if h.h_count = 0 then 0. else h.h_min);
-        w_max = (if h.h_count = 0 then 0. else h.h_max);
-        w_p50 = hist_quantile h 0.50;
-        w_p95 = hist_quantile h 0.95;
-        w_p99 = hist_quantile h 0.99;
-        w_p999 = hist_quantile h 0.999;
+        w_rate = float_of_int (!count + h.h_count) /. seconds;
+        w_hist = Report.of_hist name h;
       }
       :: stats)
     acc []
@@ -1018,53 +825,35 @@ let window_snapshot () : window_stat list =
 (* Rolling-window families for the live /metrics endpoint.  Gauges, not
    counters: each scrape sees the trailing-horizon value. *)
 let window_to_prometheus () : string =
-  let stats = window_snapshot () in
-  if stats = [] then ""
-  else begin
+  match window_snapshot () with
+  | [] -> ""
+  | stats ->
     let b = Buffer.create 1024 in
-    let line fmt =
-      Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
+    let labels w extra =
+      (("name", w.w_name) :: extra) @ [ ("window", Printf.sprintf "%ds" window_slots) ]
     in
-    let window_label = Printf.sprintf "%ds" window_slots in
-    line "# HELP zkdet_window_rate Events per second over the trailing window.";
-    line "# TYPE zkdet_window_rate gauge";
-    List.iter
-      (fun w ->
-        line "zkdet_window_rate{name=\"%s\",window=\"%s\"} %s"
-          (Report.prom_label_value w.w_name)
-          window_label (Report.prom_float w.w_rate))
-      stats;
-    line "# HELP zkdet_window_events Events recorded inside the trailing window.";
-    line "# TYPE zkdet_window_events gauge";
-    List.iter
-      (fun w ->
-        line "zkdet_window_events{name=\"%s\",window=\"%s\"} %d"
-          (Report.prom_label_value w.w_name)
-          window_label (w.w_count + w.w_samples))
-      stats;
-    let sampled = List.filter (fun w -> w.w_samples > 0) stats in
-    if sampled <> [] then begin
-      line
-        "# HELP zkdet_window_quantile Quantile estimates over the trailing \
-         window (histogram metrics only).";
-      line "# TYPE zkdet_window_quantile gauge";
-      List.iter
-        (fun w ->
-          List.iter
-            (fun (q, v) ->
-              line "zkdet_window_quantile{name=\"%s\",quantile=\"%s\",window=\"%s\"} %s"
-                (Report.prom_label_value w.w_name)
-                q window_label (Report.prom_float v))
-            [
-              ("0.5", w.w_p50);
-              ("0.95", w.w_p95);
-              ("0.99", w.w_p99);
-              ("0.999", w.w_p999);
-            ])
-        sampled
-    end;
+    Report.prom_family b "zkdet_window_rate" ~typ:`Gauge
+      ~help:"Events per second over the trailing window."
+      (List.map (fun w -> ("", labels w [], Report.prom_float w.w_rate)) stats);
+    Report.prom_family b "zkdet_window_events" ~typ:`Gauge
+      ~help:"Events recorded inside the trailing window."
+      (List.map
+         (fun w -> ("", labels w [], string_of_int (w.w_count + w.w_hist.Report.samples)))
+         stats);
+    let sampled = List.filter (fun w -> w.w_hist.Report.samples > 0) stats in
+    if sampled <> [] then
+      Report.prom_family b "zkdet_window_quantile" ~typ:`Gauge
+        ~help:"Quantile estimates over the trailing window (histogram metrics only)."
+        (List.concat_map
+           (fun w ->
+             List.map
+               (fun (_, label, q) ->
+                 ( "",
+                   labels w [ ("quantile", label) ],
+                   Report.prom_float (Report.quantile w.w_hist q) ))
+               Report.quantiles)
+           sampled);
     Buffer.contents b
-  end
 
 let print_summary ?(oc = stdout) () =
   let fmt = Format.formatter_of_out_channel oc in
@@ -1073,55 +862,32 @@ let print_summary ?(oc = stdout) () =
 
 (* ---- environment / sinks ---- *)
 
-let trace_path_ref = ref None
-let trace_mutex = Mutex.create ()
-
-let trace_path () =
-  Mutex.lock trace_mutex;
-  let p = !trace_path_ref in
-  Mutex.unlock trace_mutex;
-  p
-
-let set_trace_path p =
-  Mutex.lock trace_mutex;
-  trace_path_ref := p;
-  Mutex.unlock trace_mutex;
-  if p <> None then set_enabled true
-
-let write_trace ?path () : (string, string) result =
-  let path = match path with Some p -> Some p | None -> trace_path () in
-  match path with
-  | None -> Error "no trace path configured (set ZKDET_TRACE or pass ~path)"
-  | Some path -> (
-    let lines = Report.to_jsonl (snapshot ()) in
-    try
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-      Ok path
-    with Sys_error e -> Error e)
-
-(* Write the trace if (and only if) a path is configured; used by the
-   bench harness and CLI on exit. *)
-let maybe_write_trace () =
-  match trace_path () with
-  | None -> ()
-  | Some _ -> (
-    match write_trace () with
-    | Ok path -> Printf.eprintf "telemetry: trace written to %s\n%!" path
-    | Error e -> Printf.eprintf "telemetry: failed to write trace: %s\n%!" e)
+let write_trace ~path : (unit, string) result =
+  let lines = Report.to_jsonl (snapshot ()) in
+  try
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    Ok ()
+  with Sys_error e -> Error e
 
 let truthy = function
   | "" | "0" | "false" | "no" -> false
   | _ -> true
 
-(* Pick up env configuration at load time so any executable linking the
-   instrumented libraries honors ZKDET_PROFILE / ZKDET_TRACE. *)
+(* Read the environment once, at load time, so every executable linking
+   the instrumented libraries honours ZKDET_PROFILE and ZKDET_TRACE; the
+   trace is written when the program exits. *)
 let () =
   (match Sys.getenv_opt "ZKDET_PROFILE" with
   | Some v when truthy v -> set_enabled true
   | _ -> ());
   match Sys.getenv_opt "ZKDET_TRACE" with
-  | Some path when path <> "" -> set_trace_path (Some path)
+  | Some path when path <> "" ->
+    set_enabled true;
+    at_exit (fun () ->
+        match write_trace ~path with
+        | Ok () -> Printf.eprintf "telemetry: trace written to %s\n%!" path
+        | Error e -> Printf.eprintf "telemetry: failed to write trace: %s\n%!" e)
   | _ -> ()

@@ -9,10 +9,11 @@
     at any [ZKDET_DOMAINS] because work decomposition in [Zkdet_parallel]
     depends only on the input range, and merge order is sorted by name.
 
-    Configuration via environment (read at program start):
+    Configuration via environment (read once, at program start):
     - [ZKDET_PROFILE=1] enables recording.
-    - [ZKDET_TRACE=path] enables recording and selects the JSONL trace
-      sink; executables call {!maybe_write_trace} on exit. *)
+    - [ZKDET_TRACE=path] enables recording, and the JSONL trace is
+      written to [path] when the program exits, by every executable that
+      links this library. *)
 
 val monotonic_ns : unit -> int
 (** Monotonic clock reading in nanoseconds (arbitrary epoch). *)
@@ -69,15 +70,6 @@ module Report : sig
     sum : float;
     min : float;
     max : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-    p999 : float;
-        (** Quantile estimates from fixed power-of-two buckets: the
-            reported value is the upper boundary of the bucket holding
-            the sample of rank [ceil(q*n)], clamped to [min, max].
-            Fixed boundaries make the estimate deterministic under
-            per-domain merge at any [ZKDET_DOMAINS]. *)
     buckets : int array;
         (** Raw per-bucket counts, length {!num_buckets}; boundary of
             bucket [i] is {!bucket_upper}[ i]. *)
@@ -92,6 +84,14 @@ module Report : sig
 
   val find_counter : t -> string -> int option
 
+  val quantile : histogram -> float -> float
+  (** [quantile h q] estimates the [q]-quantile from the fixed
+      power-of-two buckets: the upper boundary of the bucket holding the
+      sample of rank [ceil(q*n)], clamped to [min, max]; 0 when empty.
+      Fixed boundaries make the estimate deterministic under per-domain
+      merge at any [ZKDET_DOMAINS].  Every encoder prints p50, p95, p99
+      and p99.9 through it. *)
+
   val pp : Format.formatter -> t -> unit
   (** Human-readable summary tree (spans with total/self time, counters,
       histograms). *)
@@ -104,9 +104,11 @@ module Report : sig
       histogram. *)
 
   val of_jsonl : string list -> (t, string) result
-  (** Rebuild a report from trace lines (inverse of {!to_jsonl} up to
-      child ordering, which is re-sorted by name).  Traces written before
-      quantiles existed parse with [p50/p95/p99] defaulting to [max]. *)
+  (** Rebuild a report from trace lines: the inverse of {!to_jsonl}, up
+      to child ordering, which is re-sorted by name.  Accepts exactly
+      what {!to_jsonl} writes: a missing field is an error naming it, a
+      histogram must carry 64 buckets summing to its [samples], and its
+      written quantiles are recomputed from the buckets, not read. *)
 
   val to_prometheus : t -> string
   (** Prometheus text-exposition dump.  Every family carries [# HELP] and
@@ -120,14 +122,20 @@ module Report : sig
       cumulative [_bucket{le="..."}] lines ending in [+Inf], and
       [_min]/[_max] gauges. *)
 
-  val prom_name : string -> string
-  (** Sanitize to a legal metric name ([[a-zA-Z0-9_:]], non-digit lead). *)
-
-  val prom_label_value : string -> string
-  (** Escape backslash, double-quote and newline for a label value. *)
-
-  val prom_float : float -> string
-  (** Render a sample value (integers without an exponent, else %.17g). *)
+  val prom_family :
+    Buffer.t ->
+    string ->
+    typ:[ `Counter | `Gauge | `Histogram | `Summary ] ->
+    help:string ->
+    (string * (string * string) list * string) list ->
+    unit
+  (** [prom_family b name ~typ ~help samples] appends one exposition
+      family: its [# HELP] and [# TYPE] lines, then one line
+      [name^suffix{k="v",...} value] per [(suffix, labels, value)]
+      sample.  [name] is sanitized to a legal metric name
+      ([[a-zA-Z0-9_:]], non-digit lead); [help] and label values have
+      backslash, double-quote and newline escaped.  Every Prometheus
+      family in the repo is written through it. *)
 end
 
 val snapshot : unit -> Report.t
@@ -148,15 +156,10 @@ type window_stat = {
   w_name : string;
   w_seconds : float;  (** seconds of the horizon actually covered *)
   w_count : int;  (** counter increments inside the window *)
-  w_samples : int;  (** histogram samples inside the window *)
   w_rate : float;  (** (count + samples) per covered second *)
-  w_sum : float;
-  w_min : float;
-  w_max : float;
-  w_p50 : float;
-  w_p95 : float;
-  w_p99 : float;
-  w_p999 : float;
+  w_hist : Report.histogram;
+      (** histogram samples inside the window; [min] = [max] = 0 when
+          there are none *)
 }
 
 val window_snapshot : unit -> window_stat list
@@ -170,13 +173,6 @@ val window_to_prometheus : unit -> string
 val print_summary : ?oc:out_channel -> unit -> unit
 (** [snapshot] + [Report.pp] to the given channel (default stdout). *)
 
-val trace_path : unit -> string option
-val set_trace_path : string option -> unit
-(** Setting a path also enables recording. *)
-
-val write_trace : ?path:string -> unit -> (string, string) result
-(** Serialize the current snapshot as JSONL to [path] (default: the
-    configured trace path).  Returns the path written. *)
-
-val maybe_write_trace : unit -> unit
-(** Write the trace iff a trace path is configured; logs to stderr. *)
+val write_trace : path:string -> (unit, string) result
+(** Serialize the current snapshot as JSONL to [path].  [ZKDET_TRACE]
+    calls it at exit. *)

@@ -416,6 +416,25 @@ let test_audit_flags_reverted_leak () =
              i.Audit.severity = Audit.Err && contains i.Audit.message "revert")
            report.Audit.issues))
 
+(* ---- the domain rule ---- *)
+
+(* Journal order is the initial domain's program order, so an emission
+   or a finalized transaction on any other domain raises. *)
+let test_initial_domain_only () =
+  let raises_off_main name f =
+    match Domain.join (Domain.spawn f) with
+    | () -> Alcotest.failf "%s ran on a spawned domain" name
+    | exception Invalid_argument _ -> ()
+  in
+  with_journal "obs_domain.zjnl" (fun _ ->
+      raises_off_main "Obs.emit with a journal open" (fun () ->
+          Obs.emit (Event.Protocol_step { protocol = "p"; step = "s"; detail = [] })));
+  let chain = Chain.create () in
+  let addr = Chain.Address.of_seed "off-main" in
+  Chain.faucet chain addr 10_000_000;
+  raises_off_main "Chain.execute with no journal open" (fun () ->
+      ignore (Chain.execute chain ~sender:addr ~label:"noop" (fun _ -> ())))
+
 let () =
   Alcotest.run "zkdet_obs"
     [
@@ -443,5 +462,10 @@ let () =
         [
           Alcotest.test_case "reverted events discarded and flagged" `Quick
             test_audit_flags_reverted_leak;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "events only from the initial domain" `Quick
+            test_initial_domain_only;
         ] );
     ]

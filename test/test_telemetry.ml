@@ -1,8 +1,9 @@
 (* Telemetry invariants (DESIGN.md): the disabled path records nothing,
    span trees nest and aggregate per (parent, name), per-domain buffers
-   merge to the same totals at any pool size, the JSONL trace round-trips,
-   and — the property everything else leans on — proof bytes are identical
-   with telemetry on or off, at any domain count. *)
+   merge to the same totals at any pool size, every encoder writes pinned
+   bytes, the JSONL reader is the writer's strict inverse, and — the
+   property everything else leans on — proof bytes are identical with
+   telemetry on or off, at any domain count. *)
 
 module Telemetry = Zkdet_telemetry.Telemetry
 module Report = Zkdet_telemetry.Telemetry.Report
@@ -14,6 +15,7 @@ module Backend = Zkdet_plonk.Backend
 module Preprocess = Zkdet_plonk.Preprocess
 module Prover = Zkdet_plonk.Prover
 module Srs = Zkdet_kzg.Srs
+module Gen = Zkdet_proptest.Gen
 
 let with_recording f =
   Telemetry.set_enabled true;
@@ -117,34 +119,352 @@ let counter_merge_across_domains () =
   Alcotest.(check (list (pair string int)))
     "every counter (incl. pool.*) identical across domain counts" all1 all4
 
-let jsonl_roundtrip () =
-  with_recording @@ fun () ->
-  Telemetry.with_span "phase" (fun () ->
-      Telemetry.with_span "step" (fun () -> Telemetry.count "inner" 7));
-  Telemetry.count "outer.counter" 41;
-  Telemetry.observe "sizes" 128.0;
-  Telemetry.observe "sizes" 256.0;
-  let r = Telemetry.snapshot () in
-  let lines = Report.to_jsonl r in
-  Alcotest.(check bool) "has lines" true (List.length lines > 1);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "unparseable trace line %S: %s" line e)
+(* ---- encodings ---- *)
+
+let span ?(children = []) name calls total_ns minor_words major_words minor_gcs
+    major_gcs : Report.span =
+  { Report.span_name = name; calls; total_ns; minor_words; major_words;
+    minor_gcs; major_gcs; children }
+
+let buckets l =
+  let a = Array.make Telemetry.num_buckets 0 in
+  List.iter (fun (i, n) -> a.(i) <- n) l;
+  a
+
+(* Nested spans (one name with a space, a quote and a backslash), two
+   counters, a histogram over four buckets and a one-sample one. *)
+let golden : Report.t =
+  {
+    Report.spans =
+      [ span "prove" 2 5_000_000 2_500_000.5 64. 1 0
+          ~children:
+            [ span "round \"1\" \\ a" 2 3_000_000 800. 0. 0 0;
+              span "round2" 2 1_000_000 100.25 0. 0 0
+                ~children:[ span "kzg.commit" 4 600_000 50. 0. 0 0 ] ];
+        span "verify" 1 250_000 12.75 0. 0 0 ];
+    counters =
+      [ { Report.counter_name = "chain.txs"; total = 12 };
+        { Report.counter_name = "curve.msm.points"; total = 4096 } ];
+    histograms =
+      [ { Report.hist_name = "fft.points"; samples = 5; sum = 8492.; min = 300.;
+          max = 4096.; buckets = buckets [ (29, 1); (30, 2); (31, 1); (32, 1) ] };
+        { Report.hist_name = "verify.ms"; samples = 1; sum = 0.75; min = 0.75;
+          max = 0.75; buckets = buckets [ (20, 1) ] } ];
+  }
+
+(* The exact text each encoder writes for [golden]. *)
+
+let zeros n = String.concat "," (List.init n (fun _ -> "0"))
+let fft_buckets = "[" ^ zeros 29 ^ ",1,2,1,1," ^ zeros 31 ^ "]"
+let verify_buckets = "[" ^ zeros 20 ^ ",1," ^ zeros 43 ^ "]"
+
+let golden_jsonl =
+  [
+    {|{"type":"meta","format":"zkdet-trace","version":1}|};
+    {|{"type":"span","path":["prove"],"calls":2,"total_ns":5000000,|}
+    ^ {|"minor_words":2500000.5,"major_words":64.0,"minor_gcs":1,|}
+    ^ {|"major_gcs":0}|};
+    {|{"type":"span","path":["prove","round \"1\" \\ a"],"calls":2,|}
+    ^ {|"total_ns":3000000,"minor_words":800.0,"major_words":0.0,|}
+    ^ {|"minor_gcs":0,"major_gcs":0}|};
+    {|{"type":"span","path":["prove","round2"],"calls":2,|}
+    ^ {|"total_ns":1000000,"minor_words":100.25,"major_words":0.0,|}
+    ^ {|"minor_gcs":0,"major_gcs":0}|};
+    {|{"type":"span","path":["prove","round2","kzg.commit"],|}
+    ^ {|"calls":4,"total_ns":600000,"minor_words":50.0,|}
+    ^ {|"major_words":0.0,"minor_gcs":0,"major_gcs":0}|};
+    {|{"type":"span","path":["verify"],"calls":1,"total_ns":250000,|}
+    ^ {|"minor_words":12.75,"major_words":0.0,"minor_gcs":0,|}
+    ^ {|"major_gcs":0}|};
+    {|{"type":"counter","name":"chain.txs","total":12}|};
+    {|{"type":"counter","name":"curve.msm.points","total":4096}|};
+    {|{"type":"histogram","name":"fft.points","samples":5,|}
+    ^ {|"sum":8492.0,"min":300.0,"max":4096.0,"p50":1024.0,|}
+    ^ {|"p95":4096.0,"p99":4096.0,"p999":4096.0,"buckets":|}
+    ^ fft_buckets
+    ^ {|}|};
+    {|{"type":"histogram","name":"verify.ms","samples":1,"sum":0.75,|}
+    ^ {|"min":0.75,"max":0.75,"p50":0.75,"p95":0.75,"p99":0.75,|}
+    ^ {|"p999":0.75,"buckets":|}
+    ^ verify_buckets
+    ^ {|}|};
+  ]
+
+let golden_json =
+  {|{"spans":[{"name":"prove","calls":2,"total_ns":5000000,|}
+  ^ {|"minor_words":2500000.5,"major_words":64.0,"minor_gcs":1,|}
+  ^ {|"major_gcs":0,"children":[{"name":"round \"1\" \\ a",|}
+  ^ {|"calls":2,"total_ns":3000000,"minor_words":800.0,|}
+  ^ {|"major_words":0.0,"minor_gcs":0,"major_gcs":0,"children":[]},|}
+  ^ {|{"name":"round2","calls":2,"total_ns":1000000,|}
+  ^ {|"minor_words":100.25,"major_words":0.0,"minor_gcs":0,|}
+  ^ {|"major_gcs":0,"children":[{"name":"kzg.commit","calls":4,|}
+  ^ {|"total_ns":600000,"minor_words":50.0,"major_words":0.0,|}
+  ^ {|"minor_gcs":0,"major_gcs":0,"children":[]}]}]},|}
+  ^ {|{"name":"verify","calls":1,"total_ns":250000,|}
+  ^ {|"minor_words":12.75,"major_words":0.0,"minor_gcs":0,|}
+  ^ {|"major_gcs":0,"children":[]}],"counters":[{"name":"chain.txs",|}
+  ^ {|"total":12},{"name":"curve.msm.points","total":4096}],|}
+  ^ {|"histograms":[{"name":"fft.points","samples":5,"sum":8492.0,|}
+  ^ {|"min":300.0,"max":4096.0,"p50":1024.0,"p95":4096.0,|}
+  ^ {|"p99":4096.0,"p999":4096.0,"buckets":|}
+  ^ fft_buckets
+  ^ {|},{"name":"verify.ms","samples":1,"sum":0.75,"min":0.75,|}
+  ^ {|"max":0.75,"p50":0.75,"p95":0.75,"p99":0.75,"p999":0.75,|}
+  ^ {|"buckets":|}
+  ^ verify_buckets
+  ^ {|}]}|}
+
+let golden_prometheus =
+  String.concat "\n"
+    [
+      {|# HELP zkdet_span_total_ns Cumulative wall time per span path.|};
+      {|# TYPE zkdet_span_total_ns counter|};
+      {|zkdet_span_total_ns{path="prove"} 5000000|};
+      {|zkdet_span_total_ns{path="prove/round \"1\" \\ a"} 3000000|};
+      {|zkdet_span_total_ns{path="prove/round2"} 1000000|};
+      {|zkdet_span_total_ns{path="prove/round2/kzg.commit"} 600000|};
+      {|zkdet_span_total_ns{path="verify"} 250000|};
+      {|# HELP zkdet_span_calls Number of times each span path was entered.|};
+      {|# TYPE zkdet_span_calls counter|};
+      {|zkdet_span_calls{path="prove"} 2|};
+      {|zkdet_span_calls{path="prove/round \"1\" \\ a"} 2|};
+      {|zkdet_span_calls{path="prove/round2"} 2|};
+      {|zkdet_span_calls{path="prove/round2/kzg.commit"} 4|};
+      {|zkdet_span_calls{path="verify"} 1|};
+      {|# HELP zkdet_span_minor_words Minor-heap words allocated inside each span path (children included).|};
+      {|# TYPE zkdet_span_minor_words counter|};
+      {|zkdet_span_minor_words{path="prove"} 2500000.5|};
+      {|zkdet_span_minor_words{path="prove/round \"1\" \\ a"} 800|};
+      {|zkdet_span_minor_words{path="prove/round2"} 100.25|};
+      {|zkdet_span_minor_words{path="prove/round2/kzg.commit"} 50|};
+      {|zkdet_span_minor_words{path="verify"} 12.75|};
+      {|# HELP zkdet_span_major_words Major-heap words allocated or promoted inside each span path.|};
+      {|# TYPE zkdet_span_major_words counter|};
+      {|zkdet_span_major_words{path="prove"} 64|};
+      {|zkdet_span_major_words{path="prove/round \"1\" \\ a"} 0|};
+      {|zkdet_span_major_words{path="prove/round2"} 0|};
+      {|zkdet_span_major_words{path="prove/round2/kzg.commit"} 0|};
+      {|zkdet_span_major_words{path="verify"} 0|};
+      {|# HELP zkdet_span_minor_collections Minor collections triggered inside each span path.|};
+      {|# TYPE zkdet_span_minor_collections counter|};
+      {|zkdet_span_minor_collections{path="prove"} 1|};
+      {|zkdet_span_minor_collections{path="prove/round \"1\" \\ a"} 0|};
+      {|zkdet_span_minor_collections{path="prove/round2"} 0|};
+      {|zkdet_span_minor_collections{path="prove/round2/kzg.commit"} 0|};
+      {|zkdet_span_minor_collections{path="verify"} 0|};
+      {|# HELP zkdet_span_major_collections Major collection slices triggered inside each span path.|};
+      {|# TYPE zkdet_span_major_collections counter|};
+      {|zkdet_span_major_collections{path="prove"} 0|};
+      {|zkdet_span_major_collections{path="prove/round \"1\" \\ a"} 0|};
+      {|zkdet_span_major_collections{path="prove/round2"} 0|};
+      {|zkdet_span_major_collections{path="prove/round2/kzg.commit"} 0|};
+      {|zkdet_span_major_collections{path="verify"} 0|};
+      {|# HELP zkdet_chain_txs Monotonic total of the chain.txs counter.|};
+      {|# TYPE zkdet_chain_txs counter|};
+      {|zkdet_chain_txs 12|};
+      {|# HELP zkdet_curve_msm_points Monotonic total of the curve.msm.points counter.|};
+      {|# TYPE zkdet_curve_msm_points counter|};
+      {|zkdet_curve_msm_points 4096|};
+      {|# HELP zkdet_fft_points Quantile summary of the fft.points histogram.|};
+      {|# TYPE zkdet_fft_points summary|};
+      {|zkdet_fft_points{quantile="0.5"} 1024|};
+      {|zkdet_fft_points{quantile="0.95"} 4096|};
+      {|zkdet_fft_points{quantile="0.99"} 4096|};
+      {|zkdet_fft_points{quantile="0.999"} 4096|};
+      {|zkdet_fft_points_sum 8492|};
+      {|zkdet_fft_points_count 5|};
+      {|# HELP zkdet_fft_points_buckets Cumulative power-of-two buckets of the fft.points histogram.|};
+      {|# TYPE zkdet_fft_points_buckets histogram|};
+      {|zkdet_fft_points_buckets_bucket{le="512"} 1|};
+      {|zkdet_fft_points_buckets_bucket{le="1024"} 3|};
+      {|zkdet_fft_points_buckets_bucket{le="2048"} 4|};
+      {|zkdet_fft_points_buckets_bucket{le="4096"} 5|};
+      {|zkdet_fft_points_buckets_bucket{le="+Inf"} 5|};
+      {|zkdet_fft_points_buckets_sum 8492|};
+      {|zkdet_fft_points_buckets_count 5|};
+      {|# HELP zkdet_fft_points_min Smallest sample observed.|};
+      {|# TYPE zkdet_fft_points_min gauge|};
+      {|zkdet_fft_points_min 300|};
+      {|# HELP zkdet_fft_points_max Largest sample observed.|};
+      {|# TYPE zkdet_fft_points_max gauge|};
+      {|zkdet_fft_points_max 4096|};
+      {|# HELP zkdet_verify_ms Quantile summary of the verify.ms histogram.|};
+      {|# TYPE zkdet_verify_ms summary|};
+      {|zkdet_verify_ms{quantile="0.5"} 0.75|};
+      {|zkdet_verify_ms{quantile="0.95"} 0.75|};
+      {|zkdet_verify_ms{quantile="0.99"} 0.75|};
+      {|zkdet_verify_ms{quantile="0.999"} 0.75|};
+      {|zkdet_verify_ms_sum 0.75|};
+      {|zkdet_verify_ms_count 1|};
+      {|# HELP zkdet_verify_ms_buckets Cumulative power-of-two buckets of the verify.ms histogram.|};
+      {|# TYPE zkdet_verify_ms_buckets histogram|};
+      {|zkdet_verify_ms_buckets_bucket{le="1"} 1|};
+      {|zkdet_verify_ms_buckets_bucket{le="+Inf"} 1|};
+      {|zkdet_verify_ms_buckets_sum 0.75|};
+      {|zkdet_verify_ms_buckets_count 1|};
+      {|# HELP zkdet_verify_ms_min Smallest sample observed.|};
+      {|# TYPE zkdet_verify_ms_min gauge|};
+      {|zkdet_verify_ms_min 0.75|};
+      {|# HELP zkdet_verify_ms_max Largest sample observed.|};
+      {|# TYPE zkdet_verify_ms_max gauge|};
+      {|zkdet_verify_ms_max 0.75|};
+      "" ]
+
+let golden_pp =
+  String.concat "\n"
+    [
+      {|telemetry summary|};
+      {|  spans:                                              calls        total         self      alloc     gcs|};
+      {|    prove                                                 2       5.00ms       1.00ms     20.0MB       1|};
+      {|      round "1" \ a                                       2       3.00ms       3.00ms      0.0MB       0|};
+      {|      round2                                              2       1.00ms       0.40ms      0.0MB       0|};
+      {|        kzg.commit                                        4       0.60ms       0.60ms      0.0MB       0|};
+      {|    verify                                                1       0.25ms       0.25ms      0.0MB       0|};
+      {|  counters:|};
+      {|    chain.txs                                                12|};
+      {|    curve.msm.points                                       4096|};
+      {|  histograms:                                           n       mean        min        p50        p95        p99        max|};
+      {|    fft.points                                          5    1698.40     300.00    1024.00    4096.00    4096.00    4096.00|};
+      {|    verify.ms                                           1       0.75       0.75       0.75       0.75       0.75       0.75|};
+      "" ]
+
+let golden_encodings () =
+  Alcotest.(check (list string)) "to_jsonl" golden_jsonl (Report.to_jsonl golden);
+  Alcotest.(check string) "to_json" golden_json (Json.to_string (Report.to_json golden));
+  Alcotest.(check string) "to_prometheus" golden_prometheus (Report.to_prometheus golden);
+  Alcotest.(check string) "pp" golden_pp (Format.asprintf "%a" Report.pp golden)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* [of_jsonl] accepts exactly what [to_jsonl] writes: dropping any field
+   of any record is an error naming the field, and a histogram must hold
+   64 buckets that sum to its samples. *)
+let strict_reader () =
+  let lines = Report.to_jsonl golden in
+  let fields line =
+    match Json.parse line with
+    | Ok (Json.Obj fs) -> fs
+    | _ -> Alcotest.failf "unparseable trace line %S" line
+  in
+  let replace i fs =
+    List.mapi (fun j l -> if j = i then Json.to_string (Json.Obj fs) else l) lines
+  in
+  List.iteri
+    (fun i line ->
+      List.iter
+        (fun (key, _) ->
+          match Report.of_jsonl (replace i (List.remove_assoc key (fields line))) with
+          | Ok _ -> Alcotest.failf "line %d accepted without %S" (i + 1) key
+          | Error e ->
+            if not (contains e (Printf.sprintf "%S" key)) then
+              Alcotest.failf "dropping %S from line %d: error %S does not name it" key
+                (i + 1) e)
+        (fields line))
     lines;
-  match Report.of_jsonl lines with
-  | Error e -> Alcotest.failf "of_jsonl failed: %s" e
-  | Ok r' ->
-    Alcotest.(check bool) "round-trips structurally" true (r = r')
+  let fft = List.length lines - 2 in
+  let rejects what edit =
+    match Report.of_jsonl (replace fft (List.map edit (fields (List.nth lines fft)))) with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  let with_buckets f = function
+    | "buckets", Json.List l -> ("buckets", Json.List (f l))
+    | kv -> kv
+  in
+  rejects "63 buckets" (with_buckets List.tl);
+  rejects "65 buckets" (with_buckets (fun l -> Json.Int 0 :: l));
+  rejects "buckets summing past samples" (with_buckets (fun l -> Json.Int 1 :: List.tl l))
+
+(* Canonical reports: names sorted and unique at every level, finite
+   floats, buckets summing to samples. *)
+let gen_report : Report.t Gen.t =
+  let names =
+    Gen.map (List.sort_uniq compare)
+      (Gen.list_size (Gen.int_range 0 3)
+         (Gen.oneof_const [ "a"; "b c"; "q\"uote"; "back\\slash"; "plonk.prove"; "z" ]))
+  in
+  let rec all = function
+    | [] -> Gen.return []
+    | g :: gs -> Gen.map2 (fun x xs -> x :: xs) g (all gs)
+  in
+  let nat = Gen.int_range 0 1_000_000_000 in
+  let float =
+    Gen.oneof
+      [ Gen.float_range (-1e18) 1e18; Gen.float_range 0. 1.;
+        Gen.map float_of_int (Gen.int_range (-1000) 1000) ]
+  in
+  let rec spans depth =
+    if depth = 0 then Gen.return []
+    else
+      Gen.bind names (fun ns ->
+          all
+            (List.map
+               (fun name ->
+                 Gen.map3
+                   (fun (calls, total_ns) (mw, jw, (mg, jg)) children ->
+                     span name calls total_ns mw jw mg jg ~children)
+                   (Gen.pair nat nat)
+                   (Gen.triple float float (Gen.pair nat nat))
+                   (spans (depth - 1)))
+               ns))
+  in
+  let counter name = Gen.map (fun total -> { Report.counter_name = name; total }) nat in
+  let histogram name =
+    Gen.map3
+      (fun buckets sum (a, b) ->
+        { Report.hist_name = name; samples = Array.fold_left ( + ) 0 buckets; sum;
+          min = Float.min a b; max = Float.max a b; buckets })
+      (Gen.array_size (Gen.return Telemetry.num_buckets)
+         (Gen.frequency [ (6, Gen.return 0); (1, Gen.int_range 0 1000) ]))
+      float (Gen.pair float float)
+  in
+  Gen.map3
+    (fun spans counters histograms -> { Report.spans; counters; histograms })
+    (spans 3)
+    (Gen.bind names (fun ns -> all (List.map counter ns)))
+    (Gen.bind names (fun ns -> all (List.map histogram ns)))
+
+(* [to_jsonl] then [of_jsonl] is the identity on canonical reports, and
+   every quantile written is [Report.quantile] of the histogram read. *)
+let jsonl_roundtrip =
+  Test_util.prop "JSONL round-trip"
+    (fun r -> String.concat "\n" (Report.to_jsonl r))
+    gen_report
+    (fun r ->
+      let lines = Report.to_jsonl r in
+      match Report.of_jsonl lines with
+      | Error _ -> false
+      | Ok r' ->
+        r' = r
+        && List.for_all
+             (fun line ->
+               match Json.parse line with
+               | Ok j when Json.member "type" j = Some (Json.String "histogram") ->
+                 let h =
+                   List.find
+                     (fun (h : Report.histogram) ->
+                       Json.member "name" j = Some (Json.String h.Report.hist_name))
+                     r'.Report.histograms
+                 in
+                 List.for_all
+                   (fun (key, q) ->
+                     Option.bind (Json.member key j) Json.to_float_opt
+                     = Some (Report.quantile h q))
+                   [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p999", 0.999) ]
+               | _ -> true)
+             lines)
 
 let write_trace_file () =
   with_recording @@ fun () ->
   Telemetry.with_span "traced" (fun () -> Telemetry.count "traced.n" 2);
   let path = Filename.temp_file "zkdet_trace" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Telemetry.write_trace ~path () with
-  | Ok p -> Alcotest.(check string) "returns the path" path p
+  (match Telemetry.write_trace ~path with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "write_trace failed: %s" e);
   let ic = open_in path in
   let lines = ref [] in
@@ -186,11 +506,10 @@ let p999_ordering () =
   let r = Telemetry.snapshot () in
   match r.Report.histograms with
   | [ h ] ->
+    let q = Report.quantile h in
     Alcotest.(check bool) "quantiles ordered" true
-      (h.Report.p50 <= h.Report.p95
-      && h.Report.p95 <= h.Report.p99
-      && h.Report.p99 <= h.Report.p999
-      && h.Report.p999 <= h.Report.max);
+      (q 0.5 <= q 0.95 && q 0.95 <= q 0.99 && q 0.99 <= q 0.999
+      && q 0.999 <= h.Report.max);
     Alcotest.(check int) "bucket array length" Telemetry.num_buckets
       (Array.length h.Report.buckets);
     Alcotest.(check int) "buckets sum to samples" h.Report.samples
@@ -274,10 +593,11 @@ let rolling_windows () =
   Alcotest.(check int) "counter increments visible" 5 c.Telemetry.w_count;
   Alcotest.(check bool) "rate positive" true (c.Telemetry.w_rate > 0.0);
   let l = stat "win.lat" in
-  Alcotest.(check int) "samples visible" 50 l.Telemetry.w_samples;
+  let h = l.Telemetry.w_hist in
+  Alcotest.(check int) "samples visible" 50 h.Report.samples;
   Alcotest.(check bool) "window quantiles ordered" true
-    (l.Telemetry.w_p50 <= l.Telemetry.w_p99
-    && l.Telemetry.w_p99 <= l.Telemetry.w_max);
+    (Report.quantile h 0.5 <= Report.quantile h 0.99
+    && Report.quantile h 0.99 <= h.Report.max);
   (* The window exposition is itself conformant Prometheus text. *)
   let text = Telemetry.window_to_prometheus () in
   (try ignore (Test_util.Prom.parse text)
@@ -366,9 +686,11 @@ let () =
           Alcotest.test_case "merge identical across domain counts" `Quick
             counter_merge_across_domains ] );
       ( "trace",
-        [ Alcotest.test_case "JSONL round-trip" `Quick jsonl_roundtrip;
+        [ jsonl_roundtrip;
           Alcotest.test_case "write_trace file round-trip" `Quick
-            write_trace_file ] );
+            write_trace_file;
+          Alcotest.test_case "golden encodings" `Quick golden_encodings;
+          Alcotest.test_case "strict reader" `Quick strict_reader ] );
       ( "profiling",
         [ Alcotest.test_case "GC allocation attribution" `Quick gc_attribution;
           Alcotest.test_case "p999 ordering and raw buckets" `Quick
