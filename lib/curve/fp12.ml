@@ -1,103 +1,170 @@
-(* Fp12 = Fp6[w] / (w^2 - v). Target group of the pairing. *)
+(* The pairing's target field Fp12 as one flat Fp buffer of 12 cells, with
+   its arithmetic in C (tower_stubs.c).  See fp12.mli for the layout. *)
 
+module Fp = Zkdet_field.Bn254.Fp
 module Nat = Zkdet_num.Nat
 
-type t = { c0 : Fp6.t; c1 : Fp6.t }
+type t = Fp.buf
 
-let make c0 c1 = { c0; c1 }
-let zero = { c0 = Fp6.zero; c1 = Fp6.zero }
-let one = { c0 = Fp6.one; c1 = Fp6.zero }
-let of_fp6 c0 = { c0; c1 = Fp6.zero }
-let of_fp c = of_fp6 (Fp6.of_fp2 (Fp2.of_fp c))
+let cells = 12
 
-let equal a b = Fp6.equal a.c0 b.c0 && Fp6.equal a.c1 b.c1
+(* ---------------- parameters, derived and checked at init ---------------- *)
+
+(* xi = xi0 + u; the kernels multiply by xi with additions from xi0. *)
+let xi0 = 9
+let () = assert (Fp2.equal Fp2.xi (Fp2.make (Fp.of_int xi0) Fp.one))
+
+let p_minus_1 = Nat.sub Fp.modulus Nat.one
+let gamma_w = Fp2.pow_nat Fp2.xi (Nat.div p_minus_1 (Nat.of_int 6))
+let gamma1 = Fp2.pow_nat Fp2.xi (Nat.div p_minus_1 (Nat.of_int 3))
+let gamma2 = Fp2.sqr gamma1
+
+let () =
+  (* 6 | p - 1, so gamma_w^2 = gamma1; and gamma_w^6 = xi^(p-1) =
+     xi^p / xi = conj(xi) / xi. *)
+  assert (Nat.is_zero (Nat.rem p_minus_1 (Nat.of_int 6)));
+  assert (Fp2.equal (Fp2.sqr gamma_w) gamma1);
+  assert (
+    Fp2.equal
+      (Fp2.mul (Fp2.mul gamma2 gamma1) Fp2.xi)
+      (Fp2.frobenius Fp2.xi))
+
+let fp2_bytes (a : Fp2.t) =
+  let b = Fp.buf_create 2 in
+  Fp.buf_set b 0 a.Fp2.c0;
+  Fp.buf_set b 1 a.Fp2.c1;
+  Bytes.to_string (b :> Bytes.t)
+
+let params =
+  let x = Bytes.create 8 in
+  Bytes.set_int64_le x 0 (Int64.of_int xi0);
+  String.concat ""
+    [ Fp.kernel_params; Bytes.to_string x; fp2_bytes gamma1; fp2_bytes gamma2;
+      fp2_bytes gamma_w ]
+
+(* ---------------- kernels ---------------- *)
+
+(* [@@noalloc] is sound: the stubs never allocate, raise, call back into
+   OCaml or release the lock.  Destinations are written last, so they may
+   alias sources. *)
+external c_mul : string -> t -> t -> t -> unit = "zkdet_fp12_mul" [@@noalloc]
+external c_sqr : string -> t -> t -> unit = "zkdet_fp12_sqr" [@@noalloc]
+
+external c_cyclotomic_sqr : string -> t -> t -> unit
+  = "zkdet_fp12_cyclotomic_sqr"
+[@@noalloc]
+
+external c_conj : string -> t -> t -> unit = "zkdet_fp12_conj" [@@noalloc]
+
+external c_frobenius : string -> t -> t -> int -> unit = "zkdet_fp12_frobenius"
+[@@noalloc]
+
+external c_mul_by_034 : string -> t -> t -> Fp.buf -> unit
+  = "zkdet_fp12_mul_by_034"
+[@@noalloc]
+
+external c_cyclotomic_exp : string -> t -> t -> int array -> unit
+  = "zkdet_fp12_cyclotomic_exp"
+[@@noalloc]
+
+(* The inverse's two halves around [Fp.inv]: (prm, a, scratch) and
+   (prm, d, a, scratch); the scratch holds the norm chain in cells 0..8
+   and the inverse of the Fp norm in cell 9. *)
+external c_inv_begin : string -> t -> Fp.buf -> unit = "zkdet_fp12_inv_begin"
+[@@noalloc]
+
+external c_inv_end : string -> t -> t -> Fp.buf -> unit = "zkdet_fp12_inv_end"
+[@@noalloc]
+
+(* ---------------- values ---------------- *)
+
+let create () = Fp.buf_create cells
+
+let init f =
+  let d = create () in
+  for i = 0 to cells - 1 do
+    Fp.buf_set d i (f i)
+  done;
+  d
+
+let get (a : t) i =
+  if i < 0 || i >= cells then invalid_arg "Fp12.get: coefficient out of range";
+  Fp.buf_get a i
+
+let zero = create ()
+let one = init (fun i -> if i = 0 then Fp.one else Fp.zero)
+
+let copy (a : t) =
+  let d = create () in
+  Fp.buf_blit a 0 d 0 cells;
+  d
+
+(* Cells are canonical, so bytes equality is value equality. *)
+let equal (a : t) (b : t) = Bytes.equal (a :> Bytes.t) (b :> Bytes.t)
 let is_zero a = equal a zero
 let is_one a = equal a one
 
-let add a b = { c0 = Fp6.add a.c0 b.c0; c1 = Fp6.add a.c1 b.c1 }
-let sub a b = { c0 = Fp6.sub a.c0 b.c0; c1 = Fp6.sub a.c1 b.c1 }
-let neg a = { c0 = Fp6.neg a.c0; c1 = Fp6.neg a.c1 }
+let unary k a =
+  let d = create () in
+  k params d a;
+  d
 
 let mul a b =
-  (* Karatsuba with w^2 = v. *)
-  let v0 = Fp6.mul a.c0 b.c0 in
-  let v1 = Fp6.mul a.c1 b.c1 in
-  let s = Fp6.mul (Fp6.add a.c0 a.c1) (Fp6.add b.c0 b.c1) in
-  { c0 = Fp6.add v0 (Fp6.mul_by_v v1); c1 = Fp6.sub (Fp6.sub s v0) v1 }
+  let d = create () in
+  c_mul params d a b;
+  d
 
-(* Complex squaring: 2 Fp6 multiplications instead of 3.
-   (a0 + a1 w)^2 = (a0 - a1)(a0 - v a1) + (1 + v) a0 a1 + 2 a0 a1 w. *)
-let sqr a =
-  let ab = Fp6.mul a.c0 a.c1 in
-  let t = Fp6.mul (Fp6.sub a.c0 a.c1) (Fp6.sub a.c0 (Fp6.mul_by_v a.c1)) in
-  { c0 = Fp6.add (Fp6.add t ab) (Fp6.mul_by_v ab); c1 = Fp6.double ab }
+let sqr = unary c_sqr
+let mul_into d a b = c_mul params d a b
+let sqr_into d a = c_sqr params d a
+let conj = unary c_conj
+let cyclotomic_sqr = unary c_cyclotomic_sqr
 
-(* Sparse product by d0 + (d3 + d4 v) w, the shape of a Miller-loop line
-   on the D-type twist: 13 Fp2 multiplications instead of 18. *)
+let frobenius k a =
+  if k < 0 then invalid_arg "Fp12.frobenius: negative power";
+  let d = create () in
+  c_frobenius params d a k;
+  d
+
 let mul_by_034 a (d0 : Fp2.t) (d3 : Fp2.t) (d4 : Fp2.t) =
-  let t0 = Fp6.scale_fp2 a.c0 d0 in
-  let t1 = Fp6.mul_by_01 a.c1 d3 d4 in
-  let s = Fp6.mul_by_01 (Fp6.add a.c0 a.c1) (Fp2.add d0 d3) d4 in
-  { c0 = Fp6.add t0 (Fp6.mul_by_v t1); c1 = Fp6.sub (Fp6.sub s t0) t1 }
-
-let scale_fp a k = { c0 = Fp6.scale_fp a.c0 k; c1 = Fp6.scale_fp a.c1 k }
+  let line = Fp.buf_create 6 in
+  List.iteri
+    (fun i (x : Fp2.t) ->
+      Fp.buf_set line (2 * i) x.c0;
+      Fp.buf_set line ((2 * i) + 1) x.c1)
+    [ d0; d3; d4 ];
+  let d = create () in
+  c_mul_by_034 params d a line;
+  d
 
 let inv a =
-  (* (a0 + a1 w)^-1 = (a0 - a1 w) / (a0^2 - v a1^2) *)
-  let norm = Fp6.sub (Fp6.sqr a.c0) (Fp6.mul_by_v (Fp6.sqr a.c1)) in
-  let ninv = Fp6.inv norm in
-  { c0 = Fp6.mul a.c0 ninv; c1 = Fp6.neg (Fp6.mul a.c1 ninv) }
+  let s = Fp.buf_create 10 in
+  c_inv_begin params a s;
+  Fp.buf_set s 9 (Fp.inv (Fp.buf_get s 8));
+  let d = create () in
+  c_inv_end params d a s;
+  d
 
-(* Conjugation over Fp6 = the p^6 Frobenius (cheap); the inverse on the
-   cyclotomic subgroup. *)
-let conj a = { a with c1 = Fp6.neg a.c1 }
-
-(* Granger-Scott squaring, valid only in the cyclotomic subgroup
-   (a^(p^4 - p^2 + 1) = 1, e.g. after the final exponentiation's easy
-   part). Viewing Fp12 as Fp4^3 with Fp4 = Fp2[y] / (y^2 - xi), y = w^3,
-   it costs three Fp4 squarings. *)
-let cyclotomic_sqr a =
-  let r0 = a.c0.Fp6.c0 and r4 = a.c0.Fp6.c1 and r3 = a.c0.Fp6.c2 in
-  let r2 = a.c1.Fp6.c0 and r1 = a.c1.Fp6.c1 and r5 = a.c1.Fp6.c2 in
-  (* (x + y w^3)^2 = (x^2 + xi y^2) + 2 x y w^3 *)
-  let fp4_sqr x y =
-    let t = Fp2.mul x y in
-    ( Fp2.sub
-        (Fp2.sub (Fp2.mul (Fp2.add x y) (Fp2.add (Fp2.mul_by_xi y) x)) t)
-        (Fp2.mul_by_xi t),
-      Fp2.double t )
-  in
-  let t0, t1 = fp4_sqr r0 r1 in
-  let t2, t3 = fp4_sqr r2 r3 in
-  let t4, t5 = fp4_sqr r4 r5 in
-  let minus t r = Fp2.add (Fp2.double (Fp2.sub t r)) t in (* 3t - 2r *)
-  let plus t r = Fp2.add (Fp2.double (Fp2.add t r)) t in (* 3t + 2r *)
-  {
-    c0 = Fp6.make (minus t0 r0) (minus t2 r4) (minus t4 r3);
-    c1 = Fp6.make (plus (Fp2.mul_by_xi t5) r2) (plus t1 r1) (plus t3 r5);
-  }
-
-(* Frobenius: w^p = gamma_w w with gamma_w = xi^((p-1)/6) in Fp2. *)
-let gamma_w =
-  Fp2.pow_nat Fp2.xi (Nat.div (Nat.sub Fp2.Fp.modulus Nat.one) (Nat.of_int 6))
-
-let frobenius a =
-  { c0 = Fp6.frobenius a.c0; c1 = Fp6.scale_fp2 (Fp6.frobenius a.c1) gamma_w }
+let cyclotomic_exp a digits =
+  let n = Array.length digits in
+  if n = 0 || digits.(n - 1) <> 1
+     || Array.exists (fun d -> d < -1 || d > 1) digits
+  then invalid_arg "Fp12.cyclotomic_exp: digits must be in {-1, 0, 1}, top 1";
+  let d = create () in
+  c_cyclotomic_exp params d a digits;
+  d
 
 let pow_nat x e =
-  let nbits = Nat.num_bits e in
-  if nbits = 0 then one
-  else begin
-    let acc = ref one in
-    for i = nbits - 1 downto 0 do
-      acc := sqr !acc;
-      if Nat.testbit e i then acc := mul !acc x
-    done;
-    !acc
-  end
+  let acc = copy one in
+  for i = Nat.num_bits e - 1 downto 0 do
+    sqr_into acc acc;
+    if Nat.testbit e i then mul_into acc acc x
+  done;
+  acc
 
-let random st = { c0 = Fp6.random st; c1 = Fp6.random st }
+let to_bytes a = String.concat "" (List.init cells (fun i -> Fp.to_bytes_be (get a i)))
 
-let to_bytes a = Fp6.to_bytes a.c0 ^ Fp6.to_bytes a.c1
-
-let pp fmt a = Format.fprintf fmt "{%a; %a}" Fp6.pp a.c0 Fp6.pp a.c1
+let pp fmt a =
+  let fp2 i = Fp2.make (get a (2 * i)) (get a ((2 * i) + 1)) in
+  Format.fprintf fmt "{[%a, %a, %a]; [%a, %a, %a]}" Fp2.pp (fp2 0) Fp2.pp
+    (fp2 1) Fp2.pp (fp2 2) Fp2.pp (fp2 3) Fp2.pp (fp2 4) Fp2.pp (fp2 5)

@@ -5,9 +5,17 @@
    coordinates, so no step inverts, and evaluates each line at the affine
    G1 point with the Costello-Lange-Naehrig formulas for the D-type twist
    E' : y^2 = x^3 + 3/xi. A line is the sparse Fp12 value
-   c0 + (c3 + c4 v) w, multiplied in with [Fp12.mul_by_034]. Two
+   c0 + (c3 + c4 v) w, multiplied in with the sparse product. Two
    Frobenius lines, through pi(Q) and -pi^2(Q), close the loop. Every
    pair of a check shares one accumulator, squared once per digit.
+
+   The tower runs in C (tower_stubs.c) on flat buffers: each Miller-loop
+   step (the double or add of T, its line at P and the sparse product
+   into the accumulator) is one call, as is each Fp12 operation of the
+   final exponentiation and each of its exponentiations by x.  A check
+   allocates its state buffer, the accumulator and a few dozen 384-byte
+   Fp12 values, and the kernels keep no state of their own, so checks on
+   different domains do not interact.
 
    The final exponentiation keeps the easy part f^((p^6 - 1)(p^2 + 1)).
    Its hard part follows Fuentes-Castaneda et al.: three exponentiations
@@ -39,12 +47,12 @@ module Gt = struct
   let pow t (s : Fr.t) =
     let limbs = Bytes.create 32 in
     Fr.to_limbs_le s limbs;
-    let acc = ref Fp12.one in
+    let acc = Fp12.copy Fp12.one in
     for i = Fr.num_bits - 1 downto 0 do
-      acc := Fp12.sqr !acc;
-      if Weierstrass.limb_bit limbs i then acc := Fp12.mul !acc t
+      Fp12.sqr_into acc acc;
+      if Weierstrass.limb_bit limbs i then Fp12.mul_into acc acc t
     done;
-    !acc
+    acc
 
   let to_bytes = Fp12.to_bytes
   let pp = Fp12.pp
@@ -103,52 +111,45 @@ let () =
 
 (* ---------------- Miller loop ---------------- *)
 
-(* T on the twist in homogeneous projective coordinates: (X/Z, Y/Z). *)
-type proj = { tx : Fp2.t; ty : Fp2.t; tz : Fp2.t }
+(* The step kernels' block: the tower's, then 3b' for the twist
+   y^2 = x^3 + b'. *)
+let step_params =
+  let b3 = Fp.buf_create 2 in
+  let three_b = Fp2.mul (Fp2.of_int 3) G2.b2 in
+  Fp.buf_set b3 0 three_b.c0;
+  Fp.buf_set b3 1 three_b.c1;
+  Fp12.params ^ Bytes.to_string (b3 :> Bytes.t)
 
-let two_inv = Fp.inv (Fp.of_int 2)
-let three_b = Fp2.mul (Fp2.of_int 3) G2.b2
+(* A pair's state is [pair_cells] cells of one Fp buffer: T on the twist
+   in homogeneous projective coordinates (X, Y, Z, two cells each), the
+   affine Q the add step adds (x, y) and the affine P the lines are
+   evaluated at (x, y).  Each step updates T in place and multiplies its
+   line into f:
 
-(* T <- 2T, returning the tangent line's (c0, c3, c4) before evaluation
-   at P: the line is c0 yP + c3 xP w + c4 v w, up to a factor in Fp2
-   that the final exponentiation kills. *)
-let double_step t =
-  let a = Fp2.scale_fp (Fp2.mul t.tx t.ty) two_inv in
-  let b = Fp2.sqr t.ty in
-  let c = Fp2.sqr t.tz in
-  let e = Fp2.mul three_b c in
-  let f = Fp2.add (Fp2.double e) e in
-  let g = Fp2.scale_fp (Fp2.add b f) two_inv in
-  let h = Fp2.sub (Fp2.sqr (Fp2.add t.ty t.tz)) (Fp2.add b c) in
-  let j = Fp2.sqr t.tx in
-  let e2 = Fp2.sqr e in
-  ( {
-      tx = Fp2.mul a (Fp2.sub b f);
-      ty = Fp2.sub (Fp2.sqr g) (Fp2.add (Fp2.double e2) e2);
-      tz = Fp2.mul b h;
-    },
-    (Fp2.neg h, Fp2.add (Fp2.double j) j, Fp2.sub e b) )
+   [miller_double prm f st c]: T <- 2T with the tangent line
+   (c0, c3, c4) = (-h, 3j, e - b) in the Costello-Lange-Naehrig notation,
+   evaluated as c0 yP + c3 xP w + c4 v w, up to a factor in Fp2 that the
+   final exponentiation kills.
 
-(* T <- T + Q for affine Q, returning the chord's (c0, c3, c4) as above. *)
-let add_step t ((xq, yq) : Fp2.t * Fp2.t) =
-  let theta = Fp2.sub t.ty (Fp2.mul yq t.tz) in
-  let lambda = Fp2.sub t.tx (Fp2.mul xq t.tz) in
-  let c = Fp2.sqr theta in
-  let d = Fp2.sqr lambda in
-  let e = Fp2.mul lambda d in
-  let f = Fp2.mul t.tz c in
-  let g = Fp2.mul t.tx d in
-  let h = Fp2.sub (Fp2.add e f) (Fp2.double g) in
-  ( {
-      tx = Fp2.mul lambda h;
-      ty = Fp2.sub (Fp2.mul theta (Fp2.sub g h)) (Fp2.mul e t.ty);
-      tz = Fp2.mul t.tz e;
-    },
-    (lambda, Fp2.neg theta, Fp2.sub (Fp2.mul theta xq) (Fp2.mul lambda yq)) )
+   [miller_add prm f st c neg]: T <- T + Q, or T - Q when [neg], with
+   the chord (lambda, -theta, theta xQ - lambda yQ). *)
+let pair_cells = 12
+
+external miller_double : string -> Fp12.t -> Fp.buf -> int -> unit
+  = "zkdet_miller_double"
+[@@noalloc]
+
+external miller_add : string -> Fp12.t -> Fp.buf -> int -> bool -> unit
+  = "zkdet_miller_add"
+[@@noalloc]
+
+let set_fp2 st i (a : Fp2.t) =
+  Fp.buf_set st i a.c0;
+  Fp.buf_set st (i + 1) a.c1
 
 (* The p-power Frobenius on the twist: pi(x, y) = (x^p g_x, y^p g_y) with
    g_x = xi^((p-1)/3) and g_y = xi^((p-1)/2). *)
-let frob_x = Fp6.gamma1
+let frob_x = Fp12.gamma1
 let frob_y = Fp2.mul Fp12.gamma_w (Fp2.sqr Fp12.gamma_w)
 
 let frobenius_twist (xq, yq) =
@@ -157,64 +158,55 @@ let frobenius_twist (xq, yq) =
 (* One accumulator over every (P, Q) pair, both affine and finite. *)
 let miller_loop (pairs : ((Fp.t * Fp.t) * (Fp2.t * Fp2.t)) array) : Fp12.t =
   let n = Array.length pairs in
-  let ts =
-    Array.map (fun (_, (xq, yq)) -> { tx = xq; ty = yq; tz = Fp2.one }) pairs
-  in
-  let neg_qs = Array.map (fun (_, (xq, yq)) -> (xq, Fp2.neg yq)) pairs in
-  let f = ref Fp12.one in
-  let line i (c0, c3, c4) =
-    let (xp, yp), _ = pairs.(i) in
-    f := Fp12.mul_by_034 !f (Fp2.scale_fp c0 yp) (Fp2.scale_fp c3 xp) c4
-  in
+  let st = Fp.buf_create (pair_cells * n) in
+  Array.iteri
+    (fun i ((xp, yp), (xq, yq)) ->
+      let c = pair_cells * i in
+      set_fp2 st c xq;
+      set_fp2 st (c + 2) yq;
+      set_fp2 st (c + 4) Fp2.one;
+      set_fp2 st (c + 6) xq;
+      set_fp2 st (c + 8) yq;
+      Fp.buf_set st (c + 10) xp;
+      Fp.buf_set st (c + 11) yp)
+    pairs;
+  let f = Fp12.copy Fp12.one in
   for k = Array.length loop_naf - 2 downto 0 do
-    f := Fp12.sqr !f;
+    Fp12.sqr_into f f;
     for i = 0 to n - 1 do
-      let t, l = double_step ts.(i) in
-      ts.(i) <- t;
-      line i l
+      miller_double step_params f st (pair_cells * i)
     done;
     if loop_naf.(k) <> 0 then
       for i = 0 to n - 1 do
-        let q = if loop_naf.(k) > 0 then snd pairs.(i) else neg_qs.(i) in
-        let t, l = add_step ts.(i) q in
-        ts.(i) <- t;
-        line i l
+        miller_add step_params f st (pair_cells * i) (loop_naf.(k) < 0)
       done
   done;
+  (* The Frobenius lines: T + pi(Q), then that plus -pi^2(Q). *)
   for i = 0 to n - 1 do
+    let c = pair_cells * i in
     let q1 = frobenius_twist (snd pairs.(i)) in
     let x2, y2 = frobenius_twist q1 in
-    let t, l = add_step ts.(i) q1 in
-    line i l;
-    line i (snd (add_step t (x2, Fp2.neg y2)))
+    set_fp2 st (c + 6) (fst q1);
+    set_fp2 st (c + 8) (snd q1);
+    miller_add step_params f st c false;
+    set_fp2 st (c + 6) x2;
+    set_fp2 st (c + 8) y2;
+    miller_add step_params f st c true
   done;
-  !f
+  f
 
 (* ---------------- final exponentiation ---------------- *)
 
-let rec frobenius_n k a =
-  if k = 0 then a else frobenius_n (k - 1) (Fp12.frobenius a)
-
-(* a^x for a in the cyclotomic subgroup, over the NAF of x; conj is the
-   inverse there. *)
-let exp_by_x a =
-  let a_inv = Fp12.conj a in
-  let acc = ref a in
-  for k = Array.length x_naf - 2 downto 0 do
-    acc := Fp12.cyclotomic_sqr !acc;
-    if x_naf.(k) > 0 then acc := Fp12.mul !acc a
-    else if x_naf.(k) < 0 then acc := Fp12.mul !acc a_inv
-  done;
-  !acc
-
-let exp_by_neg_x a = Fp12.conj (exp_by_x a)
+(* a^(-x) for a in the cyclotomic subgroup: a^x over the NAF of x in one
+   call, then conj, the inverse there. *)
+let exp_by_neg_x a = Fp12.conj (Fp12.cyclotomic_exp a x_naf)
 
 let final_exponentiation (f : Fp12.t) : Gt.t =
   if Fp12.is_zero f then Fp12.zero
   else begin
     (* Easy part: f^((p^6 - 1)(p^2 + 1)). *)
     let t = Fp12.mul (Fp12.conj f) (Fp12.inv f) in
-    let r = Fp12.mul (frobenius_n 2 t) t in
+    let r = Fp12.mul (Fp12.frobenius 2 t) t in
     (* Hard part: r^(m (p^4 - p^2 + 1) / r) as
        r^(p^3 (12x^3 + 6x^2 + 4x - 1) + p^2 (12x^3 + 6x^2 + 6x)
           + p (12x^3 + 6x^2 + 4x) + (12x^3 + 12x^2 + 6x + 1)). *)
@@ -229,9 +221,9 @@ let final_exponentiation (f : Fp12.t) : Gt.t =
     let y8 = Fp12.mul y7 (Fp12.conj y3) in
     let y9 = Fp12.mul y8 y1 in
     let y11 = Fp12.mul (Fp12.mul y8 y4) r in
-    let y13 = Fp12.mul (frobenius_n 1 y9) y11 in
-    let y14 = Fp12.mul (frobenius_n 2 y8) y13 in
-    Fp12.mul (frobenius_n 3 (Fp12.mul (Fp12.conj r) y9)) y14
+    let y13 = Fp12.mul (Fp12.frobenius 1 y9) y11 in
+    let y14 = Fp12.mul (Fp12.frobenius 2 y8) y13 in
+    Fp12.mul (Fp12.frobenius 3 (Fp12.mul (Fp12.conj r) y9)) y14
   end
 
 (* ---------------- entry points ---------------- *)

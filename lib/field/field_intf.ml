@@ -57,9 +57,15 @@ module type CORE = sig
       {!Fp64} a single [Bytes] of [n * 32] bytes: cache friendly, no
       per-element boxing).  Every operand of every operation is a
       [(buf, index)] pair, so no op allocates or exposes an aliasing
-      intermediate value. *)
+      intermediate value.
 
-  type buf
+      The storage is visible, read-only, to native kernels outside this
+      library (the pairing's tower in the curve layer): cell [i] is bytes
+      [32 i .. 32 i + 31], four little-endian 64-bit limbs of the value in
+      Montgomery form ([x R mod p], [R = 2^256]).  Such a kernel takes
+      {!S.kernel_params} with the buffers it reads and writes. *)
+
+  type buf = private Bytes.t
 
   val buf_create : int -> buf
   (** [buf_create n] is a buffer of [n] cells, all zero. *)
@@ -178,6 +184,13 @@ module type S = sig
   val buf_bit_reverse : buf -> unit
   (** Permute a buffer of [2^k] cells into bit-reversed index order;
       raises [Invalid_argument] when the length is not a power of two. *)
+
+  val kernel_params : string
+  (** The 72-byte parameter block of the field's C kernels: the modulus
+      as four little-endian 64-bit limbs, [n0 = -p^-1 mod 2^64], then
+      [R mod p] (the Montgomery form of one).  Native kernels elsewhere
+      pass it to the shared Montgomery kernel ([mont4.h]) with the
+      [buf] storage above. *)
 
   val buf_affine_round :
     (ex:buf ->

@@ -249,9 +249,10 @@ struct
 
     (* ------------------------------------------------------------------ *)
 
-    (* The C stubs load limbs with native-endian uint64 reads; on a
-       big-endian host that would disagree with the little-endian layout,
-       so fall back to the explicit-endianness OCaml kernel there. *)
+    (* The C stubs read the little-endian layout on any host (mont4.h
+       swaps on a big-endian one), but only little-endian hosts have run
+       them; big-endian hosts keep the explicit-endianness OCaml kernel.
+       The pairing's tower (lib/curve/tower_stubs.c) runs in C on both. *)
     let use_c = K.use_c && not Sys.big_endian
 
     let mul_off : Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> unit =
@@ -374,6 +375,8 @@ struct
 
   include Core
   include Field_derived.Make (Core)
+
+  let kernel_params = Bytes.to_string prm
 
   (* The C round trusts its arguments' shapes; check them here so a bad
      call raises instead of writing out of bounds. *)

@@ -11,115 +11,15 @@
  * [@@noalloc] on the OCaml side: nothing here allocates on the OCaml heap,
  * raises or calls back into OCaml.
  *
- * Multiplication is CIOS with the interleaved "no-carry" reduction, valid
- * when the modulus is < 2^254 (both BN254 fields are 254-bit); the OCaml
- * side asserts that bound at functor application time.
+ * The Montgomery kernel itself (mont_mul4, add4, sub4) is in mont4.h,
+ * which the pairing's tower stubs (lib/curve/tower_stubs.c) share.
  */
 
 #include <caml/mlvalues.h>
 #include <stdint.h>
 #include <string.h>
 
-typedef unsigned __int128 u128;
-
-static inline uint64_t ld(const unsigned char *p, int i)
-{
-  uint64_t x;
-  memcpy(&x, p + 8 * i, 8);
-  return x;
-}
-
-static inline void st(unsigned char *p, int i, uint64_t x)
-{
-  memcpy(p + 8 * i, &x, 8);
-}
-
-/* t = a * b * R^-1 mod p, result < p. Fully unrolled CIOS. */
-static void mont_mul4(const uint64_t p[4], uint64_t n0, uint64_t t[4],
-                      const uint64_t a[4], const uint64_t b[4])
-{
-  uint64_t r0 = 0, r1 = 0, r2 = 0, r3 = 0;
-  for (int i = 0; i < 4; i++) {
-    uint64_t ai = a[i];
-    u128 acc;
-    acc = (u128)r0 + (u128)ai * b[0];
-    uint64_t t0 = (uint64_t)acc, c = (uint64_t)(acc >> 64);
-    acc = (u128)r1 + (u128)ai * b[1] + c;
-    uint64_t t1 = (uint64_t)acc;  c = (uint64_t)(acc >> 64);
-    acc = (u128)r2 + (u128)ai * b[2] + c;
-    uint64_t t2 = (uint64_t)acc;  c = (uint64_t)(acc >> 64);
-    acc = (u128)r3 + (u128)ai * b[3] + c;
-    uint64_t t3 = (uint64_t)acc;
-    uint64_t t4 = (uint64_t)(acc >> 64);
-
-    uint64_t m = t0 * n0;
-    acc = (u128)t0 + (u128)m * p[0];
-    c = (uint64_t)(acc >> 64);           /* low word is 0 by construction */
-    acc = (u128)t1 + (u128)m * p[1] + c;
-    r0 = (uint64_t)acc;  c = (uint64_t)(acc >> 64);
-    acc = (u128)t2 + (u128)m * p[2] + c;
-    r1 = (uint64_t)acc;  c = (uint64_t)(acc >> 64);
-    acc = (u128)t3 + (u128)m * p[3] + c;
-    r2 = (uint64_t)acc;  c = (uint64_t)(acc >> 64);
-    r3 = t4 + c;                         /* no overflow: p < 2^254 */
-  }
-  /* Conditional subtract: r < 2p, reduce to < p. */
-  uint64_t borrow = 0, s0, s1, s2, s3;
-  u128 d;
-  d = (u128)r0 - p[0];          s0 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r1 - p[1] - borrow; s1 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r2 - p[2] - borrow; s2 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r3 - p[3] - borrow; s3 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  if (borrow) { /* r < p: keep r */
-    t[0] = r0; t[1] = r1; t[2] = r2; t[3] = r3;
-  } else {      /* r >= p: keep r - p */
-    t[0] = s0; t[1] = s1; t[2] = s2; t[3] = s3;
-  }
-}
-
-/* t = a + b mod p (operands < p, so the 256-bit sum never carries out). */
-static void add4(const uint64_t p[4], uint64_t t[4], const uint64_t a[4],
-                 const uint64_t b[4])
-{
-  u128 acc;
-  uint64_t r0, r1, r2, r3, c;
-  acc = (u128)a[0] + b[0]; r0 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-  acc = (u128)a[1] + b[1] + c; r1 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-  acc = (u128)a[2] + b[2] + c; r2 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-  acc = (u128)a[3] + b[3] + c; r3 = (uint64_t)acc;
-  uint64_t borrow = 0, s0, s1, s2, s3;
-  u128 d;
-  d = (u128)r0 - p[0];                s0 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r1 - p[1] - borrow;       s1 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r2 - p[2] - borrow;       s2 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)r3 - p[3] - borrow;       s3 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  if (borrow) {
-    t[0] = r0; t[1] = r1; t[2] = r2; t[3] = r3;
-  } else {
-    t[0] = s0; t[1] = s1; t[2] = s2; t[3] = s3;
-  }
-}
-
-/* t = a - b mod p. */
-static void sub4(const uint64_t p[4], uint64_t t[4], const uint64_t a[4],
-                 const uint64_t b[4])
-{
-  uint64_t borrow = 0, r0, r1, r2, r3;
-  u128 d;
-  d = (u128)a[0] - b[0];          r0 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)a[1] - b[1] - borrow; r1 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)a[2] - b[2] - borrow; r2 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  d = (u128)a[3] - b[3] - borrow; r3 = (uint64_t)d; borrow = (uint64_t)(d >> 127);
-  if (borrow) { /* wrapped: add p back */
-    u128 acc;
-    uint64_t c;
-    acc = (u128)r0 + p[0]; r0 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-    acc = (u128)r1 + p[1] + c; r1 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-    acc = (u128)r2 + p[2] + c; r2 = (uint64_t)acc; c = (uint64_t)(acc >> 64);
-    acc = (u128)r3 + p[3] + c; r3 = (uint64_t)acc;
-  }
-  t[0] = r0; t[1] = r1; t[2] = r2; t[3] = r3;
-}
+#include "mont4.h"
 
 static void load_prm(value vprm, uint64_t p[4], uint64_t *n0)
 {

@@ -33,9 +33,15 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+(* An integral float keeps a '.' or an exponent, so [parse] reads it back
+   as a [Float]: %.17g writes one in [1e15, 1e17) as bare digits. *)
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let s = Printf.sprintf "%.17g" f in
+    if Float.is_integer f && not (String.exists (fun c -> c = '.' || c = 'e') s)
+    then s ^ ".0"
+    else s
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

@@ -6,14 +6,16 @@
    embedded into E(Fp12) through Psi(x', y') = (x' w^2, y' w^3). The
    final exponentiation is the standard one: the easy part, then the
    762-bit hard exponent (p^4 - p^2 + 1) / r by square-and-multiply.
-   Slow (tens of ms per pairing) and simple enough to check by eye. *)
+   Slow (tens of ms per pairing) and simple enough to check by eye.  It
+   runs on the boxed oracle tower (tower_oracle.ml), so it shares no
+   tower code with the C kernels the pairing runs on. *)
 
 module Nat = Zkdet_num.Nat
 module Fp = Zkdet_field.Bn254.Fp
 module Fr = Zkdet_field.Bn254.Fr
 module Fp2 = Zkdet_curve.Fp2
-module Fp6 = Zkdet_curve.Fp6
-module Fp12 = Zkdet_curve.Fp12
+module Fp6 = Tower_oracle.Fp6
+module Fp12 = Tower_oracle.Fp12
 module G1 = Zkdet_curve.G1
 module G2 = Zkdet_curve.G2
 

@@ -2,13 +2,15 @@ module Nat = Zkdet_num.Nat
 module Fp = Zkdet_field.Bn254.Fp
 module Fr = Zkdet_field.Bn254.Fr
 module Fp2 = Zkdet_curve.Fp2
-module Fp6 = Zkdet_curve.Fp6
 module Fp12 = Zkdet_curve.Fp12
 module G1 = Zkdet_curve.G1
 module G2 = Zkdet_curve.G2
 module Pairing = Zkdet_curve.Pairing
+module Tower = Tower_oracle
 module Tate = Tate_oracle
 module C = Zkdet_codec.Codec
+module Gen = Zkdet_proptest.Gen
+module Gz = Zkdet_proptest.Gen_zk
 
 let rng = Test_util.rng ~salt:"curve" ()
 
@@ -16,6 +18,28 @@ let g1 = Alcotest.testable G1.pp G1.equal
 let g2 = Alcotest.testable G2.pp G2.equal
 let gt = Alcotest.testable Pairing.Gt.pp Pairing.Gt.equal
 let fp12 = Alcotest.testable Fp12.pp Fp12.equal
+
+(* The flat Fp12 and the oracle's boxed one share a coefficient order:
+   Fp12 over Fp6 over Fp2 over Fp, the order of [to_bytes]. *)
+let oracle_coeffs (a : Tower.Fp12.t) =
+  List.concat_map
+    (fun (b : Tower.Fp6.t) ->
+      List.concat_map (fun (c : Fp2.t) -> [ c.c0; c.c1 ]) [ b.c0; b.c1; b.c2 ])
+    [ a.c0; a.c1 ]
+
+let of_oracle (a : Tower.Fp12.t) = Fp12.init (List.nth (oracle_coeffs a))
+
+let to_oracle (a : Fp12.t) : Tower.Fp12.t =
+  let fp2 i = Fp2.make (Fp12.get a (2 * i)) (Fp12.get a ((2 * i) + 1)) in
+  let fp6 j = Tower.Fp6.make (fp2 (3 * j)) (fp2 ((3 * j) + 1)) (fp2 ((3 * j) + 2)) in
+  Tower.Fp12.make (fp6 0) (fp6 1)
+
+let random_fp12 () = Fp12.init (fun _ -> Fp.random rng)
+
+(* w and v as flat values: coefficients c1.c0.c0 and c0.c1.c0. *)
+let basis i = Fp12.init (fun j -> if i = j then Fp.one else Fp.zero)
+let w = basis 6
+let v = basis 2
 
 let test_fp2_field () =
   for _ = 1 to 10 do
@@ -33,6 +57,7 @@ let test_fp2_field () =
   assert (Fp2.equal (Fp2.mul_by_xi a) (Fp2.mul Fp2.xi a))
 
 let test_fp6_field () =
+  let module Fp6 = Tower.Fp6 in
   for _ = 1 to 5 do
     let a = Fp6.random rng and b = Fp6.random rng and c = Fp6.random rng in
     assert (Fp6.equal (Fp6.mul a (Fp6.mul b c)) (Fp6.mul (Fp6.mul a b) c));
@@ -48,13 +73,11 @@ let test_fp6_field () =
 
 let test_fp12_field () =
   for _ = 1 to 3 do
-    let a = Fp12.random rng and b = Fp12.random rng and c = Fp12.random rng in
+    let a = random_fp12 () and b = random_fp12 () and c = random_fp12 () in
     assert (Fp12.equal (Fp12.mul a (Fp12.mul b c)) (Fp12.mul (Fp12.mul a b) c));
     if not (Fp12.is_zero a) then assert (Fp12.is_one (Fp12.mul a (Fp12.inv a)))
   done;
   (* w^2 = v *)
-  let w = Fp12.make Fp6.zero Fp6.one in
-  let v = Fp12.of_fp6 (Fp6.make Fp2.zero Fp2.one Fp2.zero) in
   assert (Fp12.equal (Fp12.sqr w) v)
 
 let test_frobenius () =
@@ -62,46 +85,320 @@ let test_frobenius () =
   let p = Fp.modulus in
   let a = Fp2.random rng in
   assert (Fp2.equal (Fp2.frobenius a) (Fp2.pow_nat a p));
-  let b = Fp12.random rng in
-  Alcotest.check (Alcotest.testable Fp12.pp Fp12.equal) "fp12 frobenius"
-    (Fp12.pow_nat b p) (Fp12.frobenius b);
+  let b = random_fp12 () in
+  Alcotest.check fp12 "fp12 frobenius" (Fp12.pow_nat b p) (Fp12.frobenius 1 b);
   (* conj = p^6 frobenius *)
-  let rec frob_n x n = if n = 0 then x else frob_n (Fp12.frobenius x) (n - 1) in
-  assert (Fp12.equal (Fp12.conj b) (frob_n b 6))
+  assert (Fp12.equal (Fp12.conj b) (Fp12.frobenius 6 b))
 
 let test_fp12_sqr () =
-  let w = Fp12.make Fp6.zero Fp6.one in
   List.iter
     (fun a -> Alcotest.check fp12 "sqr a = mul a a" (Fp12.mul a a) (Fp12.sqr a))
-    ([ Fp12.zero; Fp12.one; w ] @ List.init 10 (fun _ -> Fp12.random rng))
+    ([ Fp12.zero; Fp12.one; w ] @ List.init 10 (fun _ -> random_fp12 ()))
 
 (* The final exponentiation's easy part, f^((p^6 - 1)(p^2 + 1)): its
    outputs lie in the cyclotomic subgroup, where cyclotomic_sqr holds. *)
 let easy_part f =
   let t = Fp12.mul (Fp12.conj f) (Fp12.inv f) in
-  Fp12.mul (Fp12.frobenius (Fp12.frobenius t)) t
+  Fp12.mul (Fp12.frobenius 2 t) t
 
 let test_cyclotomic_sqr () =
   Alcotest.check fp12 "one" Fp12.one (Fp12.cyclotomic_sqr Fp12.one);
   for _ = 1 to 10 do
-    let g = easy_part (Fp12.random rng) in
+    let g = easy_part (random_fp12 ()) in
     Alcotest.check fp12 "cyclotomic_sqr = sqr" (Fp12.sqr g) (Fp12.cyclotomic_sqr g);
     let g2 = Fp12.cyclotomic_sqr g in
     Alcotest.check fp12 "again on its own output" (Fp12.sqr g2)
       (Fp12.cyclotomic_sqr g2)
   done
 
+(* The dense value d0 + (d3 + d4 v) w. *)
+let line_034 (d0 : Fp2.t) (d3 : Fp2.t) (d4 : Fp2.t) =
+  Fp12.init (function
+    | 0 -> d0.c0 | 1 -> d0.c1 | 6 -> d3.c0 | 7 -> d3.c1 | 8 -> d4.c0
+    | 9 -> d4.c1 | _ -> Fp.zero)
+
 let test_sparse_mul () =
   for _ = 1 to 10 do
-    let a = Fp12.random rng in
+    let a = random_fp12 () in
     let d0 = Fp2.random rng and d3 = Fp2.random rng and d4 = Fp2.random rng in
-    let dense = Fp12.make (Fp6.of_fp2 d0) (Fp6.make d3 d4 Fp2.zero) in
-    Alcotest.check fp12 "mul_by_034 = dense mul" (Fp12.mul a dense)
+    Alcotest.check fp12 "mul_by_034 = dense mul" (Fp12.mul a (line_034 d0 d3 d4))
       (Fp12.mul_by_034 a d0 d3 d4);
-    let b = Fp6.random rng in
+    let b = Tower.Fp6.random rng in
     Alcotest.(check bool) "mul_by_01 = dense mul" true
-      (Fp6.equal (Fp6.mul b (Fp6.make d0 d3 Fp2.zero)) (Fp6.mul_by_01 b d0 d3))
+      Tower.Fp6.(equal (mul b (make d0 d3 Fp2.zero)) (mul_by_01 b d0 d3))
   done
+
+(* ---- the C kernels against the oracle tower ---- *)
+
+let fp12_gen =
+  Gen.map (fun a -> Fp12.init (Array.get a)) (Gen.array_size (Gen.return 12) Gz.fq)
+let fp2_gen = Gen.map2 Fp2.make Gz.fq Gz.fq
+let pp_fp12 a = Format.asprintf "%a" Fp12.pp a
+let pp_fp2 a = Format.asprintf "%a" Fp2.pp a
+
+(* [kernel] on flat values computes what [oracle] computes on boxed ones. *)
+let agrees kernel oracle a = Fp12.equal (kernel a) (of_oracle (oracle (to_oracle a)))
+
+(* The signed digits of x, least significant first, as the pairing
+   derives them. *)
+let x_naf =
+  let rec go n acc =
+    if Nat.is_zero n then Array.of_list (List.rev acc)
+    else if Nat.testbit n 0 then
+      if Nat.testbit n 1 then go (Nat.shift_right (Nat.add n Nat.one) 1) (-1 :: acc)
+      else go (Nat.shift_right (Nat.sub n Nat.one) 1) (1 :: acc)
+    else go (Nat.shift_right n 1) (0 :: acc)
+  in
+  go Pairing.x []
+
+let oracle_easy_part f =
+  let module O = Tower.Fp12 in
+  let t = O.mul (O.conj f) (O.inv f) in
+  O.mul (O.frobenius (O.frobenius t)) t
+
+let kernel_props =
+  let prop = Test_util.prop in
+  let pair = Gen.pair fp12_gen fp12_gen in
+  let nonzero = Gen.such_that (fun a -> not (Fp12.is_zero a)) fp12_gen in
+  let module O = Tower.Fp12 in
+  [ prop ~count:30 "mul" (Test_util.pp2 pp_fp12 pp_fp12) pair (fun (a, b) ->
+        Fp12.equal (Fp12.mul a b) (of_oracle (O.mul (to_oracle a) (to_oracle b))));
+    prop ~count:30 "sqr" pp_fp12 fp12_gen (agrees Fp12.sqr O.sqr);
+    prop ~count:30 "mul_by_034"
+      (Test_util.pp2 pp_fp12 (Test_util.pp3 pp_fp2 pp_fp2 pp_fp2))
+      (Gen.pair fp12_gen (Gen.triple fp2_gen fp2_gen fp2_gen))
+      (fun (a, (d0, d3, d4)) ->
+        agrees (fun a -> Fp12.mul_by_034 a d0 d3 d4)
+          (fun a -> O.mul_by_034 a d0 d3 d4) a);
+    prop ~count:30 "conj" pp_fp12 fp12_gen (agrees Fp12.conj O.conj);
+    prop ~count:30 "frobenius 1-3"
+      (Test_util.pp2 string_of_int pp_fp12)
+      (Gen.pair (Gen.int_range 1 3) fp12_gen)
+      (fun (k, a) ->
+        let rec frob k a = if k = 0 then a else frob (k - 1) (O.frobenius a) in
+        agrees (Fp12.frobenius k) (frob k) a);
+    prop ~count:20 "inv" pp_fp12 nonzero (agrees Fp12.inv O.inv);
+    prop ~count:20 "cyclotomic_sqr" pp_fp12 nonzero (fun a ->
+        let g = oracle_easy_part (to_oracle a) in
+        Fp12.equal (Fp12.cyclotomic_sqr (of_oracle g)) (of_oracle (O.cyclotomic_sqr g))
+        && Tower.Fp12.equal (O.cyclotomic_sqr g) (O.sqr g));
+    prop ~count:5 "exp by x" pp_fp12 nonzero (fun a ->
+        let g = oracle_easy_part (to_oracle a) in
+        Fp12.equal
+          (Fp12.cyclotomic_exp (of_oracle g) x_naf)
+          (of_oracle (O.pow_nat g Pairing.x))) ]
+
+(* ---- the pairing before its tower moved to C, on the oracle tower ---- *)
+
+(* Today's optimal ate Miller loop and final exponentiation, step for
+   step, on boxed values: the C path must produce the same Gt bytes. *)
+module Reference = struct
+  module O = Tower.Fp12
+
+  let two_inv = Fp.inv (Fp.of_int 2)
+  let three_b = Fp2.mul (Fp2.of_int 3) G2.b2
+
+  let double_step (tx, ty, tz) =
+    let a = Fp2.scale_fp (Fp2.mul tx ty) two_inv in
+    let b = Fp2.sqr ty in
+    let c = Fp2.sqr tz in
+    let e = Fp2.mul three_b c in
+    let f = Fp2.add (Fp2.double e) e in
+    let g = Fp2.scale_fp (Fp2.add b f) two_inv in
+    let h = Fp2.sub (Fp2.sqr (Fp2.add ty tz)) (Fp2.add b c) in
+    let j = Fp2.sqr tx in
+    let e2 = Fp2.sqr e in
+    ( (Fp2.mul a (Fp2.sub b f), Fp2.sub (Fp2.sqr g) (Fp2.add (Fp2.double e2) e2),
+       Fp2.mul b h),
+      (Fp2.neg h, Fp2.add (Fp2.double j) j, Fp2.sub e b) )
+
+  let add_step (tx, ty, tz) (xq, yq) =
+    let theta = Fp2.sub ty (Fp2.mul yq tz) in
+    let lambda = Fp2.sub tx (Fp2.mul xq tz) in
+    let c = Fp2.sqr theta in
+    let d = Fp2.sqr lambda in
+    let e = Fp2.mul lambda d in
+    let f = Fp2.mul tz c in
+    let g = Fp2.mul tx d in
+    let h = Fp2.sub (Fp2.add e f) (Fp2.double g) in
+    ( (Fp2.mul lambda h, Fp2.sub (Fp2.mul theta (Fp2.sub g h)) (Fp2.mul e ty),
+       Fp2.mul tz e),
+      (lambda, Fp2.neg theta, Fp2.sub (Fp2.mul theta xq) (Fp2.mul lambda yq)) )
+
+  let frob_x = Tower.Fp6.gamma1
+  let frob_y = Fp2.mul O.gamma_w (Fp2.sqr O.gamma_w)
+
+  let frobenius_twist (xq, yq) =
+    (Fp2.mul (Fp2.frobenius xq) frob_x, Fp2.mul (Fp2.frobenius yq) frob_y)
+
+  let miller_loop pairs =
+    let ts = Array.map (fun (_, (xq, yq)) -> (xq, yq, Fp2.one)) pairs in
+    let f = ref O.one in
+    let line i (c0, c3, c4) =
+      let (xp, yp), _ = pairs.(i) in
+      f := O.mul_by_034 !f (Fp2.scale_fp c0 yp) (Fp2.scale_fp c3 xp) c4
+    in
+    let naf = Pairing.loop_naf in
+    for k = Array.length naf - 2 downto 0 do
+      f := O.sqr !f;
+      Array.iteri
+        (fun i t ->
+          let t, l = double_step t in
+          ts.(i) <- t;
+          line i l)
+        ts;
+      if naf.(k) <> 0 then
+        Array.iteri
+          (fun i t ->
+            let xq, yq = snd pairs.(i) in
+            let t, l = add_step t (xq, if naf.(k) > 0 then yq else Fp2.neg yq) in
+            ts.(i) <- t;
+            line i l)
+          ts
+    done;
+    Array.iteri
+      (fun i t ->
+        let q1 = frobenius_twist (snd pairs.(i)) in
+        let x2, y2 = frobenius_twist q1 in
+        let t, l = add_step t q1 in
+        line i l;
+        line i (snd (add_step t (x2, Fp2.neg y2))))
+      ts;
+    !f
+
+  let exp_by_neg_x a =
+    let a_inv = O.conj a in
+    let acc = ref a in
+    for k = Array.length x_naf - 2 downto 0 do
+      acc := O.cyclotomic_sqr !acc;
+      if x_naf.(k) > 0 then acc := O.mul !acc a
+      else if x_naf.(k) < 0 then acc := O.mul !acc a_inv
+    done;
+    O.conj !acc
+
+  let final_exponentiation f =
+    let rec frob k a = if k = 0 then a else frob (k - 1) (O.frobenius a) in
+    let r = oracle_easy_part f in
+    let y0 = exp_by_neg_x r in
+    let y1 = O.cyclotomic_sqr y0 in
+    let y2 = O.cyclotomic_sqr y1 in
+    let y3 = O.mul y2 y1 in
+    let y4 = exp_by_neg_x y3 in
+    let y5 = O.cyclotomic_sqr y4 in
+    let y6 = O.conj (exp_by_neg_x y5) in
+    let y7 = O.mul y6 y4 in
+    let y8 = O.mul y7 (O.conj y3) in
+    let y9 = O.mul y8 y1 in
+    let y11 = O.mul (O.mul y8 y4) r in
+    let y13 = O.mul (frob 1 y9) y11 in
+    let y14 = O.mul (frob 2 y8) y13 in
+    O.mul (frob 3 (O.mul (O.conj r) y9)) y14
+
+  let pairing_product pairs =
+    let affine =
+      List.filter_map
+        (fun (p, q) ->
+          match (G1.to_affine p, G2.to_affine q) with
+          | Some p, Some q -> Some (p, q)
+          | _ -> None)
+        pairs
+    in
+    O.to_bytes (final_exponentiation (miller_loop (Array.of_list affine)))
+end
+
+let test_reference_pairing () =
+  let checks =
+    [ [ (G1.generator, G2.generator) ];
+      [ (G1.random rng, G2.random rng) ];
+      [ (G1.random rng, G2.random rng); (G1.random rng, G2.random rng) ];
+      [ (G1.random rng, G2.zero); (G1.random rng, G2.random rng);
+        (G1.zero, G2.random rng) ] ]
+  in
+  List.iteri
+    (fun i pairs ->
+      Alcotest.(check string)
+        (Printf.sprintf "check %d: C tower = oracle tower" i)
+        (Reference.pairing_product pairs)
+        (Pairing.Gt.to_bytes (Pairing.pairing_product pairs)))
+    checks
+
+(* Gt.to_bytes of e(G1, G2) and of one seeded random pair, captured from
+   the boxed OCaml tower before the tower moved to C. *)
+let golden_generators =
+  "262b253feda94cfe0da01bde280a3ed6f87e5feb898578b55e1f63739d870e95\
+   02e02d2cc795a2000a1b1f823879abbd397c4dea0918ed66b49d34b48efb8a4a\
+   13a9f2d6e29b128da5b1ad44b31977935fd2957387ecb1fc4e135402fdbd1de0\
+   040ba9fa500f1a5c4b31984a74e68659c4b420bd699ce630b130b08a6ea1162b\
+   0afc2f3fd870678fbe359d7f9873f052478f590b211ce30bf5e3eeaef89eafdb\
+   1c54a530398c9064bdc662d929e645cadda9a712cc5a8243f9cddbd2d98dd1f0\
+   095c0fbf5d5a1ac023794a0d856f92591ba990ecfd4b7aef5c0d58c5dc2429fe\
+   14d3d6ca72d8a950a31dc10f7b4053c9e9ad9ebb590cb4a60f8215d4b99f2b4a\
+   1dc0e7bbc3d70e6689dc206b4b91c85759dc1a23043c585fdfaf545838ca7429\
+   0b53320e5a6488cb98a855ffc837d2a75ab90d61ac16cc1b7ab2cd3ed5e22b97\
+   13a8afd3085dae4c6c91476ef36cd1d318ce07bac42a9c0f9bd7fddaf5ebd723\
+   00f97b5221474526b601f3730a3afa965ceee1b343940c383e5314859e762c97"
+
+let golden_seeded =
+  "023bc33ec2dfc1934e06b0cfa98e89645104499674654fc93b45dcf9daf427c3\
+   2207a10d3dc4a7fa12ae253020633b240e0c1de75a1ac468b30af5aefaa2e935\
+   2f2d42b317acbc362ec7c334bc9b5c53d73ab53bcc205a4e9236cc6443bc130b\
+   1a491d52c15408eead65ce69994169c1ff582394ef99f7e350d393965bc2b195\
+   2c848068ec6cae3efdbc76c95495aef09b05537086f261b0509186a0b968fd72\
+   079648fa2531453a001e4b0b46624d3fe01b05085d9612ca0d3bd03a10b8e25f\
+   24c883b9bc9bc69e3ee542e9c1197f60bfba89ef2b971779ef9627bf381b9e57\
+   2ba187ef9f542728d6fcad1e8d7e159511192c1f5b8b342148a7bcc5203b6f5c\
+   0de39aa5e6f4f3cf213c3d6345468421c5b19e8f34dd360575d5971db5ef9f48\
+   003ed6f51ae7967079cecfb25f4db947cc3c2d666da049e63340a9503ccc4f66\
+   01ef4e79ef2e04aee9f8db4c8debb0260924dd810b1708322e3937f290359a9e\
+   2c2ce9a2b6ae8ab6453c81f9a40e9459a5fec32aebee17f69abfd1f474cd5846"
+
+let test_golden () =
+  let gt p q =
+    Zkdet_hash.Sha256.hex_of_string (Pairing.Gt.to_bytes (Pairing.pairing p q))
+  in
+  Alcotest.(check string) "e(G1, G2)" golden_generators (gt G1.generator G2.generator);
+  (* A fixed stream, independent of ZKDET_TEST_SEED. *)
+  let st = Random.State.make [| 2022 |] in
+  let p = G1.random st in
+  let q = G2.random st in
+  Alcotest.(check string) "seeded pair" golden_seeded (gt p q)
+
+(* The tower allocates nothing per operation: a two-pair check allocates
+   its state, its accumulator and a few dozen Fp12 results (7.3 MB on the
+   boxed tower it replaced). *)
+let test_check_allocation () =
+  let a = Fr.random rng and p = G1.random rng and q = G2.random rng in
+  let pairs = [ (G1.mul p a, q); (G1.neg p, G2.mul q a) ] in
+  assert (Pairing.pairing_check pairs);
+  let before = Gc.minor_words () in
+  assert (Pairing.pairing_check pairs);
+  let mb = (Gc.minor_words () -. before) *. float (Sys.word_size / 8) /. 1e6 in
+  Alcotest.(check bool) (Printf.sprintf "%.3f MB allocated, under 0.1" mb) true (mb < 0.1)
+
+(* Two domains check different equations at once; the kernels keep no
+   state, so each must see exactly what a sequential run sees. *)
+let test_reentrancy () =
+  let equation k =
+    let a = Fr.random rng and p = G1.random rng and q = G2.random rng in
+    let valid = [ (G1.mul p a, q); (G1.neg p, G2.mul q a) ] in
+    if k mod 2 = 0 then valid else (G1.add p G1.generator, q) :: List.tl valid
+  in
+  let inputs = Array.init 4 equation in
+  let run pairs =
+    (Pairing.pairing_check pairs, Pairing.Gt.to_bytes (Pairing.pairing_product pairs))
+  in
+  let sequential = Array.map run inputs in
+  let worker lo () = Array.init 2 (fun i -> run inputs.(lo + i)) in
+  let d1 = Domain.spawn (worker 0) and d2 = Domain.spawn (worker 2) in
+  let parallel = Array.append (Domain.join d1) (Domain.join d2) in
+  Array.iteri
+    (fun i (verdict, bytes) ->
+      let v, b = sequential.(i) in
+      Alcotest.(check bool) (Printf.sprintf "equation %d: verdict" i) v verdict;
+      Alcotest.(check string) (Printf.sprintf "equation %d: Gt" i) b bytes)
+    parallel;
+  Alcotest.(check (list bool)) "verdicts" [ true; false; true; false ]
+    (Array.to_list (Array.map fst sequential))
 
 let test_g1_group () =
   let g = G1.generator in
@@ -318,10 +615,10 @@ let test_loop_digits () =
 
 let test_final_exp_power () =
   for _ = 1 to 3 do
-    let f = Fp12.random rng in
+    let f = Tower.Fp12.random rng in
     Alcotest.(check string) "final_exponentiation f = (standard f)^m"
-      (Fp12.to_bytes (Tate.pow (Tate.final_exponentiation f) Pairing.hard_power))
-      (Pairing.Gt.to_bytes (Pairing.final_exponentiation f))
+      (Tower.Fp12.to_bytes (Tate.pow (Tate.final_exponentiation f) Pairing.hard_power))
+      (Pairing.Gt.to_bytes (Pairing.final_exponentiation (of_oracle f)))
   done
 
 (* Bilinearity, non-degeneracy, order r and identity inputs, for any
@@ -345,8 +642,8 @@ let check_laws (type g) name (e : G1.t -> G2.t -> g) ~(mul : g -> g -> g)
 let test_pairing_laws () =
   check_laws "ate" Pairing.pairing ~mul:Pairing.Gt.mul ~pow:Pairing.Gt.pow_nat
     ~is_one:Pairing.Gt.is_one ~equal:Pairing.Gt.equal;
-  check_laws "tate" Tate.pairing ~mul:Fp12.mul ~pow:Tate.pow ~is_one:Fp12.is_one
-    ~equal:Fp12.equal
+  check_laws "tate" Tate.pairing ~mul:Tower.Fp12.mul ~pow:Tate.pow
+    ~is_one:Tower.Fp12.is_one ~equal:Tower.Fp12.equal
 
 (* pairing_check must return the oracle's verdict on valid equations
    (1 to 5 pairs, with the identity on either side) and on every
@@ -388,8 +685,8 @@ let test_oracle_agreement () =
          pairs' Miller values. *)
       let oracle i (p, q) =
         let f = ref (Tate.miller_loop p q) in
-        Array.iteri (fun j m -> if j <> i then f := Fp12.mul !f m) millers;
-        Fp12.is_one (Tate.final_exponentiation !f)
+        Array.iteri (fun j m -> if j <> i then f := Tower.Fp12.mul !f m) millers;
+        Tower.Fp12.is_one (Tate.final_exponentiation !f)
       in
       let agree what i pair =
         let eq = Array.to_list (Array.mapi (fun j x -> if j = i then pair else x) pairs) in
@@ -440,4 +737,9 @@ let () =
           Alcotest.test_case "loop digits" `Quick test_loop_digits;
           Alcotest.test_case "final exponentiation power" `Quick test_final_exp_power;
           Alcotest.test_case "laws, ate and tate" `Slow test_pairing_laws;
-          Alcotest.test_case "tate oracle agreement" `Slow test_oracle_agreement ] ) ]
+          Alcotest.test_case "tate oracle agreement" `Slow test_oracle_agreement;
+          Alcotest.test_case "oracle tower agreement" `Quick test_reference_pairing;
+          Alcotest.test_case "golden Gt bytes" `Quick test_golden;
+          Alcotest.test_case "two domains at once" `Quick test_reentrancy;
+          Alcotest.test_case "check allocation" `Quick test_check_allocation ] );
+      ("kernels", kernel_props) ]

@@ -328,6 +328,82 @@ let test_reset_client () =
   Alcotest.(check int) "next request answered" 200 status;
   Alcotest.(check string) "body" "ok\n" body
 
+(* Read what the server sends until it closes; the status code, or 0 for
+   no response. *)
+let read_status fd =
+  let b = Buffer.create 256 and buf = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes b buf 0 n;
+      drain ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  drain ();
+  match String.split_on_char ' ' (Buffer.contents b) with
+  | _ :: code :: _ -> int_of_string code
+  | _ -> 0
+
+(* A half-open client sends its request line and headers, then shuts
+   down its sending side before the blank line: the end of its stream
+   ends the request, which is answered at once rather than at the
+   receive deadline, and the server goes on serving. *)
+let test_half_open_client () =
+  with_server @@ fun port ->
+  let fd = connect port in
+  let partial = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n" in
+  ignore (Unix.write_substring fd partial 0 (String.length partial));
+  let t0 = Unix.gettimeofday () in
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let status = read_status fd in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Unix.close fd;
+  Alcotest.(check int) "half-open request answered" 200 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s, well inside the %.1f s deadline" elapsed
+       Ops.receive_deadline_s)
+    true
+    (elapsed < Ops.receive_deadline_s /. 4.);
+  let status, body = http_get port "/healthz" in
+  Alcotest.(check int) "next request answered" 200 status;
+  Alcotest.(check string) "body" "ok\n" body
+
+(* A client that sends half a request line and closes gets a 400 it never
+   reads; the next scrape is unaffected. *)
+let test_truncated_request_line () =
+  with_server @@ fun port ->
+  let fd = connect port in
+  let half = "GET /metr" in
+  ignore (Unix.write_substring fd half 0 (String.length half));
+  Unix.close fd;
+  Thread.delay 0.2;
+  let status, body = http_get port "/metrics" in
+  Alcotest.(check int) "next scrape answered" 200 status;
+  ignore (Test_util.Prom.parse body)
+
+(* The process's open descriptors, where /proc/self/fd lists them. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+(* 1000 back-to-back scrapes are all answered, and the server closes
+   every connection it accepted: the descriptor count ends where it
+   started. *)
+let test_back_to_back_scrapes () =
+  with_server @@ fun port ->
+  record_some_telemetry ();
+  let before = open_fds () in
+  let failures = ref 0 in
+  for _ = 1 to 1000 do
+    if fst (http_get port "/metrics") <> 200 then incr failures
+  done;
+  Alcotest.(check int) "scrapes not answered 200" 0 !failures;
+  match (before, open_fds ()) with
+  | Some b, Some a -> Alcotest.(check int) "open descriptors" b a
+  | _ -> ()
+
 (* ---- journal tail reader ---- *)
 
 let hex16 i = Printf.sprintf "%016x" i
@@ -488,7 +564,13 @@ let () =
           Alcotest.test_case "reset client leaves the server up" `Quick
             test_reset_client;
           Alcotest.test_case "unread reply blocks no scrape or stop" `Quick
-            test_unread_response ] );
+            test_unread_response;
+          Alcotest.test_case "half-open client answered at once" `Quick
+            test_half_open_client;
+          Alcotest.test_case "half a request line, then close" `Quick
+            test_truncated_request_line;
+          Alcotest.test_case "1000 scrapes leak no descriptor" `Quick
+            test_back_to_back_scrapes ] );
       ( "tail",
         [ Alcotest.test_case "progressive consumption" `Quick
             test_tail_progressive;

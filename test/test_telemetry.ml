@@ -452,11 +452,22 @@ let jsonl_roundtrip =
                  in
                  List.for_all
                    (fun (key, q) ->
-                     Option.bind (Json.member key j) Json.to_float_opt
-                     = Some (Report.quantile h q))
+                     Json.member key j = Some (Json.Float (Report.quantile h q)))
                    [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p999", 0.999) ]
                | _ -> true)
              lines)
+
+(* Integral floats of every magnitude are written so that they parse back
+   as the same [Json.Float], never as an [Int]. *)
+let integral_floats () =
+  List.iter
+    (fun f ->
+      let text = Json.to_string (Json.Float f) in
+      match Json.parse text with
+      | Ok (Json.Float g) when Float.equal f g -> ()
+      | Ok _ -> Alcotest.failf "%h written as %s reads back as another value" f text
+      | Error e -> Alcotest.failf "%h written as %s does not parse: %s" f text e)
+    [ 1000116930931734.; -1e16; 9007199254740992.; 1e15 -. 1.; 1e17; -0.; 3. ]
 
 let write_trace_file () =
   with_recording @@ fun () ->
@@ -687,6 +698,8 @@ let () =
             counter_merge_across_domains ] );
       ( "trace",
         [ jsonl_roundtrip;
+          Alcotest.test_case "integral floats stay floats" `Quick
+            integral_floats;
           Alcotest.test_case "write_trace file round-trip" `Quick
             write_trace_file;
           Alcotest.test_case "golden encodings" `Quick golden_encodings;
