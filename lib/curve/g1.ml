@@ -13,6 +13,12 @@ module Fp_curve = struct
     let limbs = Bytes.create 32 in
     Fp.to_limbs_le y limbs;
     Weierstrass.limb_bit limbs 0
+
+  (* Fp runs on the shared Montgomery kernel: G1's MSMs run in C. *)
+  let kernel =
+    Some
+      { Weierstrass.params = Fp.kernel_params;
+        storage = (fun (b : Fp.buf) -> (b :> Bytes.t)) }
 end
 
 include Weierstrass.Make (struct

@@ -10,8 +10,8 @@ module Fp2_curve = struct
 
   let sqrt_opt = Fp2.sqrt
 
-  (* No native round over Fp2: G2 MSMs run the OCaml bucket round. *)
-  let buf_affine_round = None
+  (* Fp2 has no native kernel: G2 MSMs run the OCaml chunk. *)
+  let kernel = None
 end
 
 include Weierstrass.Make (struct

@@ -12,6 +12,72 @@ module Telemetry = Zkdet_telemetry.Telemetry
 let limb_bit (limbs : Bytes.t) i =
   (Char.code (Bytes.get limbs (i lsr 3)) lsr (i land 7)) land 1 = 1
 
+(* ---- the MSM engine in C (msm_stubs.c) ----
+
+   What the engine needs of a field: its kernel parameter block
+   ({!Zkdet_field.Field_intf.S.kernel_params}) and the storage of its
+   buffers, cells laid out as {!Zkdet_field.Field_intf.CORE} documents.
+   The engine runs on any a = 0 curve over a field on the shared
+   Montgomery kernel; G1 is the one that has it. *)
+type 'buf kernel = { params : string; storage : 'buf -> Bytes.t }
+
+(* Sizes of an MSM's work buffer and of the scratch every call of it fits
+   in: (n, c, nwindows, nchunks, table). *)
+external c_work_bytes : int -> int -> int -> int -> bool -> int
+  = "zkdet_msm_work_bytes"
+[@@noalloc]
+
+external c_scratch_bytes : int -> int -> int -> int -> bool -> int
+  = "zkdet_msm_scratch_bytes"
+[@@noalloc]
+
+(* (prm, work, scratch, table x, table y, table finite flags, chunk)
+   -> rounds; the generic path passes the work buffer for the table. *)
+external c_chunk :
+  string -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> int -> int
+  = "zkdet_msm_chunk_bc" "zkdet_msm_chunk"
+[@@noalloc]
+
+(* (prm, work, scratch) -> rounds; the result lands in cells 2..4. *)
+external c_merge : string -> Bytes.t -> Bytes.t -> int = "zkdet_msm_merge"
+[@@noalloc]
+
+(* (prm, bases, mx, my, mfinite, scratch, c, nwindows, lo, hi). *)
+external c_table_build :
+  string -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> int ->
+  int -> int -> int -> unit
+  = "zkdet_msm_table_build_bc" "zkdet_msm_table_build"
+[@@noalloc]
+
+(* (nbuckets, entries) -> scratch bytes; (prm, ex, ey, start, len,
+   scratch) -> rounds. *)
+external c_reduce_bytes : int -> int -> int = "zkdet_msm_reduce_bytes"
+[@@noalloc]
+
+external c_reduce :
+  string -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t -> int
+  = "zkdet_msm_reduce_bc" "zkdet_msm_reduce"
+[@@noalloc]
+
+(* (prm, dst, a): dst <- 1 / a in 32-byte cells, by the Fermat inversion
+   each round of the C engine runs; the tests hold it to the field's. *)
+external kernel_inv : string -> Bytes.t -> Bytes.t -> unit = "zkdet_msm_inv"
+[@@noalloc]
+
+(* The calling domain's scratch arena for the C calls.  It only grows, to
+   the largest call it has served (a chunk, not a whole MSM), and nothing
+   in it outlives one call, so calls that interleave on a domain share it
+   safely. *)
+let arena_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let arena bytes =
+  let r = Domain.DLS.get arena_key in
+  if Bytes.length !r < bytes then r := Bytes.create bytes;
+  !r
+
+let count_rounds r =
+  if r > 0 then Telemetry.count "curve.msm.batch_add_rounds" r
+
 module type CURVE_FIELD = sig
   type t
 
@@ -55,19 +121,9 @@ module type CURVE_FIELD = sig
       zero — the "absent" marker of the batch-affine adders); [scratch]
       needs [n + 2] cells. *)
 
-  val buf_affine_round :
-    (ex:buf ->
-    ey:buf ->
-    start:int array ->
-    len:int array ->
-    num:buf ->
-    den:buf ->
-    scratch:buf ->
-    int)
-    option
-  (** A native batch-affine bucket round
-      ({!Zkdet_field.Field_intf.S.buf_affine_round}); [None] runs the
-      OCaml round in {!Make.reduce_buckets}. *)
+  val kernel : buf kernel option
+  (** The field's hook into the C engine ({!kernel}); [None] runs the
+      OCaml chunk, as G2 and the tests' oracles do. *)
 
   val equal : t -> t -> bool
   val is_zero : t -> bool
@@ -291,11 +347,15 @@ module Make (P : PARAMS) = struct
   (* Window width by input size for the generic (per-window bucket sets)
      path; tuned by the `msm` bench sweep — see EXPERIMENTS.md.  Below 128
      terms (the verifier's sizes) a window's running sum costs more than
-     its share of the doublings saved, so narrow windows win. *)
+     its share of the doublings saved, so narrow windows win; those rows
+     come from a paired sweep of c against c + 1 on the C engine (61
+     interleaved repeats, two seeds; a row moved only where the wider
+     window won both). *)
   let pick_window n =
-    if n < 20 then 2
-    else if n < 64 then 3
-    else if n < 128 then 4
+    if n < 16 then 2
+    else if n < 40 then 3
+    else if n < 96 then 4
+    else if n < 128 then 5
     else if n < 512 then 6
     else if n < 2048 then 7
     else if n < 8192 then 8
@@ -348,11 +408,10 @@ module Make (P : PARAMS) = struct
      marks an annihilating P + (-P) pair, which simply drops out —
      identity entries are never stored, only skipped.
 
-     [ocaml_rounds] runs the rounds in OCaml: every field op reads and
-     writes preallocated buffer cells through the (buf, index) kernels,
-     so it allocates only its scratch buffers.  It serves G2 and the
-     pure-OCaml field kernel, and the tests hold the native round of
-     [F.buf_affine_round] to it. *)
+     This is the OCaml chunk's reduction: every field op reads and writes
+     preallocated buffer cells through the (buf, index) kernels, so it
+     allocates only its scratch buffers.  It serves G2 and the tests'
+     oracles; the C engine runs the same rounds. *)
   let ocaml_rounds ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
       ~(len : int array) ~num ~den ~scratch =
     let nbuckets = Array.length start in
@@ -430,10 +489,7 @@ module Make (P : PARAMS) = struct
       end
     done
 
-  (* A field with a native round (the C kernel of Fp) runs each round
-     as two C calls around the inversion; the rounds are the same, so the
-     buckets come out identical either way. *)
-  let reduce_buckets ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
+  let ocaml_reduce ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
       ~(len : int array) : unit =
     let total = Array.fold_left ( + ) 0 len in
     if total > 1 then begin
@@ -441,13 +497,30 @@ module Make (P : PARAMS) = struct
       let den = F.buf_create cap in
       let num = F.buf_create cap in
       let scratch = F.buf_create (cap + 2) in
-      match F.buf_affine_round with
-      | None -> ocaml_rounds ~ex ~ey ~start ~len ~num ~den ~scratch
-      | Some round ->
-        while round ~ex ~ey ~start ~len ~num ~den ~scratch > 0 do
-          Telemetry.count "curve.msm.batch_add_rounds" 1
-        done
+      ocaml_rounds ~ex ~ey ~start ~len ~num ~den ~scratch
     end
+
+  (** One batch-affine reduction of caller-built buckets, on the C engine
+      when the field has one: the tests aim hand-built buckets at both.
+      The C engine trusts the layout, so it is checked here first. *)
+  let reduce_buckets ~(ex : F.buf) ~(ey : F.buf) ~(start : int array)
+      ~(len : int array) : unit =
+    match F.kernel with
+    | None -> ocaml_reduce ~ex ~ey ~start ~len
+    | Some k ->
+      let sx = k.storage ex and sy = k.storage ey in
+      let n = Bytes.length sx / 32 and nb = Array.length start in
+      if Bytes.length sy <> Bytes.length sx || Array.length len <> nb then
+        invalid_arg "Weierstrass.reduce_buckets: mismatched buckets";
+      let total = ref 0 in
+      for b = 0 to nb - 1 do
+        let s = start.(b) and m = len.(b) in
+        if s < 0 || m < 0 || s > n - m then
+          invalid_arg "Weierstrass.reduce_buckets: bucket out of range";
+        total := !total + m
+      done;
+      count_rounds
+        (c_reduce k.params sx sy start len (arena (c_reduce_bytes nb !total)))
 
   (* Running-sum trick over a contiguous range of reduced buckets:
      sum_{j} (j + 1) * bucket_{first + j}. *)
@@ -521,7 +594,7 @@ module Make (P : PARAMS) = struct
           F.buf_blit p.sy k ey pos 1
         done)
       parts;
-    reduce_buckets ~ex ~ey ~start ~len:fill;
+    ocaml_reduce ~ex ~ey ~start ~len:fill;
     (ex, ey, start, fill)
 
   (* One chunk of the generic MSM: points [lo, hi) against their scalars,
@@ -580,8 +653,73 @@ module Make (P : PARAMS) = struct
         done
     done;
     (* after filling, fill.(b) = counts.(b): reuse it as the live length *)
-    reduce_buckets ~ex ~ey ~start ~len:fill;
+    ocaml_reduce ~ex ~ey ~start ~len:fill;
     compact_survivors ~ex ~ey ~start ~len:fill
+
+  (* ---- the C engine's side of an MSM ----
+
+     An MSM on the C engine takes a work buffer for its whole length:
+     cells 0-1 hold its shape (int64s n, c, nwindows, nchunks, table),
+     cells 2-4 receive the result (x, y, z), and on the generic path the
+     points follow as (x, y, z) cells from cell 5; then the scalars'
+     canonical limbs, a cell each.  The rest is msm_stubs.c's.  Each
+     domain keeps its idle work buffers, so a warm MSM allocates O(1)
+     words.  An MSM that starts on a domain while another waits there for
+     its chunks (the pool's caller helps drain the queue) takes a buffer
+     of its own. *)
+  let work_key = Domain.DLS.new_key (fun () -> ref [])
+
+  let with_work (k : F.buf kernel) ~n ~c ~nw ~nchunks ~table f =
+    let bytes = c_work_bytes n c nw nchunks table in
+    let free = Domain.DLS.get work_key in
+    let w =
+      match !free with
+      | w :: rest when Bytes.length (k.storage w) >= bytes ->
+        free := rest;
+        w
+      | _ :: rest ->
+        free := rest;
+        F.buf_create ((bytes + 31) / 32)
+      | [] -> F.buf_create ((bytes + 31) / 32)
+    in
+    let ws = k.storage w in
+    Bytes.set_int64_le ws 0 (Int64.of_int n);
+    Bytes.set_int64_le ws 8 (Int64.of_int c);
+    Bytes.set_int64_le ws 16 (Int64.of_int nw);
+    Bytes.set_int64_le ws 24 (Int64.of_int nchunks);
+    Bytes.set_int64_le ws 32 (if table then 1L else 0L);
+    let scalar_cell = if table then 5 else 5 + (3 * n) in
+    let r = f w ws ~scalar_cell ~scratch:(c_scratch_bytes n c nw nchunks table) in
+    free := w :: !free;
+    r
+
+  let write_scalars ws ~scalar_cell (scalars : Fr.t array) n =
+    let limbs = Bytes.create 32 in
+    for i = 0 to n - 1 do
+      Fr.to_limbs_le scalars.(i) limbs;
+      Bytes.blit limbs 0 ws (32 * (scalar_cell + i)) 32
+    done
+
+  let work_result w = { x = F.buf_get w 2; y = F.buf_get w 3; z = F.buf_get w 4 }
+
+  let native_msm (k : F.buf kernel) ~c (points : t array) (scalars : Fr.t array)
+      =
+    let n = Array.length points in
+    let nw = nwindows_for c and nchunks = nchunks_for n in
+    with_work k ~n ~c ~nw ~nchunks ~table:false
+    @@ fun w ws ~scalar_cell ~scratch ->
+    for i = 0 to n - 1 do
+      let p = points.(i) in
+      F.buf_set w (5 + (3 * i)) p.x;
+      F.buf_set w (6 + (3 * i)) p.y;
+      F.buf_set w (7 + (3 * i)) p.z
+    done;
+    write_scalars ws ~scalar_cell scalars n;
+    ignore
+      (Pool.parallel_init nchunks (fun ci ->
+           count_rounds (c_chunk k.params ws (arena scratch) ws ws ws ci)));
+    count_rounds (c_merge k.params ws (arena scratch));
+    work_result w
 
   (** Pippenger MSM at an explicit window width (2..16). Exposed for the
       differential tests and the bench sweep; [msm] picks the width. *)
@@ -590,31 +728,34 @@ module Make (P : PARAMS) = struct
     if n <> Array.length scalars then invalid_arg "Weierstrass.msm: length mismatch";
     if c < 2 || c > 16 then invalid_arg "Weierstrass.msm: window outside [2, 16]";
     if n = 0 then zero
-    else begin
-      let aff = batch_to_affine points in
-      let nw = nwindows_for c in
-      let half = 1 lsl (c - 1) in
-      let nchunks = nchunks_for n in
-      let parts =
-        Pool.parallel_init nchunks (fun ci ->
-            msm_chunk ~c ~aff ~scalars (ci * n / nchunks) ((ci + 1) * n / nchunks))
-      in
-      let ex, ey, start, len = merge_survivors ~nbuckets:(nw * half) parts in
-      (* Horner walk over the per-window running sums, doubling c times
-         between windows. *)
-      let acc = ref zero in
-      for w = nw - 1 downto 0 do
-        if w < nw - 1 then
-          for _ = 1 to c do
-            acc := double !acc
-          done;
-        acc :=
-          add !acc
-            (bucket_running_sum ~ex ~ey ~start ~len ~first:(w * half)
-               ~count:half)
-      done;
-      !acc
-    end
+    else
+      match F.kernel with
+      | Some k -> native_msm k ~c points scalars
+      | None ->
+        let aff = batch_to_affine points in
+        let nw = nwindows_for c in
+        let half = 1 lsl (c - 1) in
+        let nchunks = nchunks_for n in
+        let parts =
+          Pool.parallel_init nchunks (fun ci ->
+              msm_chunk ~c ~aff ~scalars (ci * n / nchunks)
+                ((ci + 1) * n / nchunks))
+        in
+        let ex, ey, start, len = merge_survivors ~nbuckets:(nw * half) parts in
+        (* Horner walk over the per-window running sums, doubling c times
+           between windows. *)
+        let acc = ref zero in
+        for w = nw - 1 downto 0 do
+          if w < nw - 1 then
+            for _ = 1 to c do
+              acc := double !acc
+            done;
+          acc :=
+            add !acc
+              (bucket_running_sum ~ex ~ey ~start ~len ~first:(w * half)
+                 ~count:half)
+        done;
+        !acc
 
   (* Pippenger multi-scalar multiplication: sum_i scalars(i) * points(i). *)
   let msm (points : t array) (scalars : Fr.t array) =
@@ -682,11 +823,12 @@ module Make (P : PARAMS) = struct
       mbases : int;
       mx : F.buf;  (* mbases * mnwindows flat cells, row-major by base *)
       my : F.buf;
-      mfinite : bool array;  (* false marks rows of an identity base *)
+      mfinite : Bytes.t;  (* a byte per row: '\000' marks an identity row *)
     }
 
     let msm_window t = t.mwindow
     let msm_size t = t.mbases
+    let row_finite t k = Bytes.get t.mfinite k <> '\000'
 
     (* Window width when all windows share one bucket set; tuned by the
        `msm` bench sweep — see EXPERIMENTS.md. *)
@@ -697,45 +839,70 @@ module Make (P : PARAMS) = struct
       let total = nbases * nw in
       let mx = F.buf_create (max total 1) in
       let my = F.buf_create (max total 1) in
-      let mfinite = Array.make (max total 1) false in
+      let mfinite = Bytes.make (max total 1) '\000' in
       for k = 0 to total - 1 do
         match aff.(k) with
         | Some (x, y) ->
           F.buf_set mx k x;
           F.buf_set my k y;
-          mfinite.(k) <- true
+          Bytes.set mfinite k '\001'
         | None -> ()
       done;
       { mwindow = window; mnwindows = nw; mbases = nbases; mx; my; mfinite }
+
+    (* The C engine builds each chunk of bases' rows by doubling and one
+       batch normalization; the scratch is two cells per row. *)
+    let native_create (k : F.buf kernel) ~c (points : t array) =
+      let n = Array.length points in
+      let nw = nwindows_for c in
+      let total = max (n * nw) 1 in
+      let mx = F.buf_create total and my = F.buf_create total in
+      let mfinite = Bytes.make total '\000' in
+      let bases = F.buf_create (max (3 * n) 1) in
+      Array.iteri
+        (fun i p ->
+          F.buf_set bases (3 * i) p.x;
+          F.buf_set bases ((3 * i) + 1) p.y;
+          F.buf_set bases ((3 * i) + 2) p.z)
+        points;
+      let sb = k.storage bases and sx = k.storage mx and sy = k.storage my in
+      Pool.parallel_for_chunks ~chunks:(nchunks_for n) 0 n (fun ~lo ~hi ->
+          c_table_build k.params sb sx sy mfinite
+            (arena (64 * (hi - lo) * nw))
+            c nw lo hi);
+      { mwindow = c; mnwindows = nw; mbases = n; mx; my; mfinite }
 
     let msm_create ?window (points : t array) : msm_table =
       let n = Array.length points in
       let c = match window with Some c -> c | None -> msm_window_for n in
       if c < 2 || c > 16 then
         invalid_arg "Fixed_base.msm_create: window outside [2, 16]";
-      let nw = nwindows_for c in
-      let rows = Array.make (max (n * nw) 1) zero in
-      let build lo hi =
-        for i = lo to hi - 1 do
-          let cur = ref points.(i) in
-          for j = 0 to nw - 1 do
-            rows.((i * nw) + j) <- !cur;
-            for _ = 1 to c do
-              cur := double !cur
+      match F.kernel with
+      | Some k -> native_create k ~c points
+      | None ->
+        let nw = nwindows_for c in
+        let rows = Array.make (max (n * nw) 1) zero in
+        let build lo hi =
+          for i = lo to hi - 1 do
+            let cur = ref points.(i) in
+            for j = 0 to nw - 1 do
+              rows.((i * nw) + j) <- !cur;
+              for _ = 1 to c do
+                cur := double !cur
+              done
             done
           done
-        done
-      in
-      let nchunks = nchunks_for n in
-      Pool.parallel_for_chunks ~chunks:nchunks 0 n (fun ~lo ~hi -> build lo hi);
-      of_affine_rows ~window:c ~nbases:n (batch_to_affine rows)
+        in
+        let nchunks = nchunks_for n in
+        Pool.parallel_for_chunks ~chunks:nchunks 0 n (fun ~lo ~hi -> build lo hi);
+        of_affine_rows ~window:c ~nbases:n (batch_to_affine rows)
 
     (** The table rows as points (row-major by base: base i's rows occupy
         indices [i * nwindows, (i+1) * nwindows)); identity bases yield
         identity rows.  Serialization uses this view. *)
     let msm_rows (t : msm_table) : t array =
       Array.init (t.mbases * t.mnwindows) (fun k ->
-          if t.mfinite.(k) then
+          if row_finite t k then
             of_affine_unchecked (F.buf_get t.mx k, F.buf_get t.my k)
           else zero)
 
@@ -764,7 +931,7 @@ module Make (P : PARAMS) = struct
         signed_digits ~c limbs dig_buf scalars.(lo + i);
         for w = 0 to nw - 1 do
           let d = dig_buf.(w) in
-          let d = if tb.mfinite.(((lo + i) * nw) + w) then d else 0 in
+          let d = if row_finite tb (((lo + i) * nw) + w) then d else 0 in
           digits.((i * nw) + w) <- d;
           if d <> 0 then counts.(abs d - 1) <- counts.(abs d - 1) + 1
         done
@@ -793,8 +960,23 @@ module Make (P : PARAMS) = struct
           end
         done
       done;
-      reduce_buckets ~ex ~ey ~start ~len:fill;
+      ocaml_reduce ~ex ~ey ~start ~len:fill;
       compact_survivors ~ex ~ey ~start ~len:fill
+
+    let native_msm (k : F.buf kernel) (tb : msm_table) (scalars : Fr.t array)
+        =
+      let n = Array.length scalars in
+      let c = tb.mwindow and nw = tb.mnwindows and nchunks = nchunks_for n in
+      with_work k ~n ~c ~nw ~nchunks ~table:true
+      @@ fun w ws ~scalar_cell ~scratch ->
+      write_scalars ws ~scalar_cell scalars n;
+      let tx = k.storage tb.mx and ty = k.storage tb.my in
+      ignore
+        (Pool.parallel_init nchunks (fun ci ->
+             count_rounds
+               (c_chunk k.params ws (arena scratch) tx ty tb.mfinite ci)));
+      count_rounds (c_merge k.params ws (arena scratch));
+      work_result w
 
     (** MSM against the first [Array.length scalars] bases of the table.
         No doublings: every (base, window) entry is pre-shifted into ONE
@@ -812,15 +994,18 @@ module Make (P : PARAMS) = struct
       if n = 0 then zero
       else begin
         Telemetry.observe "curve.msm.window_bits" (float_of_int tb.mwindow);
-        let half = 1 lsl (tb.mwindow - 1) in
-        let nchunks = nchunks_for n in
-        let parts =
-          Pool.parallel_init nchunks (fun ci ->
-              msm_table_chunk tb scalars (ci * n / nchunks)
-                ((ci + 1) * n / nchunks))
-        in
-        let ex, ey, start, len = merge_survivors ~nbuckets:half parts in
-        bucket_running_sum ~ex ~ey ~start ~len ~first:0 ~count:half
+        match F.kernel with
+        | Some k -> native_msm k tb scalars
+        | None ->
+          let half = 1 lsl (tb.mwindow - 1) in
+          let nchunks = nchunks_for n in
+          let parts =
+            Pool.parallel_init nchunks (fun ci ->
+                msm_table_chunk tb scalars (ci * n / nchunks)
+                  ((ci + 1) * n / nchunks))
+          in
+          let ex, ey, start, len = merge_survivors ~nbuckets:half parts in
+          bucket_running_sum ~ex ~ey ~start ~len ~first:0 ~count:half
       end
   end
 

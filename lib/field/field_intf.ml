@@ -191,27 +191,4 @@ module type S = sig
       [R mod p] (the Montgomery form of one).  Native kernels elsewhere
       pass it to the shared Montgomery kernel ([mont4.h]) with the
       [buf] storage above. *)
-
-  val buf_affine_round :
-    (ex:buf ->
-    ey:buf ->
-    start:int array ->
-    len:int array ->
-    num:buf ->
-    den:buf ->
-    scratch:buf ->
-    int)
-    option
-  (** One round of the MSM's batch-affine bucket reduction in native
-      code, or [None] when the kernel has none (the pure-OCaml kernel);
-      the curve layer then runs its own OCaml round, which computes the
-      same buckets.  Bucket [b] holds [len.(b)] finite affine points of a
-      curve [y^2 = x^3 + b] over this field in cells
-      [start.(b) .. start.(b) + len.(b) - 1] of [ex]/[ey].  The round adds
-      each bucket's points in pairs with one shared inversion, drops
-      pairs that sum to the identity, compacts each bucket to its start
-      and updates [len].  It returns the number of pairs it met; [0]
-      means every bucket already held at most one point.  [num] and
-      [den] need a cell per pair, [scratch] two more; shapes are checked
-      and a bad one raises [Invalid_argument]. *)
 end

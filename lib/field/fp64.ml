@@ -11,9 +11,9 @@
    pure-OCaml int64 kernel implementing the identical algorithm runs on
    big-endian hosts (see [use_c]); tests pin it on every host through
    Make_kernel.  The C stubs also run whole FFT layers ([buf_fft_layer],
-   one call per layer chunk, with an OCaml twin on the buf ops) and the
-   MSM's batch-affine bucket round ([buf_affine_round]); without them the
-   curve layer runs its own OCaml round.  Montgomery constants are
+   one call per layer chunk, with an OCaml twin on the buf ops); the
+   curve layer's C stubs run G1's MSM and the pairing's tower on the same
+   kernel through [kernel_params].  Montgomery constants are
    derived from the decimal modulus with Zkdet_num.Nat — no transcribed
    magic numbers.
 
@@ -45,20 +45,6 @@ external c_add :
 external c_sub :
   Bytes.t -> Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> unit
   = "zkdet_fp64_sub_bc" "zkdet_fp64_sub"
-[@@noalloc]
-
-(* The two halves of one batch-affine bucket round, around the field
-   inversion: (prm, ex, ey, start, len, num, den, scratch [, np]). *)
-external c_round_pairs :
-  Bytes.t -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t ->
-  Bytes.t -> Bytes.t -> int
-  = "zkdet_fp64_round_pairs_bc" "zkdet_fp64_round_pairs"
-[@@noalloc]
-
-external c_round_apply :
-  Bytes.t -> Bytes.t -> Bytes.t -> int array -> int array -> Bytes.t ->
-  Bytes.t -> Bytes.t -> int -> unit
-  = "zkdet_fp64_round_apply_bc" "zkdet_fp64_round_apply"
 [@@noalloc]
 
 (* One radix-2 FFT layer: (prm, buf, tw, stride, half, blo, bhi, jlo,
@@ -378,23 +364,6 @@ struct
 
   let kernel_params = Bytes.to_string prm
 
-  (* The C round trusts its arguments' shapes; check them here so a bad
-     call raises instead of writing out of bounds. *)
-  let check_round_shapes ~ex ~ey ~start ~len ~num ~den ~scratch =
-    let n = buf_length ex and nb = Array.length start in
-    if buf_length ey <> n || Array.length len <> nb then
-      invalid_arg "Fp64.buf_affine_round: mismatched buckets";
-    let pairs = ref 0 in
-    for b = 0 to nb - 1 do
-      let s = start.(b) and m = len.(b) in
-      if s < 0 || m < 0 || s > n - m then
-        invalid_arg "Fp64.buf_affine_round: bucket out of range";
-      pairs := !pairs + (m / 2)
-    done;
-    if buf_length num < !pairs || buf_length den < !pairs
-       || buf_length scratch < !pairs + 2
-    then invalid_arg "Fp64.buf_affine_round: scratch too small"
-
   (* The FFT layer and bit reversal trust their arguments too: every
      index they touch must be a cell of its buffer. *)
   let check_layer_shapes b tw ~stride ~half ~blo ~bhi ~jlo ~jhi =
@@ -448,19 +417,6 @@ struct
       go 0
     in
     if use_c then c_bit_reverse b bits else ml_bit_reverse b bits
-
-  let buf_affine_round =
-    if not use_c then None
-    else
-      Some
-        (fun ~ex ~ey ~start ~len ~num ~den ~scratch ->
-          check_round_shapes ~ex ~ey ~start ~len ~num ~den ~scratch;
-          let np = c_round_pairs prm ex ey start len num den scratch in
-          if np > 0 then begin
-            buf_set scratch (np + 1) (inv (buf_get scratch np));
-            c_round_apply prm ex ey start len num den scratch np
-          end;
-          np)
 end
 
 module Make (M : Field_intf.MODULUS) = Make_kernel (struct

@@ -365,7 +365,8 @@ let test_golden () =
 
 (* The tower allocates nothing per operation: a two-pair check allocates
    its state, its accumulator and a few dozen Fp12 results (7.3 MB on the
-   boxed tower it replaced). *)
+   boxed tower it replaced), and its three field inversions allocate a
+   scratch buffer each, not a value per step. *)
 let test_check_allocation () =
   let a = Fr.random rng and p = G1.random rng and q = G2.random rng in
   let pairs = [ (G1.mul p a, q); (G1.neg p, G2.mul q a) ] in
@@ -373,7 +374,7 @@ let test_check_allocation () =
   let before = Gc.minor_words () in
   assert (Pairing.pairing_check pairs);
   let mb = (Gc.minor_words () -. before) *. float (Sys.word_size / 8) /. 1e6 in
-  Alcotest.(check bool) (Printf.sprintf "%.3f MB allocated, under 0.1" mb) true (mb < 0.1)
+  Alcotest.(check bool) (Printf.sprintf "%.3f MB allocated, under 0.03" mb) true (mb < 0.03)
 
 (* Two domains check different equations at once; the kernels keep no
    state, so each must see exactly what a sequential run sees. *)

@@ -33,6 +33,27 @@ let test_inv () =
   Alcotest.check_raises "inv zero" Division_by_zero (fun () ->
       ignore (Fr.inv Fr.zero))
 
+(* inv, sqrt and is_square exponentiate on one 2-cell scratch buffer, so a
+   call allocates that buffer and its result, not a value per step. *)
+let test_exp_allocation () =
+  let bytes f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) *. float (Sys.word_size / 8)
+  in
+  let x = Fp.sqr (Fp.random rng) in
+  ignore (Fp.inv x);
+  ignore (Fp.sqrt x);
+  List.iter
+    (fun (name, f) ->
+      let b = bytes f in
+      Alcotest.(check bool)
+        (Printf.sprintf "Fp.%s: %.0f bytes, under 1 KB" name b)
+        true (b < 1024.))
+    [ ("inv", fun () -> ignore (Fp.inv x));
+      ("sqrt", fun () -> ignore (Fp.sqrt x));
+      ("is_square", fun () -> ignore (Fp.is_square x)) ]
+
 let test_pow () =
   let x = Fr.of_int 3 in
   Alcotest.check fr "x^5" (Fr.of_int 243) (Fr.pow x 5);
@@ -451,7 +472,9 @@ let () =
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "roots of unity" `Quick test_roots_of_unity;
           Alcotest.test_case "sqrt" `Quick test_sqrt;
-          Alcotest.test_case "batch inversion" `Quick test_batch_inv ] );
+          Alcotest.test_case "batch inversion" `Quick test_batch_inv;
+          Alcotest.test_case "exponentiation allocation" `Quick
+            test_exp_allocation ] );
       ( "differential",
         [ Alcotest.test_case "Fr C kernel vs Nat reference" `Quick
             test_reference_fr;

@@ -8,12 +8,15 @@
    vs the allocating Fp2 fallback), plus fixed-base-table agreement and
    byte-identity across pool sizes.
 
-   G1's bucket rounds run in C (Fp's [buf_affine_round]).  Two more G1
-   instances run the suite on the OCaml round: one over the same C field
-   with the native round switched off, one over the pure-OCaml field
+   G1's MSMs run in C (lib/curve/msm_stubs.c): one call per chunk, one
+   merge, and the fixed-base table build.  Two more G1 instances run the
+   suite on the OCaml chunk, the engine's oracle: one over the same C
+   field with the C engine switched off, one over the pure-OCaml field
    kernel.  Their results must encode to the same bytes as the default
-   G1's on every input, and a round-level suite feeds all three
-   hand-built buckets aimed at the round's edge cases. *)
+   G1's on every input; a differential suite holds the C engine to both
+   on sizes and windows chosen for its chunk boundaries, a round-level
+   suite feeds all three hand-built buckets aimed at the round's edge
+   cases, and the engine's allocation and reentrancy are pinned. *)
 
 module Nat = Zkdet_num.Nat
 module Fr = Zkdet_field.Bn254.Fr
@@ -214,13 +217,13 @@ struct
       Alcotest.test_case "window bounds validated" `Quick test_window_validation ]
 end
 
-(* G1 over the same C field, with the native bucket round switched off:
-   its MSMs run the OCaml round. *)
+(* G1 over the same C field, with the C engine switched off: its MSMs run
+   the OCaml chunk. *)
 module G1_ocaml_round = Weierstrass.Make (struct
   module F = struct
     include G1.Fp_curve
 
-    let buf_affine_round = None
+    let kernel = None
   end
 
   let b = Fp.of_int 3
@@ -228,7 +231,7 @@ module G1_ocaml_round = Weierstrass.Make (struct
   let subgroup_check = false
 end)
 
-(* G1 over the pure-OCaml field kernel, which has no native round. *)
+(* G1 over the pure-OCaml field kernel, on the OCaml chunk too. *)
 module Fp_ml =
   Zkdet_field.Fp64.Make_kernel
     (struct
@@ -251,16 +254,14 @@ module G1_ml_kernel = Weierstrass.Make (struct
       let limbs = Bytes.create 32 in
       Fp_ml.to_limbs_le y limbs;
       Weierstrass.limb_bit limbs 0
+
+    let kernel = None
   end
 
   let b = Fp_ml.of_int 3
   let generator = (Fp_ml.one, Fp_ml.of_int 2)
   let subgroup_check = false
 end)
-
-let () =
-  assert (Option.is_some Fp.buf_affine_round);
-  assert (Option.is_none Fp_ml.buf_affine_round)
 
 module No_default = struct
   let to_g1 = None
@@ -287,7 +288,8 @@ module G1_ml_kernel_suite =
 (* ---- the bucket round itself ----
 
    Hand-built buckets go straight into [reduce_buckets] of each G1
-   instance.  Every bucket must end with at most one point, equal to the
+   instance: the C engine's reduction for the default G1, the OCaml
+   chunk's for the other two.  Every bucket must end with at most one point, equal to the
    sum of its inputs (none when that sum is the identity), in the same
    bytes on all three instances.  The cases aim at the round's branches:
    a round whose denominators are all zero, one with exactly one nonzero
@@ -410,25 +412,210 @@ let test_reduce_buckets () =
       check "OCaml field kernel" (Reduce_ml.run buckets))
     cases
 
-(* The native round checks its arguments before the C code trusts them. *)
+(* The C reduction checks the bucket layout before it trusts it. *)
 let test_round_shapes () =
-  let round = Option.get Fp.buf_affine_round in
   let ex = Fp.buf_create 4 and ey = Fp.buf_create 4 in
-  let call ?(ey = ey) ?(start = [| 0 |]) ?(len = [| 4 |]) ?(cells = 2) () =
-    ignore
-      (round ~ex ~ey ~start ~len ~num:(Fp.buf_create cells)
-         ~den:(Fp.buf_create cells) ~scratch:(Fp.buf_create (cells + 2)))
+  let call ?(ey = ey) ?(start = [| 0 |]) ?(len = [| 4 |]) () =
+    G1.reduce_buckets ~ex ~ey ~start ~len
   in
   let raises what f =
     match f () with
     | () -> Alcotest.failf "%s: accepted" what
     | exception Invalid_argument _ -> ()
   in
-  raises "scratch for one pair, two pairs met" (call ~cells:1);
   raises "bucket past the end" (call ~start:[| 1 |]);
+  raises "negative start" (call ~start:[| -1 |] ~len:[| 2 |]);
   raises "negative length" (call ~len:[| -1 |]);
   raises "start and len of different lengths" (call ~len:[| 2; 2 |]);
   raises "ey shorter than ex" (call ~ey:(Fp.buf_create 3))
+
+(* ---- the C engine against the OCaml chunk ---- *)
+
+let to_ocaml p = G1_ocaml_round.of_bytes_fixed (G1.to_bytes_fixed p)
+let to_ml p = G1_ml_kernel.of_bytes_fixed (G1.to_bytes_fixed p)
+
+(* Points with every shape the engine branches on: identities, affine
+   (z = 1) and Jacobian (z <> 1) inputs, P next to -P under one scalar
+   (a bucket pair that annihilates), and one point twice under one scalar
+   (a pair that doubles). *)
+let engine_inputs n =
+  let g = G1.generator in
+  let base = Array.init 8 (fun i -> G1.mul g (Fr.of_int (i + 2))) in
+  let points =
+    Array.init n (fun i ->
+        let b = base.(i / 9 mod 8) in
+        match i mod 9 with
+        | 0 -> G1.zero
+        | 1 -> g
+        | 2 -> G1.neg g
+        | 3 | 4 -> b
+        | 5 -> G1.neg b
+        | _ -> G1.random rng)
+  in
+  let scalars = Array.make n Fr.zero in
+  for i = 0 to n - 1 do
+    scalars.(i) <-
+      (match i mod 9 with
+      | 2 | 4 | 5 -> scalars.(i - 1)
+      | _ -> (
+        match i mod 5 with
+        | 0 -> Fr.zero
+        | 1 -> Fr.one
+        | 2 -> Fr.neg Fr.one
+        | _ -> Fr.random rng))
+  done;
+  (points, scalars)
+
+let same ~msg want got =
+  if not (String.equal want got) then Alcotest.failf "%s: bytes differ" msg
+
+(* [ml] adds the pure-OCaml field kernel, ~10x slower, where it stays
+   quick. *)
+let check_generic ~msg ~ml ~window points scalars =
+  let want =
+    G1_ocaml_round.to_bytes_fixed
+      (G1_ocaml_round.msm_with_window ~window (Array.map to_ocaml points)
+         scalars)
+  in
+  same ~msg want (G1.to_bytes_fixed (G1.msm_with_window ~window points scalars));
+  if ml then
+    same ~msg:(msg ^ ", OCaml field kernel") want
+      (G1_ml_kernel.to_bytes_fixed
+         (G1_ml_kernel.msm_with_window ~window (Array.map to_ml points) scalars))
+
+let check_table ~msg ~ml ~window points scalars =
+  let rows_c =
+    Array.map G1.to_bytes_fixed
+      (G1.Fixed_base.msm_rows (G1.Fixed_base.msm_create ~window points))
+  in
+  let tb_o = G1_ocaml_round.Fixed_base.msm_create ~window (Array.map to_ocaml points) in
+  let rows_o = Array.map G1_ocaml_round.to_bytes_fixed (G1_ocaml_round.Fixed_base.msm_rows tb_o) in
+  if rows_c <> rows_o then Alcotest.failf "%s: C-built table rows differ" msg;
+  let tb = G1.Fixed_base.msm_create ~window points in
+  let want = G1_ocaml_round.to_bytes_fixed (G1_ocaml_round.Fixed_base.msm tb_o scalars) in
+  same ~msg:(msg ^ ", table") want (G1.to_bytes_fixed (G1.Fixed_base.msm tb scalars));
+  if ml then begin
+    let tb_m = G1_ml_kernel.Fixed_base.msm_create ~window (Array.map to_ml points) in
+    let rows_m = Array.map G1_ml_kernel.to_bytes_fixed (G1_ml_kernel.Fixed_base.msm_rows tb_m) in
+    if rows_c <> rows_m then
+      Alcotest.failf "%s: C-built table rows differ from the OCaml field kernel's" msg;
+    same ~msg:(msg ^ ", table, OCaml field kernel") want
+      (G1_ml_kernel.to_bytes_fixed (G1_ml_kernel.Fixed_base.msm tb_m scalars))
+  end
+
+(* Sizes around the chunk boundaries (one chunk below 256 points, then
+   n / 128 chunks up to four, so 4097 splits unevenly). *)
+let test_engine_sizes () =
+  List.iter
+    (fun n ->
+      let points, scalars = engine_inputs n in
+      let ml = n <= 256 in
+      let msg = Printf.sprintf "n = %d" n in
+      check_generic ~msg ~ml ~window:(G1.pick_window n) points scalars;
+      check_table ~msg ~ml ~window:(G1.Fixed_base.msm_window_for n) points
+        scalars)
+    [ 1; 2; 3; 127; 128; 255; 256; 4097 ]
+
+let test_engine_windows () =
+  let points, scalars = engine_inputs 300 in
+  for window = 2 to 16 do
+    let msg = Printf.sprintf "window %d" window in
+    check_generic ~msg ~ml:(window mod 3 = 0) ~window points scalars;
+    if window mod 2 = 0 then check_table ~msg ~ml:false ~window points scalars
+  done
+
+(* The rounds' Fermat inversion against the field's own, in both fields'
+   parameter blocks. *)
+let test_kernel_inv () =
+  let check (type a) (module F : Zkdet_field.Field_intf.S with type t = a)
+      (x : a) =
+    let src = F.buf_create 1 and dst = F.buf_create 1 in
+    F.buf_set src 0 x;
+    Weierstrass.kernel_inv F.kernel_params (dst :> Bytes.t) (src :> Bytes.t);
+    if not (F.equal (F.buf_get dst 0) (F.inv x)) then
+      Alcotest.failf "C inverse of %s differs" (F.to_string x)
+  in
+  let fp = (module Fp : Zkdet_field.Field_intf.S with type t = Fp.t) in
+  let fr = (module Fr : Zkdet_field.Field_intf.S with type t = Fr.t) in
+  check fp Fp.one;
+  check fp (Fp.neg Fp.one);
+  check fr Fr.one;
+  check fr (Fr.neg Fr.one);
+  for _ = 1 to 50 do
+    let x = Fp.random rng and y = Fr.random rng in
+    if not (Fp.is_zero x) then check fp x;
+    if not (Fr.is_zero y) then check fr y
+  done
+
+(* ---- allocation and reentrancy ---- *)
+
+(* Bytes allocated by [f]: minor words plus words allocated straight in
+   the major heap (Gc.allocated_bytes misses the current minor heap). *)
+let allocated f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  f ();
+  (words () -. before) *. float (Sys.word_size / 8)
+
+(* Cheap distinct points: a running sum of the generator. *)
+let chain_points n =
+  let acc = ref (G1.random rng) in
+  Array.init n (fun _ ->
+      let p = !acc in
+      acc := G1.add !acc G1.generator;
+      p)
+
+(* A warm MSM takes its work buffer and scratch from its domain and
+   allocates O(1) words; the table build allocates the table and one copy
+   of the bases. *)
+let test_allocation () =
+  Pool.with_domains 1 @@ fun () ->
+  let points = chain_points 4100 in
+  let scalars = Array.init 4096 (fun _ -> Fr.random rng) in
+  let tb = ref None in
+  let build = allocated (fun () -> tb := Some (G1.Fixed_base.msm_create points)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "msm_create over 4100 bases: %.1f MB, under 16" (build /. 1e6))
+    true (build < 16e6);
+  let tb = Option.get !tb in
+  ignore (G1.Fixed_base.msm tb scalars);
+  let table = allocated (fun () -> ignore (G1.Fixed_base.msm tb scalars)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "4096-point table MSM: %.0f bytes, under 64 KB" table)
+    true (table < 65536.);
+  let p45 = Array.sub points 0 45 and s45 = Array.sub scalars 0 45 in
+  ignore (G1.msm p45 s45);
+  let generic = allocated (fun () -> ignore (G1.msm p45 s45)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "45-term MSM: %.0f bytes, under 64 KB" generic)
+    true (generic < 65536.)
+
+(* Two spawned domains run MSMs on different inputs at once, each on its
+   own arena and work buffers; each must see what a sequential run sees. *)
+let test_reentrancy () =
+  Pool.with_domains 1 @@ fun () ->
+  let inputs =
+    Array.init 2 (fun i ->
+        let points = chain_points (700 + (300 * i)) in
+        let scalars = Array.map (fun _ -> Fr.random rng) points in
+        (points, scalars, G1.Fixed_base.msm_create points))
+  in
+  let run (points, scalars, tb) () =
+    List.init 3 (fun k ->
+        let ss = Array.map (Fr.add (Fr.of_int k)) scalars in
+        ( G1.to_bytes (G1.msm points ss),
+          G1.to_bytes (G1.Fixed_base.msm tb ss),
+          G1.to_bytes (G1.msm (Array.sub points 0 45) (Array.sub ss 0 45)) ))
+  in
+  let want = Array.map (fun inp -> run inp ()) inputs in
+  let got = Array.map (fun inp -> Domain.spawn (run inp)) inputs |> Array.map Domain.join in
+  Array.iteri
+    (fun i w ->
+      if w <> got.(i) then Alcotest.failf "domain %d saw different MSMs" i)
+    want
 
 (* The determinism contract: MSM results (hence any proof bytes derived
    from them) are byte-identical at any pool size. *)
@@ -461,6 +648,14 @@ let () =
             test_reduce_buckets;
           Alcotest.test_case "native round checks shapes" `Quick
             test_round_shapes ] );
+      ( "g1-engine",
+        [ Alcotest.test_case "C chunk = OCaml chunk, sizes" `Quick
+            test_engine_sizes;
+          Alcotest.test_case "C chunk = OCaml chunk, windows" `Quick
+            test_engine_windows;
+          Alcotest.test_case "C inverse = field inverse" `Quick test_kernel_inv;
+          Alcotest.test_case "warm MSMs allocate O(1)" `Quick test_allocation;
+          Alcotest.test_case "two domains at once" `Quick test_reentrancy ] );
       ( "determinism",
         [ Alcotest.test_case "byte-identical across domains" `Quick
             test_domain_byte_identity ] ) ]
