@@ -1137,8 +1137,10 @@ let check_regression ~baseline_dir ~tolerance ~scale name =
   let baseline_path =
     Filename.concat baseline_dir (Printf.sprintf "BENCH_%s.json" name)
   in
+  (* A gate that checks nothing must not pass: a missing baseline, or one
+     recorded at another --scale, fails it. *)
   if not (Sys.file_exists baseline_path) then
-    Printf.printf "[regression] %s: no baseline at %s (skipped)\n%!" name
+    fail "no baseline at %s (run from the repository root, or pass --baseline-dir)"
       baseline_path
   else
     let parse path =
@@ -1150,9 +1152,8 @@ let check_regression ~baseline_dir ~tolerance ~scale name =
     let current = parse (Printf.sprintf "BENCH_%s.json" name) in
     let meta j k = Option.bind (Json.member k j) Json.to_int_opt in
     if meta baseline "scale" <> Some scale then
-      Printf.printf
-        "[regression] %s: baseline recorded at a different --scale (skipped)\n%!"
-        name
+      fail "baseline %s was recorded at a different --scale than %d"
+        baseline_path scale
     else begin
       let rows j =
         Option.value ~default:[]

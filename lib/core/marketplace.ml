@@ -17,6 +17,7 @@ module Escrow = Zkdet_contracts.Escrow
 module Verifier_contract = Zkdet_contracts.Verifier_contract
 module Obs = Zkdet_obs.Obs
 module Event = Zkdet_obs.Event
+module Telemetry = Zkdet_telemetry.Telemetry
 
 (* One [Protocol_step] per protocol milestone: the audit tool replays
    these to check causal consistency (a "complete" step must be preceded
@@ -432,7 +433,12 @@ let audit_provenance (m : t) ~(auditor_id : string) (token_id : int) :
         | None -> Error (`Bad_transform_proof id))
     | _ -> Error `No_meta
   in
-  let walked = Result.map List.length (all check (Erc721.provenance m.nft token_id)) in
+  (* The walk (manifests, blocks, proof decoding) is timed apart from the
+     fold below, which [plonk.verify] times. *)
+  let walked =
+    Telemetry.with_span "marketplace.audit_walk" @@ fun () ->
+    Result.map List.length (all check (Erc721.provenance m.nft token_id))
+  in
   let deferred = List.rev !deferred in
   let item (statement, publics, proof, _) = (statement, publics, proof) in
   if Env.verify_all m.env (List.map item deferred) then walked

@@ -18,11 +18,11 @@
  *   build  fills a fixed-base table's rows for a range of bases: c
  *          doublings per row, then one batch normalization.
  *
- * Each round of additions shares one field inversion, computed here by
- * Fermat exponentiation.  Rounds, digits, fill order, merge order and the
- * Jacobian formulas are those of the OCaml chunk in weierstrass.ml, step
- * for step, so both engines give the same points, the same round counts
- * and the same bytes.
+ * Each round of additions shares one field inversion, a Fermat
+ * exponentiation by mont4.h's mont_pow4.  Rounds, digits, fill order,
+ * merge order and the Jacobian formulas are those of the OCaml chunk in
+ * weierstrass.ml, step for step, so both engines give the same points,
+ * the same round counts and the same bytes.
  *
  * Memory: the OCaml side owns two buffers and sizes them with the queries
  * below before every call.  The work buffer belongs to one MSM: its head
@@ -83,23 +83,17 @@ static inline int eq4(const uint64_t a[4], const uint64_t b[4])
 #define ADD(t, a, b) add4(F->p, (t), (a), (b))
 #define SUB(t, a, b) sub4(F->p, (t), (a), (b))
 
-/* t = a^(p - 2) = 1 / a for a != 0, by square-and-multiply over the bits
-   of p - 2, top bit first. */
+/* t = a^(p - 2) = 1 / a for a != 0 (0 for 0): the field's one
+   exponentiation (mont4.h) on the exponent p - 2. */
 static void inv4(const fld *F, uint64_t t[4], const uint64_t a[4])
 {
-  uint64_t e[4], bo, r[4];
-  e[0] = sbb64(F->p[0], 2, 0, &bo);
-  e[1] = sbb64(F->p[1], 0, bo, &bo);
-  e[2] = sbb64(F->p[2], 0, bo, &bo);
-  e[3] = sbb64(F->p[3], 0, bo, &bo);
-  int top = 255;
-  while (top > 0 && !((e[top >> 6] >> (top & 63)) & 1)) top--;
-  memcpy(r, F->one, sizeof r);
-  for (int i = top; i >= 0; i--) {
-    MUL(r, r, r);
-    if ((e[i >> 6] >> (i & 63)) & 1) MUL(r, r, a);
-  }
-  memcpy(t, r, sizeof r);
+  uint64_t bo;
+  unsigned char e[32];
+  st(e, 0, sbb64(F->p[0], 2, 0, &bo));
+  st(e, 1, sbb64(F->p[1], 0, bo, &bo));
+  st(e, 2, sbb64(F->p[2], 0, bo, &bo));
+  st(e, 3, sbb64(F->p[3], 0, bo, &bo));
+  mont_pow4(F->p, F->n0, F->one, t, a, e, 4);
 }
 
 /* ---- Jacobian points (z = 0 is the identity, kept as (1, 1, 0)) ---- */

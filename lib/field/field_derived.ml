@@ -1,5 +1,5 @@
-(* Field operations derived once from Field_intf.CORE: exponentiation
-   chains, inversion, Tonelli-Shanks square roots (including the
+(* Field operations derived once from Field_intf.CORE: exponents,
+   inversion, Tonelli-Shanks square roots (including the
    non-residue search), batch inversion, byte codecs and the
    Random.State consumption pattern of [random].  Proof bytes and golden
    vectors depend on these algorithms, not on the limb representation. *)
@@ -44,37 +44,26 @@ module Make (C : Field_intf.CORE) = struct
       with_context "field"
         (conv to_bytes_be of_bytes_be_canonical (bytes_fixed num_bytes)))
 
-  (* An exponent's bits, top bit first; the fixed exponents below read
-     theirs once per field. *)
-  let exponent_bits e =
-    let n = Nat.num_bits e in
-    Array.init n (fun i -> Nat.testbit e (n - 1 - i))
+  (* An exponent as the little-endian 64-bit limbs [pow_limbs] takes;
+     the fixed exponents below are converted once per field. *)
+  let exponent_limbs e =
+    let n = 8 * ((Nat.num_bits e + 63) / 64) in
+    let be = Nat.to_bytes_be ~length:n e in
+    String.init n (fun i -> be.[n - 1 - i])
 
-  (* Square-and-multiply on one 2-cell scratch buffer (cell 0 holds x,
-     cell 1 the running power): only the buffer and the result are
-     allocated, not a value per step. *)
-  let pow_bits x (bits : bool array) =
-    let s = buf_create 2 in
-    buf_set s 0 x;
-    buf_set s 1 one;
-    Array.iter
-      (fun b ->
-        buf_sqr s 1 s 1;
-        if b then buf_mul s 1 s 1 s 0)
-      bits;
-    buf_get s 1
-
-  let pow_nat x e = pow_bits x (exponent_bits e)
+  let pow_nat x e = pow_limbs x (exponent_limbs e)
 
   let pow x e =
     if e < 0 then invalid_arg "Field.pow: negative exponent";
-    pow_nat x (Nat.of_int e)
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int e);
+    pow_limbs x (Bytes.unsafe_to_string b)
 
-  let p_minus_2_bits = exponent_bits (Nat.sub modulus Nat.two)
+  let p_minus_2 = exponent_limbs (Nat.sub modulus Nat.two)
 
   let inv a =
     if is_zero a then raise Division_by_zero;
-    pow_bits a p_minus_2_bits
+    pow_limbs a p_minus_2
 
   let div a b = mul a (inv b)
 
@@ -120,10 +109,10 @@ module Make (C : Field_intf.CORE) = struct
       done
     end
 
-  let p_minus_1_half_bits =
-    exponent_bits (Nat.shift_right (Nat.sub modulus Nat.one) 1)
+  let p_minus_1_half =
+    exponent_limbs (Nat.shift_right (Nat.sub modulus Nat.one) 1)
 
-  let is_square a = is_zero a || is_one (pow_bits a p_minus_1_half_bits)
+  let is_square a = is_zero a || is_one (pow_limbs a p_minus_1_half)
 
   (* Tonelli-Shanks. s and q with p-1 = 2^s * q derived once. *)
   let ts_s, ts_q =
@@ -141,13 +130,13 @@ module Make (C : Field_intf.CORE) = struct
 
   (* p = 3 (mod 4), i.e. s = 1 (Fp): r = a^((p+1)/4) is a root iff a is a
      square, and it is the root Tonelli-Shanks returns at s = 1. *)
-  let p_plus_1_quarter_bits =
-    exponent_bits (Nat.shift_right (Nat.add modulus Nat.one) 2)
+  let p_plus_1_quarter =
+    exponent_limbs (Nat.shift_right (Nat.add modulus Nat.one) 2)
 
   let sqrt a =
     if is_zero a then Some zero
     else if ts_s = 1 then begin
-      let r = pow_bits a p_plus_1_quarter_bits in
+      let r = pow_limbs a p_plus_1_quarter in
       if equal (sqr r) a then Some r else None
     end
     else if not (is_square a) then None

@@ -41,6 +41,14 @@ module type CORE = sig
 
   val of_nat : Zkdet_num.Nat.t -> t
 
+  val pow_limbs : t -> string -> t
+  (** [pow_limbs a e] is [a^e] for the exponent [e] given as
+      little-endian 64-bit limbs (bit [i] of [e] is bit [i mod 8] of
+      byte [i / 8]); an empty [e] is zero, so the result is one.  A
+      length that is not a multiple of 8 raises [Invalid_argument].
+      Every exponentiation of {!S} ([pow], [inv], [sqrt], [is_square])
+      is one call. *)
+
   val to_limbs_le : t -> Bytes.t -> unit
   (** [to_limbs_le a dst] writes the canonical value of [a] (in
       [[0, modulus)], not the internal form) into bytes [0..31] of [dst]

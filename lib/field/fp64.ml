@@ -17,7 +17,9 @@
    derived from the decimal modulus with Zkdet_num.Nat — no transcribed
    magic numbers.
 
-   Derived operations (inv, sqrt, random, codecs, ...) come from
+   Exponentiation is one C call too ([pow_limbs]; the OCaml kernel keeps
+   a square-and-multiply loop), so inv, sqrt and is_square each cost one
+   call.  Derived operations (inv, sqrt, random, codecs, ...) come from
    Field_derived. *)
 
 module Nat = Zkdet_num.Nat
@@ -45,6 +47,12 @@ external c_add :
 external c_sub :
   Bytes.t -> Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> unit
   = "zkdet_fp64_sub_bc" "zkdet_fp64_sub"
+[@@noalloc]
+
+(* (prm, dst, a, e): dst <- a^e, the exponent as little-endian 64-bit
+   limbs; one call runs the whole exponentiation (mont4.h, mont_pow4). *)
+external c_pow : Bytes.t -> Bytes.t -> Bytes.t -> string -> unit
+  = "zkdet_fp64_pow"
 [@@noalloc]
 
 (* One radix-2 FFT layer: (prm, buf, tw, stride, half, blo, bhi, jlo,
@@ -286,6 +294,27 @@ struct
       r
 
     let sqr a = mul a a
+
+    (* The OCaml kernel's exponentiation: square-and-multiply over the
+       exponent's bits, top set bit first, in place on the result. *)
+    let ml_pow r a e =
+      let bit i = (Char.code e.[i lsr 3] lsr (i land 7)) land 1 = 1 in
+      let top = ref ((8 * String.length e) - 1) in
+      while !top >= 0 && not (bit !top) do
+        decr top
+      done;
+      Bytes.blit one 0 r 0 el_bytes;
+      for i = !top downto 0 do
+        ml_mul r 0 r 0 r 0;
+        if bit i then ml_mul r 0 r 0 a 0
+      done
+
+    let pow_limbs (a : t) (e : string) : t =
+      if String.length e mod 8 <> 0 then
+        invalid_arg "Fp64.pow_limbs: exponent is not whole 64-bit limbs";
+      let r = Bytes.create el_bytes in
+      if use_c then c_pow prm r a e else ml_pow r a e;
+      r
 
     let add (a : t) (b : t) : t =
       let r = Bytes.create el_bytes in

@@ -11,9 +11,9 @@
  * [@@noalloc] on the OCaml side: nothing here allocates on the OCaml heap,
  * raises or calls back into OCaml.
  *
- * The Montgomery kernel itself (mont_mul4, add4, sub4) is in mont4.h,
- * which the curve layer's stubs (lib/curve/tower_stubs.c for the
- * pairing's tower, lib/curve/msm_stubs.c for G1's MSM) share.
+ * The Montgomery kernel itself (mont_mul4, add4, sub4, mont_pow4) is in
+ * mont4.h, which the curve layer's stubs (lib/curve/tower_stubs.c for
+ * the pairing's tower, lib/curve/msm_stubs.c for G1's MSM) share.
  */
 
 #include <caml/mlvalues.h>
@@ -97,6 +97,22 @@ CAMLprim value zkdet_fp64_sub_bc(value *argv, int argn)
   (void)argn;
   return zkdet_fp64_sub(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
                         argv[6]);
+}
+
+/* (prm, dst, a, e): dst <- a^e, e a string of little-endian 64-bit
+   limbs (its length a multiple of 8); dst and a are 32-byte elements. */
+CAMLprim value zkdet_fp64_pow(value vprm, value vdst, value va, value ve)
+{
+  uint64_t p[4], n0, one[4], a[4], t[4];
+  const unsigned char *prm = (const unsigned char *)Bytes_val(vprm);
+  load_prm(vprm, p, &n0);
+  one[0] = ld(prm + 40, 0); one[1] = ld(prm + 40, 1);
+  one[2] = ld(prm + 40, 2); one[3] = ld(prm + 40, 3);
+  load_el(va, Val_long(0), a);
+  mont_pow4(p, n0, one, t, a, (const unsigned char *)String_val(ve),
+            caml_string_length(ve) / 8);
+  store_el(vdst, Val_long(0), t);
+  return Val_unit;
 }
 
 /* ---- Radix-2 FFT layer and bit reversal (Domain transforms) ----

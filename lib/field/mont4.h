@@ -19,6 +19,9 @@
  * and every reduced result is picked with a mask instead of a branch (on
  * field elements the choice is a coin flip, and a mispredicted branch
  * costs more than the add).  No compile flag or CPU dispatch is needed.
+ * mont_pow4 is the one field exponentiation of the C stubs (a fixed
+ * 4-bit window); the OCaml kernel keeps a square-and-multiply loop as its
+ * oracle.
  * Every routine reads all of its operands before it writes the result,
  * so the result may alias either operand.  Nothing here touches the
  * OCaml heap or keeps state.
@@ -164,6 +167,49 @@ static inline void sub4(const uint64_t p[4], uint64_t t[4], const uint64_t a[4],
   r2 = adc64(r2, p[2] & m, c, &c);
   r3 = adc64(r3, p[3] & m, c, &c);
   t[0] = r0; t[1] = r1; t[2] = r2; t[3] = r3;
+}
+
+/* t = a^e, the exponent e given as ne little-endian 64-bit limbs stored
+   as ld() reads them, by a fixed 4-bit window: a table of a^0 .. a^d for
+   the largest nibble d of e, then, from the top nonzero nibble down, four
+   squarings and one multiplication by the nibble's entry (none for a
+   zero nibble).  one is R mod p; e = 0 gives one.  The field's inverse,
+   square root, residue test and pow, and the MSM rounds' inverse, are
+   each one call. */
+static inline void mont_pow4(const uint64_t p[4], uint64_t n0,
+                             const uint64_t one[4], uint64_t t[4],
+                             const uint64_t a[4], const unsigned char *e,
+                             size_t ne)
+{
+  uint64_t tab[16][4], r[4];
+  unsigned dmax = 0;
+  long top = -1;
+  for (size_t i = 0; i < ne; i++) {
+    uint64_t w = ld(e, (int)i);
+    for (int k = 0; k < 16; k++) {
+      unsigned d = (unsigned)(w >> (4 * k)) & 15;
+      if (d > dmax) dmax = d;
+      if (d) top = (long)(16 * i + k);
+    }
+  }
+  memcpy(tab[0], one, 32);
+  memcpy(tab[1], a, 32);
+  for (unsigned d = 2; d <= dmax; d++)
+    mont_mul4(p, n0, tab[d], tab[d - 1], a);
+  memcpy(r, one, 32);
+  for (long i = top; i >= 0; i--) {
+    unsigned d = (unsigned)(ld(e, (int)(i >> 4)) >> (4 * (i & 15))) & 15;
+    if (i < top) {
+      mont_mul4(p, n0, r, r, r);
+      mont_mul4(p, n0, r, r, r);
+      mont_mul4(p, n0, r, r, r);
+      mont_mul4(p, n0, r, r, r);
+      if (d) mont_mul4(p, n0, r, r, tab[d]);
+    } else {
+      memcpy(r, tab[d], 32);
+    }
+  }
+  memcpy(t, r, 32);
 }
 
 #endif

@@ -173,7 +173,8 @@ let shift_right n k =
   end
 
 (* Binary long division: O(bits(a) * limbs(a)). Division only runs during
-   parameter derivation and radix conversion, never in proving hot paths. *)
+   parameter derivation, never in proving hot paths; decimal conversion
+   divides by 10^7 with one pass per chunk instead (below). *)
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
@@ -205,38 +206,73 @@ let pow b e =
   in
   go one b e
 
+(* Decimal conversion works 7 digits at a time, in base 10^7 < 2^24, and
+   each chunk is one pass over the 26-bit limbs: a limb times 10^7 plus a
+   carry, or a remainder shifted up one limb plus the next limb, stays
+   below 2^51. *)
+let chunk_digits = 7
+let chunk = 10_000_000
+
+(* a * 10^7 + d, for d < 10^7. *)
+let mul_chunk_add a d =
+  let n = Array.length a in
+  let r = Array.make (n + 1) 0 in
+  let carry = ref d in
+  for i = 0 to n - 1 do
+    let v = (a.(i) * chunk) + !carry in
+    r.(i) <- v land mask;
+    carry := v lsr limb_bits
+  done;
+  r.(n) <- !carry;
+  normalize r
+
+(* (a / 10^7, a mod 10^7), top limb first. *)
+let divmod_chunk a =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let v = (!r lsl limb_bits) lor a.(i) in
+    q.(i) <- v / chunk;
+    r := v - (q.(i) * chunk)
+  done;
+  (normalize q, !r)
+
 let of_decimal s =
-  if String.length s = 0 then invalid_arg "Nat.of_decimal: empty";
-  let acc = ref zero in
-  let ten = of_int 10 in
-  String.iter
-    (fun c ->
-      if c < '0' || c > '9' then invalid_arg "Nat.of_decimal: bad digit";
-      acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0')))
-    s;
-  !acc
+  let len = String.length s in
+  if len = 0 then invalid_arg "Nat.of_decimal: empty";
+  (* The first chunk takes the leftover digits, so every later one is
+     exactly 7 long. *)
+  let rec go acc pos stop =
+    if pos = len then acc
+    else begin
+      let d = ref 0 in
+      for i = pos to stop - 1 do
+        let c = s.[i] in
+        if c < '0' || c > '9' then invalid_arg "Nat.of_decimal: bad digit";
+        d := (!d * 10) + Char.code c - Char.code '0'
+      done;
+      go (mul_chunk_add acc !d) stop (stop + chunk_digits)
+    end
+  in
+  go zero 0 (((len - 1) mod chunk_digits) + 1)
 
 let to_decimal n =
-  if is_zero n then "0"
-  else begin
-    (* Peel off 7 decimal digits at a time via division by 10^7. *)
-    let chunk = of_int 10_000_000 in
+  let rec chunks n acc =
+    if is_zero n then acc
+    else
+      let q, r = divmod_chunk n in
+      chunks q (r :: acc)
+  in
+  match chunks n [] with
+  | [] -> "0"
+  | first :: rest ->
     let buf = Buffer.create 80 in
-    let rec go n parts =
-      if is_zero n then parts
-      else begin
-        let q, r = divmod n chunk in
-        let digits = match to_int r with Some v -> v | None -> assert false in
-        go q (digits :: parts)
-      end
-    in
-    match go n [] with
-    | [] -> assert false
-    | first :: rest ->
-      Buffer.add_string buf (string_of_int first);
-      List.iter (fun d -> Buffer.add_string buf (Printf.sprintf "%07d" d)) rest;
-      Buffer.contents buf
-  end
+    Buffer.add_string buf (string_of_int first);
+    (* d + 10^7 is "1" and then d's 7 digits, leading zeros included. *)
+    List.iter
+      (fun d -> Buffer.add_substring buf (string_of_int (d + chunk)) 1 chunk_digits)
+      rest;
+    Buffer.contents buf
 
 let hex_digit c =
   match c with

@@ -4,7 +4,11 @@
     limb product fits a 63-bit OCaml [int] with room to accumulate carries.
     This module is the substrate for deriving all field and curve parameters
     at program start; it is not used in proving hot paths (those use the
-    fixed-width Montgomery representation of {!Zkdet_field}). *)
+    fixed-width Montgomery representation of {!Zkdet_field}).  Its decimal
+    conversion does serve a hot path: every metadata manifest an audit
+    reads carries three field elements in decimal, so {!of_decimal} and
+    {!to_decimal} run 7 digits per pass over the limbs (linear per chunk),
+    not a digit or a bit at a time. *)
 
 type t
 
@@ -56,9 +60,11 @@ val pow : t -> int -> t
 (** [pow b e] is [b^e] for a small exponent [e >= 0]. *)
 
 val of_decimal : string -> t
-(** Parse a decimal string. Raises [Invalid_argument] on bad input. *)
+(** Parse a decimal string (leading zeros allowed). Raises
+    [Invalid_argument] on an empty string or a non-digit. *)
 
 val to_decimal : t -> string
+(** The decimal digits, with no leading zero ("0" for zero). *)
 
 val of_hex : string -> t
 (** Parse a hex string (with or without ["0x"] prefix, case-insensitive). *)

@@ -67,17 +67,24 @@ let equation (vk : Preprocess.verification_key) (publics : Fr.t array)
     and eval_s2 = proof.Proof.eval_s2
     and eval_z_omega = proof.Proof.eval_z_omega in
     let alpha2 = Fr.sqr alpha in
-    let zh_zeta = Domain.vanishing_eval domain zeta in
+    (* n is the domain's size, so zeta^n - 1 is Z_H(zeta). *)
+    let zeta_n = Fr.pow zeta n in
+    let zh_zeta = Fr.sub zeta_n Fr.one in
     (* zeta inside the domain would make L_i evaluation divide by zero;
        negligible probability, reject outright. *)
     if Fr.is_zero zh_zeta then None
     else begin
-      let l1_zeta = Domain.lagrange_eval domain 0 zeta in
+      (* L_0(zeta), and L_i(zeta) for every public input, from one
+         inversion. *)
+      let lagrange =
+        Domain.lagrange_evals domain ~zh:zh_zeta
+          (max 1 (Array.length publics)) zeta
+      in
+      let l1_zeta = lagrange.(0) in
       let pi_zeta =
         let acc = ref Fr.zero in
         Array.iteri
-          (fun i x ->
-            acc := Fr.sub !acc (Fr.mul x (Domain.lagrange_eval domain i zeta)))
+          (fun i x -> acc := Fr.sub !acc (Fr.mul x lagrange.(i)))
           publics;
         !acc
       in
@@ -110,7 +117,6 @@ let equation (vk : Preprocess.verification_key) (publics : Fr.t array)
                    (Fr.add (Fr.add eval_b (Fr.mul beta eval_s2)) gamma))
                 (Fr.mul beta eval_z_omega)))
       in
-      let zeta_n = Fr.pow zeta n in
       let zeta_2n = Fr.sqr zeta_n in
       let v2 = Fr.mul v v in
       let v3 = Fr.mul v2 v in
@@ -221,7 +227,6 @@ let batch_scalars
 let verify_folded
     (items : (Preprocess.verification_key * Fr.t array * Proof.t) list)
     (rhos : Fr.t list) : bool =
-  Telemetry.with_span "plonk.verify" @@ fun () ->
   Telemetry.count "plonk.verifies" (List.length items);
   let groups : ((G2.t * G2.t) * (_ * equation * Fr.t) list ref) list ref =
     ref []
@@ -265,6 +270,9 @@ let verify_batch
   match items with
   | [] -> true
   | _ ->
+    (* The span covers the batch's transcript too, so an audit's time
+       outside it is its walk alone. *)
+    Telemetry.with_span "plonk.verify" @@ fun () ->
     let n = List.length items in
     Telemetry.count "verify.batch_size" n;
     Telemetry.observe "verify.batch_size" (float_of_int n);

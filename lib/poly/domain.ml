@@ -189,3 +189,14 @@ let lagrange_eval d i x =
   let num = Fr.mul wi (vanishing_eval d x) in
   let den = Fr.mul (Fr.of_int d.size) (Fr.sub x wi) in
   Fr.div num den
+
+(** L_0(x) .. L_(k-1)(x) by the same formula, with one inversion for all
+    k denominators (Montgomery's trick); [zh] is x^n - 1. *)
+let lagrange_evals d ~zh k x =
+  let n = Fr.of_int d.size in
+  let w = Array.make k Fr.one in
+  for i = 1 to k - 1 do
+    w.(i) <- Fr.mul w.(i - 1) d.omega
+  done;
+  let inv = Fr.batch_inv (Array.map (fun wi -> Fr.mul n (Fr.sub x wi)) w) in
+  Array.mapi (fun i wi -> Fr.mul (Fr.mul wi zh) inv.(i)) w

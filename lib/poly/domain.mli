@@ -45,3 +45,10 @@ val vanishing_eval : t -> Fr.t -> Fr.t
 
 val lagrange_eval : t -> int -> Fr.t -> Fr.t
 (** L_i(x) for x outside the domain. *)
+
+val lagrange_evals : t -> zh:Fr.t -> int -> Fr.t -> Fr.t array
+(** [lagrange_evals d ~zh k x] is [[| L_0(x); ...; L_(k-1)(x) |]] for x
+    outside the domain: the same field elements as {!lagrange_eval}, for
+    one inversion in all.  [zh] must be [vanishing_eval d x], which a
+    verifier already holds.  Raises [Division_by_zero] when x is in the
+    domain. *)

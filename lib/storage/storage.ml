@@ -45,15 +45,20 @@ let add_node (net : t) ~id : node =
   Hashtbl.add net.nodes id node;
   node
 
+(* A node is listed as a provider of a CID exactly when it holds the
+   block: [put_block] and [fetch_block] announce only a block the node
+   did not hold, and [gc] drops the record with the block.  So announcing
+   never scans the list; the newest announcer comes first. *)
 let announce (net : t) (cid : Cid.t) (node : node) =
   match Hashtbl.find_opt net.providers cid with
-  | Some ids -> if not (List.mem node.node_id !ids) then ids := node.node_id :: !ids
+  | Some ids -> ids := node.node_id :: !ids
   | None -> Hashtbl.add net.providers cid (ref [ node.node_id ])
 
 let put_block (net : t) (node : node) (data : string) : Cid.t =
   let cid = Cid.of_bytes data in
+  let held = Hashtbl.mem node.blocks cid in
   Hashtbl.replace node.blocks cid data;
-  announce net cid node;
+  if not held then announce net cid node;
   cid
 
 (* Manifest for chunked objects: a "ZMAN" envelope block listing the
@@ -137,7 +142,8 @@ let fetch_block (net : t) (requester : node) (cid : Cid.t) :
       | Some data ->
         if Cid.equal (Cid.of_bytes data) cid then begin
           net.bytes_transferred <- net.bytes_transferred + String.length data;
-          (* cache locally and become a provider, IPFS-style *)
+          (* cache locally and become a provider, IPFS-style; the
+             requester did not hold the block, so it is not listed *)
           Hashtbl.replace requester.blocks cid data;
           announce net cid requester;
           Ok data

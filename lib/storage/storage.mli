@@ -42,6 +42,10 @@ type node = {
 type t = {
   nodes : (string, node) Hashtbl.t;
   providers : (Cid.t, string list ref) Hashtbl.t;
+      (** The DHT: the ids of the nodes holding each CID, newest first.
+          A node is listed exactly when it holds the block, so announcing
+          never scans the list; change [blocks] only through this module
+          to keep that so. *)
   mutable fetch_hops : int;
   mutable bytes_transferred : int;
 }

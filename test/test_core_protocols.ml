@@ -684,6 +684,54 @@ let test_manifest_reader_rejects () =
           | l -> l))
     = None)
 
+(* Manifest text is what a token's URI hashes: the decimal lines of a
+   fixed meta are pinned byte for byte (r - 1, 7^91 mod r and
+   (10^7)^-1 mod r, computed outside this code base). *)
+let test_manifest_golden () =
+  let meta =
+    { Marketplace.n = 4; nonce = Fr.neg Fr.one; ct_cid = "zb-ct";
+      c_d = Fr.pow (Fr.of_int 7) 91; c_k = Fr.inv (Fr.of_int 10_000_000);
+      enc_proof_cid = "zb-pi-e";
+      origin = Some (Transform.Partition (4, [ 1; 3 ]), "zb-pi-t") }
+  in
+  let r_minus_1 =
+    "21888242871839275222246405745257275088548364400416034343698204186575808495616"
+  in
+  let golden =
+    String.concat "\n"
+      [ "zkdet-meta-v1"; "kind:partition"; "n:4"; "nonce:" ^ r_minus_1;
+        "ct:zb-ct";
+        "c_d:14488614544729484848641669759044197273732940561746748976407352045114254703892";
+        "c_k:19301155439129370535570425144274867882274863905599541039634491833282224837735";
+        "enc_proof:zb-pi-e"; "transform_proof:zb-pi-t"; "src_sizes:4";
+        "part_sizes:1,3" ]
+  in
+  Alcotest.(check string) "manifest text" golden (Marketplace.meta_to_string meta);
+  (match Marketplace.meta_of_string golden with
+  | Some m ->
+    Alcotest.(check string) "reads back" golden (Marketplace.meta_to_string m)
+  | None -> Alcotest.fail "the golden manifest must read");
+  let with_c_d v =
+    String.split_on_char '\n' golden
+    |> List.map (fun l -> if String.starts_with ~prefix:"c_d:" l then "c_d:" ^ v else l)
+    |> String.concat "\n"
+  in
+  let r =
+    "21888242871839275222246405745257275088548364400416034343698204186575808495617"
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) name true (Marketplace.meta_of_string (with_c_d v) = None))
+    [ ("a leading zero", "07");
+      ("a leading zero on a full-width value", "0" ^ r_minus_1);
+      ("the modulus", r);
+      ("a value above the modulus", "21888242871839275222246405745257275088548364400416034343698204186575808495618");
+      ("a 78-digit line", "1" ^ String.make 77 '0');
+      ("an empty value", "");
+      ("a non-digit", "12a") ];
+  Alcotest.(check bool) "a 77-digit canonical value reads" true
+    (Marketplace.meta_of_string (with_c_d r_minus_1) <> None)
+
 (* Each partition of a parent proves its own pi_t over its own outputs: a
    second partition of the same parent must not join the first one's. *)
 let test_marketplace_two_partitions () =
@@ -936,6 +984,7 @@ let () =
       ( "manifest",
         Alcotest.test_case "reader rejects hostile lines" `Quick
           test_manifest_reader_rejects
+        :: Alcotest.test_case "golden decimal lines" `Quick test_manifest_golden
         :: manifest_props );
       ( "marketplace",
         [ Alcotest.test_case "publish/derive/audit/trade" `Slow test_marketplace_end_to_end;

@@ -33,8 +33,8 @@ let test_inv () =
   Alcotest.check_raises "inv zero" Division_by_zero (fun () ->
       ignore (Fr.inv Fr.zero))
 
-(* inv, sqrt and is_square exponentiate on one 2-cell scratch buffer, so a
-   call allocates that buffer and its result, not a value per step. *)
+(* inv, sqrt and is_square are each one exponentiation call, so a call
+   allocates its result (and sqrt its check), not a value per step. *)
 let test_exp_allocation () =
   let bytes f =
     let before = Gc.minor_words () in
@@ -441,6 +441,63 @@ let test_reference_fr_ml () =
 let test_reference_fp_ml () =
   Ref_fp_ml.run ~name:"Fp-mlkernel" (Test_util.rng ~salt:"field-ref-fp-ml" ())
 
+(* Every exponentiation of the C kernel is one mont_pow4 call; the OCaml
+   kernel keeps its square-and-multiply loop, and both must give the same
+   canonical bytes for inv, sqrt, is_square and pow. *)
+module Pow_agree
+    (C : Zkdet_field.Field_intf.S)
+    (M : Zkdet_field.Field_intf.S) =
+struct
+  let run ~name rng =
+    let same what a b =
+      let a = C.to_bytes_be a and b = M.to_bytes_be b in
+      if not (String.equal a b) then
+        Alcotest.failf "%s.%s: C %s, OCaml loop %s" name what
+          (Nat.to_hex (Nat.of_bytes_be a)) (Nat.to_hex (Nat.of_bytes_be b))
+    in
+    let p = C.modulus in
+    let fixed =
+      [ Nat.zero; Nat.one; Nat.sub p Nat.one;
+        Nat.shift_right (Nat.sub p Nat.one) 1 ]
+    in
+    let randoms = List.init 30 (fun _ -> C.to_nat (C.random rng)) in
+    let squares = List.map (fun x -> C.to_nat (C.sqr (C.of_nat x))) randoms in
+    let inputs = fixed @ randoms @ squares in
+    let nonsquares =
+      List.length (List.filter (fun x -> not (C.is_square (C.of_nat x))) inputs)
+    in
+    if nonsquares = 0 then Alcotest.failf "%s: no non-square among the inputs" name;
+    List.iteri
+      (fun i x ->
+        let c = C.of_nat x and m = M.of_nat x in
+        let tag op = Printf.sprintf "%s(input %d)" op i in
+        if Nat.is_zero x then begin
+          Alcotest.check_raises (tag "inv zero C") Division_by_zero (fun () ->
+              ignore (C.inv c));
+          Alcotest.check_raises (tag "inv zero OCaml") Division_by_zero
+            (fun () -> ignore (M.inv m))
+        end
+        else same (tag "inv") (C.inv c) (M.inv m);
+        Alcotest.(check bool) (tag "is_square") (M.is_square m) (C.is_square c);
+        (match (C.sqrt c, M.sqrt m) with
+        | Some a, Some b -> same (tag "sqrt") a b
+        | None, None -> ()
+        | _ -> Alcotest.failf "%s.%s: C and OCaml disagree on a root" name (tag "sqrt"));
+        List.iter
+          (fun e -> same (tag (Printf.sprintf "pow %d" e)) (C.pow c e) (M.pow m e))
+          [ 0; 1; 2; 15; 16; 17; 255; 256; 65537; max_int; Random.State.bits rng ];
+        let e = Nat.sub p (Nat.of_int (3 + i)) in
+        same (tag "pow_nat") (C.pow_nat c e) (M.pow_nat m e))
+      inputs
+end
+
+let test_pow_one_call () =
+  let rng = Test_util.rng ~salt:"field-pow-one-call" () in
+  let module Fr_agree = Pow_agree (Fr) (Fr_ml) in
+  let module Fp_agree = Pow_agree (Fp) (Fp_ml) in
+  Fr_agree.run ~name:"Fr" rng;
+  Fp_agree.run ~name:"Fp" rng
+
 let test_limbs () =
   let rng = Test_util.rng ~salt:"field-limbs" () in
   Ref_fr.run_limbs ~name:"Fr" rng;
@@ -486,6 +543,8 @@ let () =
             test_reference_fp_ml;
           Alcotest.test_case "canonical limbs vs Nat reference" `Quick
             test_limbs;
+          Alcotest.test_case "one-call pow = OCaml loop" `Quick
+            test_pow_one_call;
           Alcotest.test_case "random streams agree" `Quick test_random_streams;
           Alcotest.test_case "codecs cross-backend" `Quick
             test_codec_cross_backend ] );

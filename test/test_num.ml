@@ -137,6 +137,69 @@ let test_pow () =
     Nat.(to_decimal (pow two 128));
   check_nat "x^0" Nat.one (Nat.pow (Nat.of_int 12345) 0)
 
+(* The digit-at-a-time decimal conversions, kept as the reference for the
+   7-digit chunks: one multiply-add by 10 per input digit, one
+   [Nat.divmod] by 10 per output digit. *)
+let ref_of_decimal s =
+  if String.length s = 0 then invalid_arg "ref_of_decimal: empty";
+  let ten = Nat.of_int 10 in
+  String.fold_left
+    (fun acc c ->
+      if c < '0' || c > '9' then invalid_arg "ref_of_decimal: bad digit";
+      Nat.add (Nat.mul acc ten) (Nat.of_int (Char.code c - Char.code '0')))
+    Nat.zero s
+
+let ref_to_decimal n =
+  if Nat.is_zero n then "0"
+  else begin
+    let ten = Nat.of_int 10 in
+    let rec go n acc =
+      if Nat.is_zero n then acc
+      else
+        let q, r = Nat.divmod n ten in
+        let d = Option.get (Nat.to_int r) in
+        go q (String.make 1 (Char.chr (Char.code '0' + d)) :: acc)
+    in
+    String.concat "" (go n [])
+  end
+
+let test_decimal_reference () =
+  let st = Random.State.make [| 0xdec1 |] in
+  let digits k =
+    String.init k (fun _ -> Char.chr (Char.code '0' + Random.State.int st 10))
+  in
+  let p_minus_1 =
+    "21888242871839275222246405745257275088696311157297823662689037894645226208582"
+  and r_minus_1 =
+    "21888242871839275222246405745257275088548364400416034343698204186575808495616"
+  in
+  let fixed =
+    [ "0"; "9999999"; "10000000"; "100000000000000"; p_minus_1; r_minus_1;
+      "0000000"; "00012345678"; "10000000000000000000001" ]
+  in
+  (* Every length from 1 to 80 digits, random and all nines, with and
+     without leading zeros. *)
+  let swept =
+    List.concat_map
+      (fun k -> [ digits k; String.make k '9'; "0" ^ digits k; "1" ^ String.make (k - 1) '0' ])
+      (List.init 80 (fun i -> i + 1))
+  in
+  List.iter
+    (fun s ->
+      let n = Nat.of_decimal s in
+      check_nat ("of_decimal " ^ s) (ref_of_decimal s) n;
+      Alcotest.(check string) ("to_decimal " ^ s) (ref_to_decimal n)
+        (Nat.to_decimal n))
+    (fixed @ swept);
+  Alcotest.check_raises "empty" (Invalid_argument "Nat.of_decimal: empty")
+    (fun () -> ignore (Nat.of_decimal ""));
+  List.iter
+    (fun s ->
+      Alcotest.check_raises ("bad digit in " ^ s)
+        (Invalid_argument "Nat.of_decimal: bad digit") (fun () ->
+          ignore (Nat.of_decimal s)))
+    [ "-1"; "12a"; "1234567x"; " 1"; "1 "; "+5"; "12345678901234567890/" ]
+
 (* Property tests: naturals of 1 to 30 decimal digits. *)
 let props =
   let nat =
@@ -169,6 +232,8 @@ let () =
     [ ( "nat",
         [ Alcotest.test_case "of/to int" `Quick test_of_to_int;
           Alcotest.test_case "decimal roundtrip" `Quick test_decimal_roundtrip;
+          Alcotest.test_case "decimal vs digit reference" `Quick
+            test_decimal_reference;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "add/sub" `Quick test_add_sub;
           Alcotest.test_case "mul" `Quick test_mul;

@@ -203,6 +203,33 @@ let test_lagrange () =
   Alcotest.check fr "interp 2" (Fr.of_int 20) (Poly.eval p (Fr.of_int 2));
   Alcotest.check fr "interp 3" (Fr.of_int 40) (Poly.eval p (Fr.of_int 3))
 
+(* The verifier's batch: L_0 .. L_(k-1) from one inversion must be the
+   per-index values, for 0 to 8 of them. *)
+let test_lagrange_evals () =
+  List.iter
+    (fun log2 ->
+      let d = Domain.create log2 in
+      for _ = 1 to 6 do
+        let x = Fr.random rng in
+        let zh = Domain.vanishing_eval d x in
+        if not (Fr.is_zero zh) then
+          for k = 0 to 8 do
+            let batched = Domain.lagrange_evals d ~zh k x in
+            Alcotest.(check int) (Printf.sprintf "2^%d: %d values" log2 k) k
+              (Array.length batched);
+            for i = 0 to k - 1 do
+              Alcotest.check fr
+                (Printf.sprintf "2^%d L_%d of %d" log2 i k)
+                (Domain.lagrange_eval d i x) batched.(i)
+            done
+          done
+      done)
+    [ 2; 3; 4; 10 ];
+  Alcotest.check_raises "x in the domain" Division_by_zero (fun () ->
+      let d = Domain.create 3 in
+      let x = Domain.element d 1 in
+      ignore (Domain.lagrange_evals d ~zh:(Domain.vanishing_eval d x) 2 x))
+
 let test_vanishing_eval () =
   let d = Domain.create 4 in
   for i = 0 to 15 do
@@ -248,5 +275,6 @@ let () =
           Alcotest.test_case "divmod" `Quick test_divmod;
           Alcotest.test_case "div by vanishing" `Quick test_div_by_vanishing;
           Alcotest.test_case "lagrange/interpolate" `Quick test_lagrange;
+          Alcotest.test_case "lagrange batch" `Quick test_lagrange_evals;
           Alcotest.test_case "vanishing eval" `Quick test_vanishing_eval ] );
       ("poly-properties", props) ]

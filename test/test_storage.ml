@@ -78,6 +78,66 @@ let test_pin_gc () =
   | Ok d -> Alcotest.(check bool) "chunks survive gc" true (String.equal d big)
   | Error _ -> Alcotest.fail "pinned manifest lost chunks"
 
+(* The provider list of [cid], newest announcer first. *)
+let providers net cid =
+  match Hashtbl.find_opt net.Storage.providers cid with
+  | Some ids -> !ids
+  | None -> []
+
+let test_put_twice_listed_once () =
+  let net = Storage.create () in
+  let a = Storage.add_node net ~id:"a" in
+  let b = Storage.add_node net ~id:"b" in
+  let cid = Storage.put net a "twice" in
+  ignore (Storage.put net a "twice");
+  Alcotest.(check (list string)) "a listed once" [ "a" ] (providers net cid);
+  ignore (Storage.get net b cid);
+  ignore (Storage.put net b "twice");
+  ignore (Storage.get net b cid);
+  Alcotest.(check (list string)) "b listed once, newest first" [ "b"; "a" ]
+    (providers net cid)
+
+(* The newest provider serves every fetch: when its copy is corrupt a
+   fresh node sees [`Tampered]; once that node collects the block, the
+   record goes with it and the previous provider serves again. *)
+let test_newest_provider_tampered () =
+  let net = Storage.create () in
+  let a = Storage.add_node net ~id:"a" in
+  let b = Storage.add_node net ~id:"b" in
+  let cid = Storage.put net a "served by the newest provider" in
+  ignore (Storage.get net b cid);
+  Storage.tamper b cid;
+  (match Storage.get net (Storage.add_node net ~id:"c") cid with
+  | Error `Tampered -> ()
+  | Ok _ -> Alcotest.fail "a tampered newest provider must be detected"
+  | Error `Not_found -> Alcotest.fail "expected Tampered");
+  Alcotest.(check int) "b collects its copy" 1 (Storage.gc net b);
+  Alcotest.(check (list string)) "b's record dropped" [ "a" ] (providers net cid);
+  match Storage.get net (Storage.add_node net ~id:"d") cid with
+  | Ok data ->
+    Alcotest.(check string) "served by a" "served by the newest provider" data
+  | Error _ -> Alcotest.fail "the previous provider must serve after gc"
+
+(* Each fetch announces one more provider; announcing must not scan the
+   list, or n fetchers cost O(n^2) (~8e8 comparisons at n = 40,000). *)
+let test_many_fetchers () =
+  let net = Storage.create () in
+  let a = Storage.add_node net ~id:"a" in
+  let cid = Storage.put net a "popular block" in
+  let n = 40_000 in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to n do
+    let node = Storage.add_node net ~id:(string_of_int i) in
+    match Storage.get net node cid with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "fetch %d failed" i
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "every fetcher listed" (n + 1) (List.length (providers net cid));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fetches in %.3f s, under 1 s" n dt)
+    true (dt < 1.0)
+
 let test_codec () =
   let data = Array.init 20 (fun _ -> Fr.random rng) in
   let bytes = Storage.Codec.encode data in
@@ -113,6 +173,11 @@ let () =
           Alcotest.test_case "not found" `Quick test_not_found;
           Alcotest.test_case "tamper detection" `Quick test_tamper_detection;
           Alcotest.test_case "pin and gc" `Quick test_pin_gc;
+          Alcotest.test_case "put twice, listed once" `Quick
+            test_put_twice_listed_once;
+          Alcotest.test_case "newest provider tampered" `Quick
+            test_newest_provider_tampered;
+          Alcotest.test_case "40,000 fetchers" `Quick test_many_fetchers;
           Alcotest.test_case "field codec" `Quick test_codec;
           Alcotest.test_case "network stats" `Quick test_stats ] );
       ("properties", [ prop_roundtrip ]) ]
